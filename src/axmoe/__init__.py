@@ -10,14 +10,13 @@ from .config import ExperimentConfig, config_hash, load_config
 from .cost import (MacReport, SweepPoint, count_macs, dominates, effective_macs,
                    layer_macs, layer_params, normalized_power, pareto_frontier)
 from .datasets import load_cifar100_bin, load_dataset, synthetic_blobs
-from .engine import (Model, QuantParams, RunContext, attention_forward, conv2d_forward,
-                     dequantize, linear_forward, lut_matmul, quantize,
+from .engine import (Model, QuantParams, RunContext, dequantize, lut_matmul, quantize,
                      softmax_cross_entropy)
 from .errors import ConfigError, FormatError, NumericError, ParameterError
 from .graphs import (ARCHITECTURES, VARIANTS, ArchSpec, ClusterArch, LayerSpec, MoEGroup,
                      build_arch, substitute_moe)
 from .models import build_model, load_model, model_from_spec, save_model
-from .moe import ClusterModel, MoELayer, Router, route_cluster, route_hard, route_soft
+from .moe import ClusterModel, MoELayer, Router
 from .multipliers import (REFERENCE_MULTIPLIERS, AxMultiplier, ErrorStats,
                           build_exact_multiplier, build_truncation_multiplier,
                           builtin_multiplier, error_stats, load_lut, per_op_saving,
@@ -33,14 +32,14 @@ __all__ = [
     "ErrorStats", "ExperimentConfig", "FormatError", "History", "LayerSpec",
     "MacReport", "Model", "MoEGroup", "MoELayer", "NumericError", "ParameterError",
     "QuantParams", "Router", "RunContext", "Split", "SweepPoint", "TrainConfig",
-    "attention_forward", "build_arch", "build_exact_multiplier", "build_model",
+    "build_arch", "build_exact_multiplier", "build_model",
     "build_truncation_multiplier", "builtin_multiplier", "config_hash",
-    "conv2d_forward", "count_macs", "dequantize", "dominates", "effective_macs",
+    "count_macs", "dequantize", "dominates", "effective_macs",
     "error_stats", "evaluate", "fit", "layer_macs", "layer_params",
-    "linear_forward", "load_checkpoint", "load_cifar100_bin", "load_config",
+    "load_checkpoint", "load_cifar100_bin", "load_config",
     "load_dataset", "load_lut", "load_model", "load_tensor", "lut_matmul",
     "model_from_spec", "normalized_power", "pareto_frontier", "per_op_saving",
-    "quantize", "retrain", "route_cluster", "route_hard", "route_soft",
+    "quantize", "retrain",
     "save_checkpoint", "save_lut", "save_model", "save_tensor", "softmax_cross_entropy",
     "substitute_moe", "synthetic_blobs",
 ]

@@ -120,14 +120,20 @@ def cmd_count(args) -> int:
     cfg = _config(args)
     arch = build_arch(cfg.arch, **_arch_kwargs(cfg))
     base = count_macs(substitute_moe(arch, "dense"))
-    power = resolve_multiplier(cfg.multipliers[0])
-    p_apx = power.power_nw if power is not None else EXACT_POWER_NW
+    # only the power figure is needed: reference designs take it from the
+    # registry, so their table files need not be present
+    name = cfg.multipliers[0]
+    if name in REFERENCE_POWER_NW:
+        p_apx = REFERENCE_POWER_NW[name]
+    else:
+        power = resolve_multiplier(name)
+        p_apx = power.power_nw if power is not None else EXACT_POWER_NW
     for variant in cfg.variants:
         graph = substitute_moe(arch, variant, n_experts=cfg.n_experts,
                                moe_ratio=cfg.moe_ratio, gateway_macs=cfg.gateway_macs)
         rep = count_macs(graph)
         p = normalized_power(rep.m_eff, base.m_total, rep.f_apx, p_apx, EXACT_POWER_NW)
-        print(f"{rep.summary()}  p_norm({cfg.multipliers[0]}) {p:.4f}")
+        print(f"{rep.summary()}  p_norm({name}) {p:.4f}")
     return 0
 
 

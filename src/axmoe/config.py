@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 from .datasets import DATASETS
 from .errors import ConfigError
@@ -164,10 +164,6 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigError(f"unknown override keys {sorted(unknown)}")
         values.update({k: v for k, v in overrides.items() if v is not None})
     return ExperimentConfig(**values).validate()
-
-
-def with_overrides(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
-    return replace(cfg, **{k: v for k, v in changes.items() if v is not None}).validate()
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -112,15 +112,6 @@ def lut_matmul(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
     return out.astype(np.int32)
 
 
-def approx_dot(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> int:
-    """Dot product of two int8 code vectors via the table. Empty input -> 0."""
-    a = _check_codes(a, "approx_dot lhs")
-    b = _check_codes(b, "approx_dot rhs")
-    if a.shape != b.shape or a.ndim != 1:
-        raise ParameterError(f"approx_dot: expected equal-length vectors, got {a.shape}, {b.shape}")
-    return int(lut_matmul(a[None, :], b[None, :], m)[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # Shape helpers
 # ---------------------------------------------------------------------------
@@ -196,30 +187,56 @@ class RunContext:
 
 
 class Layer:
-    """Base class: named, optionally parameterized, optionally trainable."""
+    """Base class: named, optionally parameterized, optionally trainable.
+
+    Containers list their sub-layers in `children()`; parameter, gradient
+    and freeze-set traversal is implemented once here over that tree. Own
+    parameters are qualified by the layer name, children name their own.
+    """
 
     def __init__(self, name: str):
         self.name = name
         self.grads: dict[str, np.ndarray] = {}
 
+    def children(self) -> list["Layer"]:
+        return []
+
     def _params(self) -> dict[str, np.ndarray]:
         return {}
 
     def params(self) -> dict[str, np.ndarray]:
-        return {f"{self.name}.{k}": v for k, v in self._params().items()}
+        out = {}
+        for child in self.children():
+            out.update(child.params())
+        out.update({f"{self.name}.{k}": v for k, v in self._params().items()})
+        return out
 
     def qualified_grads(self) -> dict[str, np.ndarray]:
-        return {f"{self.name}.{k}": v for k, v in self.grads.items()}
+        out = {}
+        for child in self.children():
+            out.update(child.qualified_grads())
+        out.update({f"{self.name}.{k}": v for k, v in self.grads.items()})
+        return out
 
     def frozen_names(self) -> set[str]:
-        return set()
+        return set().union(*(child.frozen_names() for child in self.children()))
 
     def zero_grads(self) -> None:
         self.grads = {}
+        for child in self.children():
+            child.zero_grads()
 
-    def cast(self, dtype) -> None:
-        for k, v in self._params().items():
-            setattr(self, k, v.astype(dtype))
+    def load_params(self, values: dict[str, np.ndarray]) -> None:
+        """Copy `values` into the live parameters, validating names and shapes."""
+        live = self.params()
+        unknown = set(values) - set(live)
+        if unknown:
+            raise ParameterError(f"unknown parameter names: {sorted(unknown)}")
+        for name, arr in values.items():
+            dst = live[name]
+            if dst.shape != arr.shape:
+                raise ParameterError(f"{name}: shape {arr.shape} does not match {dst.shape}")
+            dst[...] = arr
 
     def forward(self, x: np.ndarray, ctx: RunContext) -> np.ndarray:
         raise NotImplementedError
@@ -343,38 +360,6 @@ class Linear(Layer):
         return (drows @ w_eff).reshape(*lead, w_eff.shape[1])
 
 
-class BatchNorm2d(Layer):
-    """Inference-style normalization with stored statistics. Always exact."""
-
-    def __init__(self, name, gamma, beta, mean, var, eps=1e-5):
-        super().__init__(name)
-        self.gamma, self.beta = gamma, beta
-        self.mean, self.var = mean, var
-        self.eps = eps
-
-    def _params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def forward(self, x, ctx):
-        inv = self.gamma / np.sqrt(self.var + self.eps)
-        return inv[None, :, None, None] * (x - self.mean[None, :, None, None]) + self.beta[None, :, None, None]
-
-
-class LayerNorm(Layer):
-    def __init__(self, name, gamma, beta, eps=1e-6):
-        super().__init__(name)
-        self.gamma, self.beta = gamma, beta
-        self.eps = eps
-
-    def _params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def forward(self, x, ctx):
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        return self.gamma * (x - mu) / np.sqrt(var + self.eps) + self.beta
-
-
 class ReLU(Layer):
     def forward(self, x, ctx):
         if ctx.train:
@@ -383,26 +368,6 @@ class ReLU(Layer):
 
     def backward(self, dy):
         return dy * self._mask
-
-
-_GELU_C = float(np.sqrt(2.0 / np.pi))
-
-
-class GELU(Layer):
-    """tanh-form gaussian error linear unit."""
-
-    def forward(self, x, ctx):
-        if ctx.train:
-            self._x = x
-        inner = _GELU_C * (x + 0.044715 * x**3)
-        return 0.5 * x * (1.0 + np.tanh(inner))
-
-    def backward(self, dy):
-        x = self._x
-        inner = _GELU_C * (x + 0.044715 * x**3)
-        t = np.tanh(inner)
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-        return dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner)
 
 
 class AvgPool2d(Layer):
@@ -427,16 +392,6 @@ class AvgPool2d(Layer):
         return up / (k * k)
 
 
-class GlobalAvgPool(Layer):
-    def forward(self, x, ctx):
-        self._in_shape = x.shape
-        return x.mean(axis=(2, 3))
-
-    def backward(self, dy):
-        n, c, h, w = self._in_shape
-        return np.broadcast_to(dy[:, :, None, None], self._in_shape) / (h * w)
-
-
 class Flatten(Layer):
     def forward(self, x, ctx):
         self._in_shape = x.shape
@@ -446,41 +401,13 @@ class Flatten(Layer):
         return dy.reshape(self._in_shape)
 
 
-class Softmax(Layer):
-    def forward(self, x, ctx):
-        return stable_softmax(x, axis=-1)
-
-
 class Sequential(Layer):
     def __init__(self, name, layers):
         super().__init__(name)
         self.layers = list(layers)
 
-    def params(self):
-        out = {}
-        for layer in self.layers:
-            out.update(layer.params())
-        return out
-
-    def qualified_grads(self):
-        out = {}
-        for layer in self.layers:
-            out.update(layer.qualified_grads())
-        return out
-
-    def frozen_names(self):
-        out = set()
-        for layer in self.layers:
-            out |= layer.frozen_names()
-        return out
-
-    def zero_grads(self):
-        for layer in self.layers:
-            layer.zero_grads()
-
-    def cast(self, dtype):
-        for layer in self.layers:
-            layer.cast(dtype)
+    def children(self):
+        return self.layers
 
     def forward(self, x, ctx):
         for layer in self.layers:
@@ -494,91 +421,12 @@ class Sequential(Layer):
 
 
 class Model(Sequential):
-    """Top-level sequential graph with parameter loading helpers."""
-
-    def load_params(self, values: dict[str, np.ndarray]) -> None:
-        live = self.params()
-        unknown = set(values) - set(live)
-        if unknown:
-            raise ParameterError(f"unknown parameter names: {sorted(unknown)}")
-        for name, arr in values.items():
-            dst = live[name]
-            if dst.shape != arr.shape:
-                raise ParameterError(f"{name}: shape {arr.shape} does not match {dst.shape}")
-            dst[...] = arr
-
-    def copy(self) -> "Model":
-        import copy as _copy
-
-        return _copy.deepcopy(self)
+    """Top-level sequential graph."""
 
 
 # ---------------------------------------------------------------------------
-# Functional wrappers and loss
+# Loss
 # ---------------------------------------------------------------------------
-
-def conv2d_forward(x, w, b, stride=(1, 1), padding=(0, 0), groups=1,
-                   multiplier=None, counters=None, approximate=True):
-    """One-shot conv without building a layer object."""
-    ctx = RunContext(multiplier=multiplier)
-    layer = Conv2d("conv", w, b, stride, padding, groups, approximate)
-    y = layer.forward(x, ctx)
-    if counters is not None:
-        counters.update(ctx.counters)
-    return y
-
-
-def linear_forward(x, w, b, multiplier=None, counters=None, approximate=True):
-    ctx = RunContext(multiplier=multiplier)
-    layer = Linear("linear", w, b, approximate)
-    y = layer.forward(x, ctx)
-    if counters is not None:
-        counters.update(ctx.counters)
-    return y
-
-
-def attention_forward(x, w_qkv, b_qkv, w_proj, b_proj, heads,
-                      multiplier=None, counters=None, approx_scores=False):
-    """Multi-head self-attention. Projections may run through the LUT path;
-    score and score-value matmuls stay exact float unless approx_scores is
-    set (then they are quantized per-tensor and routed through the table).
-    """
-    n, t, d = x.shape
-    if d % heads:
-        raise ParameterError(f"model dim {d} not divisible by {heads} heads")
-    hd = d // heads
-    ctx = RunContext(multiplier=multiplier)
-    qkv = Linear("attn.qkv", w_qkv, b_qkv, approximate=True).forward(x, ctx)
-    qkv = qkv.reshape(n, t, 3, heads, hd).transpose(2, 0, 3, 1, 4)
-    q, k, v = qkv[0], qkv[1], qkv[2]  # (n, heads, t, hd)
-    scale = 1.0 / np.sqrt(hd)
-    if approx_scores and multiplier is not None:
-        qq, sq = quantize(q)
-        qk, sk = quantize(k)
-        scores = np.empty((n, heads, t, t), dtype=x.dtype)
-        for i in range(n):
-            for h in range(heads):
-                acc = lut_matmul(qq[i, h], qk[i, h], multiplier)
-                scores[i, h] = acc.astype(np.float64) * (sq.scale * sk.scale)
-        scores *= scale
-        attn = stable_softmax(scores, axis=-1)
-        qa, sa = quantize(attn)
-        qv, sv = quantize(v)
-        mixed = np.empty_like(q)
-        for i in range(n):
-            for h in range(heads):
-                acc = lut_matmul(qa[i, h], np.ascontiguousarray(qv[i, h].T), multiplier)
-                mixed[i, h] = acc.astype(np.float64) * (sa.scale * sv.scale)
-    else:
-        scores = np.einsum("nhqd,nhkd->nhqk", q, k) * scale
-        attn = stable_softmax(scores, axis=-1)
-        mixed = np.einsum("nhqk,nhkd->nhqd", attn, v)
-    mixed = mixed.transpose(0, 2, 1, 3).reshape(n, t, d)
-    out = Linear("attn.proj", w_proj, b_proj, approximate=True).forward(mixed, ctx)
-    if counters is not None:
-        counters.update(ctx.counters)
-    return out
-
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy over the batch. Returns (loss, dloss/dlogits)."""

@@ -16,8 +16,7 @@ import copy
 import numpy as np
 
 from . import tensor_io
-from .engine import (GELU, AvgPool2d, BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, Layer,
-                     LayerNorm, Linear, Model, ReLU, Sequential, Softmax)
+from .engine import AvgPool2d, Conv2d, Flatten, Layer, Linear, Model, ReLU, Sequential
 from .errors import ParameterError
 from .graphs import APPROX, ArchSpec, ClusterArch, LayerSpec, MoEGroup, build_arch, substitute_moe
 from .moe import ClusterModel, MoELayer, Router
@@ -50,22 +49,9 @@ def _instantiate(spec: LayerSpec, rng, dtype, prefix: str) -> Layer:
     if kind == "linear":
         w, b = _init_linear(rng, spec, dtype)
         return Linear(name, w, b, approximate=spec.arithmetic == APPROX)
-    if kind == "batchnorm2d":
-        c = spec.out_channels
-        return BatchNorm2d(name, np.ones(c, dtype), np.zeros(c, dtype),
-                           np.zeros(c, dtype), np.ones(c, dtype))
-    if kind == "layernorm":
-        d = spec.out_features
-        return LayerNorm(name, np.ones(d, dtype), np.zeros(d, dtype))
     if kind == "relu":
         return ReLU(name)
-    if kind == "gelu":
-        return GELU(name)
-    if kind == "softmax":
-        return Softmax(name)
     if kind == "avgpool":
-        if spec.out_hw == (1, 1):
-            return GlobalAvgPool(name)
         return AvgPool2d(name, spec.kernel[0])
     if kind == "flatten":
         return Flatten(name)

@@ -63,37 +63,16 @@ class MoELayer(Layer):
         self.mode = mode
         self._cache = None
 
+    def children(self):
+        return self.experts
+
     # router weight is a parameter so checkpoints carry it, but it is listed
     # frozen: retraining must never move routing gates
-    def params(self):
-        out = {}
-        for e in self.experts:
-            out.update(e.params())
-        out[f"{self.name}.router.w"] = self.router.w
-        return out
-
-    def qualified_grads(self):
-        out = {}
-        for e in self.experts:
-            out.update(e.qualified_grads())
-        out.update({f"{self.name}.{k}": v for k, v in self.grads.items()})
-        return out
+    def _params(self):
+        return {"router.w": self.router.w}
 
     def frozen_names(self):
-        names = {f"{self.name}.router.w"}
-        for e in self.experts:
-            names |= e.frozen_names()
-        return names
-
-    def zero_grads(self):
-        self.grads = {}
-        for e in self.experts:
-            e.zero_grads()
-
-    def cast(self, dtype):
-        self.router.w = self.router.w.astype(dtype)
-        for e in self.experts:
-            e.cast(dtype)
+        return super().frozen_names() | {f"{self.name}.router.w"}
 
     def forward(self, x, ctx: RunContext):
         g, feats = self.router.gates(x)  # exact float, never quantized
@@ -174,34 +153,12 @@ class ClusterModel(Layer):
         self.replicas = replicas
         self._cache = None
 
-    def params(self):
-        out = dict(self.gateway.params())
-        for r in self.replicas:
-            out.update(r.params())
-        return out
-
-    def qualified_grads(self):
-        out = dict(self.gateway.qualified_grads())
-        for r in self.replicas:
-            out.update(r.qualified_grads())
-        return out
+    def children(self):
+        return [self.gateway, *self.replicas]
 
     def frozen_names(self):
         # the gateway is the routing gate of this variant
-        names = set(self.gateway.params())
-        for r in self.replicas:
-            names |= r.frozen_names()
-        return names
-
-    def zero_grads(self):
-        self.gateway.zero_grads()
-        for r in self.replicas:
-            r.zero_grads()
-
-    def cast(self, dtype):
-        self.gateway.cast(dtype)
-        for r in self.replicas:
-            r.cast(dtype)
+        return super().frozen_names() | set(self.gateway.params())
 
     def forward(self, x, ctx: RunContext):
         logits = self.gateway.forward(x, ctx)  # gateway layers are all exact
@@ -232,20 +189,3 @@ class ClusterModel(Layer):
                 dx[masks[i]] = replica.backward(dy[masks[i]])
         return dx
 
-
-# ---------------------------------------------------------------------------
-# Functional entry points
-# ---------------------------------------------------------------------------
-
-def route_soft(x, experts, router: Router, multiplier=None) -> np.ndarray:
-    layer = MoELayer("route", experts, router, "soft")
-    return layer.forward(x, RunContext(multiplier=multiplier))
-
-
-def route_hard(x, experts, router: Router, multiplier=None) -> np.ndarray:
-    layer = MoELayer("route", experts, router, "hard")
-    return layer.forward(x, RunContext(multiplier=multiplier))
-
-
-def route_cluster(x, cluster: ClusterModel, multiplier=None) -> np.ndarray:
-    return cluster.forward(x, RunContext(multiplier=multiplier))

@@ -36,13 +36,6 @@ def lut_index(a, b):
     return (np.asarray(a, dtype=np.int32) + 128) * 256 + (np.asarray(b, dtype=np.int32) + 128)
 
 
-def exact_mul8s(a: int, b: int) -> int:
-    """Reference signed 8-bit product. Domain-checked, never approximate."""
-    if not (INT8_MIN <= a <= INT8_MAX and INT8_MIN <= b <= INT8_MAX):
-        raise ParameterError(f"operands ({a}, {b}) outside signed 8-bit range")
-    return int(a) * int(b)
-
-
 @dataclass(frozen=True)
 class ErrorStats:
     """Exhaustive error figures of a multiplier against the exact product."""
@@ -77,11 +70,11 @@ class AxMultiplier:
             raise ParameterError("lut must be a (65536,) int16 array")
         self.lut.setflags(write=False)
 
-    def multiply(self, a, b):
-        """Look up products for int operands; broadcasts, returns int16 array."""
-        return self.lut[lut_index(a, b)]
-
     def __call__(self, a: int, b: int) -> int:
+        """One product through the table. Domain-checked: a negative index
+        would otherwise wrap around to an unrelated entry."""
+        if not (INT8_MIN <= a <= INT8_MAX and INT8_MIN <= b <= INT8_MAX):
+            raise ParameterError(f"operands ({a}, {b}) outside signed 8-bit range")
         return int(self.lut[lut_index(a, b)])
 
 

@@ -14,7 +14,7 @@ from axmoe.engine import (Conv2d, Linear, Model, ReLU, Flatten, RunContext, im2c
                           lut_matmul, quantize, softmax_cross_entropy)
 from axmoe.graphs import APPROX, ClusterArch, MoEGroup, VARIANTS, build_arch, substitute_moe
 from axmoe.models import build_model
-from axmoe.moe import MoELayer, Router, route_hard, route_soft
+from axmoe.moe import MoELayer, Router
 from axmoe.multipliers import (EXACT_POWER_NW, REFERENCE_MULTIPLIERS, AxMultiplier,
                                build_exact_multiplier, builtin_multiplier, per_op_saving)
 from axmoe.train import TrainConfig, evaluate, fit, retrain
@@ -230,7 +230,7 @@ def test_c08_moe_routing_algebra_holds_on_random_instances():
         # identical experts: soft output equals the single expert
         base = Linear("e", rng.normal(size=(fout, fin)) * 0.5, rng.normal(size=fout))
         clones = [Linear(f"c{i}", base.w.copy(), base.b.copy()) for i in range(n_exp)]
-        y_soft = route_soft(x, clones, router)
+        y_soft = MoELayer("route", clones, router, "soft").forward(x, RunContext())
         y_single = base.forward(x, RunContext())
         assert np.allclose(y_soft, y_single, atol=SOFT_EQ_ATOL)
 
@@ -247,8 +247,9 @@ def test_c08_moe_routing_algebra_holds_on_random_instances():
         assert keep.sum() >= 3
         sharp = Router("r", router.w * (120.0 / float(margin[keep].min())))
         xs = x[keep]
-        assert np.allclose(route_soft(xs, experts, sharp),
-                           route_hard(xs, copies, sharp), atol=1e-4)
+        assert np.allclose(MoELayer("route", experts, sharp, "soft").forward(xs, RunContext()),
+                           MoELayer("route", copies, sharp, "hard").forward(xs, RunContext()),
+                           atol=1e-4)
 
         # hard routing touches exactly one expert per sample
         layer = MoELayer("mix", experts, router, "hard")

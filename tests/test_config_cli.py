@@ -1,15 +1,20 @@
 """Config file parsing, hashing, multiplier resolution, CLI behaviour."""
 
 import csv
+import dataclasses
 import json
+
+import re
 
 import numpy as np
 import pytest
 
 from axmoe import cli
-from axmoe.config import ExperimentConfig, config_hash, load_config, parse_config_text, with_overrides
+from axmoe.config import ExperimentConfig, config_hash, load_config, parse_config_text
 from axmoe.datasets import DATA_DIR_ENV
 from axmoe.errors import ConfigError
+from axmoe.models import load_model, model_from_spec
+from axmoe.tensor_io import load_checkpoint
 from axmoe.multipliers import builtin_multiplier, save_lut
 
 
@@ -81,13 +86,13 @@ def test_validate_catches_bad_fields():
     ]
     for changes in cases:
         with pytest.raises(ConfigError):
-            with_overrides(base, **changes)
+            dataclasses.replace(base, **changes).validate()
 
 
 def test_config_hash_ignores_out_but_not_science():
     a = ExperimentConfig()
-    b = with_overrides(a, out="elsewhere")
-    c = with_overrides(a, seed=1)
+    b = dataclasses.replace(a, out="elsewhere").validate()
+    c = dataclasses.replace(a, seed=1).validate()
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
     assert len(config_hash(a)) == 64
@@ -173,6 +178,46 @@ def test_cli_retrain_flags_rows_and_improves_reload(tmp_path, capsys):
     with open(tmp_path / "sweep.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[1][8] == "true"
+
+
+def test_cli_retrain_cluster_checkpoint_reloads_and_evaluates(tmp_path, capsys):
+    rc = cli.main(["retrain", *_base_args(tmp_path), "--variant", "dense",
+                   "--variant", "cluster", "--multiplier", "float", "--multiplier", "trunc2"])
+    assert rc == 0
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = {(r[1], r[2]): r for r in list(csv.reader(fh))[1:]}
+    assert set(rows) == {(v, m) for v in ("dense", "cluster") for m in ("float", "trunc2")}
+    assert rows[("cluster", "trunc2")][8] == "true"
+
+    ckpt = tmp_path / "ckpt_cluster"
+    saved, saved_frozen, meta = load_checkpoint(ckpt)
+    model, _ = load_model(ckpt)
+    params = model.params()
+    assert set(params) == set(saved)
+    for name, arr in saved.items():
+        assert params[name].dtype == arr.dtype and np.array_equal(params[name], arr), name
+    # the pretrained replicas moved away from their seeded initial values
+    fresh = model_from_spec(meta).params()
+    assert any(not np.array_equal(fresh[k], v) for k, v in saved.items())
+    gateway = set(model.gateway.params())
+    assert gateway and all(k.startswith("gateway.") for k in gateway)
+    assert model.frozen_names() == gateway == saved_frozen
+
+    capsys.readouterr()
+    rc = cli.main(["eval", *_base_args(tmp_path), "--multiplier", "float",
+                   "--set", f"checkpoint = {ckpt}"])
+    assert rc == 0
+    assert f"cluster float: top1 {float(rows[('cluster', 'float')][7]):.4f}" in capsys.readouterr().out
+
+
+def test_cli_count_reference_design_needs_no_table_file(monkeypatch, capsys):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    for arch in ("resnet20", "vgg11_bn", "vgg19_bn"):
+        assert cli.main(["count", "--arch", arch, "--variant", "dense",
+                         "--multiplier", "mul8s_1L2J"]) == 0
+        p_norm = float(re.search(r"p_norm\(mul8s_1L2J\) ([0-9.]+)",
+                                 capsys.readouterr().out).group(1))
+        assert 0.70 <= p_norm <= 0.72, (arch, p_norm)  # criterion 4 band
 
 
 def test_cli_sweep_reruns_byte_identical(tmp_path):

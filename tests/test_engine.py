@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from axmoe.engine import (GELU, AvgPool2d, BatchNorm2d, Conv2d, LayerNorm, Linear, Model,
-                          QuantParams, RunContext, attention_forward, col2im,
-                          conv2d_forward, dequantize, im2col, linear_forward, lut_matmul,
-                          quantize, softmax_cross_entropy, stable_softmax)
+from axmoe.engine import (AvgPool2d, Conv2d, Linear, Model, QuantParams, ReLU, RunContext,
+                          col2im, dequantize, im2col, lut_matmul, quantize,
+                          softmax_cross_entropy, stable_softmax)
 from axmoe.errors import NumericError, ParameterError
 from axmoe.multipliers import build_exact_multiplier, build_truncation_multiplier
 
@@ -160,7 +159,7 @@ def test_conv2d_float_matches_naive_loop():
         w = rng.normal(size=(6, 4 // groups, 3, 2))
         b = rng.normal(size=6)
         for stride, padding in (((1, 1), (0, 0)), ((2, 1), (1, 1))):
-            got = conv2d_forward(x, w, b, stride, padding, groups)
+            got = Conv2d("conv", w, b, stride, padding, groups).forward(x, RunContext())
             want = _naive_conv(x, w, b, stride, padding, groups)
             assert np.allclose(got, want, atol=1e-10)
 
@@ -170,10 +169,11 @@ def test_linear_float_matches_affine_oracle():
     x = rng.normal(size=(7, 11))
     w = rng.normal(size=(3, 11))
     b = rng.normal(size=3)
-    assert np.allclose(linear_forward(x, w, b), x @ w.T + b, atol=1e-12)
+    layer = Linear("linear", w, b)
+    assert np.allclose(layer.forward(x, RunContext()), x @ w.T + b, atol=1e-12)
     # trailing-axis contraction on rank 3 input
     x3 = rng.normal(size=(2, 5, 11))
-    assert np.allclose(linear_forward(x3, w, b), x3 @ w.T + b, atol=1e-12)
+    assert np.allclose(layer.forward(x3, RunContext()), x3 @ w.T + b, atol=1e-12)
 
 
 def test_conv2d_counter_formula():
@@ -181,78 +181,33 @@ def test_conv2d_counter_formula():
     x = rng.normal(size=(3, 4, 8, 8))
     w = rng.normal(size=(6, 2, 3, 3))
     b = np.zeros(6)
-    counters = {}
-    conv2d_forward(x, w, b, (1, 1), (1, 1), 2, multiplier=EXACT, counters=counters)
-    assert counters == {"conv": 3 * 6 * 8 * 8 * 2 * 3 * 3}
+    ctx = RunContext(multiplier=EXACT)
+    Conv2d("conv", w, b, (1, 1), (1, 1), 2).forward(x, ctx)
+    assert ctx.counters == {"conv": 3 * 6 * 8 * 8 * 2 * 3 * 3}
 
 
 def test_linear_counter_formula():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(4, 9, 5))
     w = rng.normal(size=(2, 5))
-    counters = {}
-    linear_forward(x, w, np.zeros(2), multiplier=EXACT, counters=counters)
-    assert counters == {"linear": 4 * 9 * 5 * 2}
+    ctx = RunContext(multiplier=EXACT)
+    Linear("linear", w, np.zeros(2)).forward(x, ctx)
+    assert ctx.counters == {"linear": 4 * 9 * 5 * 2}
 
 
 def test_exact_layers_skip_the_table():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(2, 6))
     w = rng.normal(size=(3, 6))
-    counters = {}
-    y = linear_forward(x, w, np.zeros(3), multiplier=EXACT, counters=counters,
-                       approximate=False)
-    assert counters == {}
+    ctx = RunContext(multiplier=EXACT)
+    y = Linear("linear", w, np.zeros(3), approximate=False).forward(x, ctx)
+    assert ctx.counters == {}
     assert np.allclose(y, x @ w.T, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # element-wise layers
 # ---------------------------------------------------------------------------
-
-def test_batchnorm2d_inference_formula():
-    rng = np.random.default_rng(9)
-    c = 5
-    layer = BatchNorm2d("bn", rng.normal(size=c), rng.normal(size=c),
-                        rng.normal(size=c), rng.uniform(0.5, 2.0, size=c))
-    x = rng.normal(size=(2, c, 3, 3))
-    got = layer.forward(x, RunContext())
-    shape = (1, c, 1, 1)
-    want = ((x - layer.mean.reshape(shape)) / np.sqrt(layer.var.reshape(shape) + layer.eps)
-            * layer.gamma.reshape(shape) + layer.beta.reshape(shape))
-    assert np.allclose(got, want, atol=1e-7)
-
-
-def test_layernorm_last_axis():
-    rng = np.random.default_rng(10)
-    d = 8
-    layer = LayerNorm("ln", rng.normal(size=d), rng.normal(size=d))
-    x = rng.normal(size=(3, 4, d))
-    got = layer.forward(x, RunContext())
-    mu = x.mean(-1, keepdims=True)
-    var = x.var(-1, keepdims=True)
-    want = (x - mu) / np.sqrt(var + layer.eps) * layer.gamma + layer.beta
-    assert np.allclose(got, want, atol=1e-7)
-
-
-def test_gelu_gradient_matches_finite_differences():
-    rng = np.random.default_rng(11)
-    layer = GELU("gelu")
-    x = rng.normal(size=(4, 6)).astype(np.float64)
-    ctx = RunContext(train=True)
-    layer.forward(x, ctx)
-    dy = rng.normal(size=x.shape)
-    got = layer.backward(dy)
-    eps = 1e-6
-    for idx in [(0, 0), (1, 3), (3, 5)]:
-        xp = x.copy()
-        xm = x.copy()
-        xp[idx] += eps
-        xm[idx] -= eps
-        fd = ((layer.forward(xp, RunContext()) - layer.forward(xm, RunContext()))
-              * dy).sum() / (2 * eps)
-        assert got[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
-
 
 def test_avgpool_forward_and_backward():
     x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
@@ -288,8 +243,9 @@ def test_exact_lut_path_tracks_float_within_quant_noise():
     x = rng.normal(size=(4, 3, 6, 6))
     w = rng.normal(size=(5, 3, 3, 3)) * 0.3
     b = rng.normal(size=5) * 0.1
-    y_float = conv2d_forward(x, w, b, (1, 1), (1, 1), 1)
-    y_lut = conv2d_forward(x, w, b, (1, 1), (1, 1), 1, multiplier=EXACT)
+    conv = Conv2d("conv", w, b, (1, 1), (1, 1), 1)
+    y_float = conv.forward(x, RunContext())
+    y_lut = conv.forward(x, RunContext(multiplier=EXACT))
     # generous envelope; the tight analytic bound is asserted elsewhere
     assert np.abs(y_lut - y_float).max() < 0.15
 
@@ -312,49 +268,6 @@ def test_ste_gradients_close_to_float_gradients():
     assert np.allclose(layer_q.grads["w"], layer_f.grads["w"], rtol=0.1, atol=0.06)
 
 
-def test_attention_float_path_matches_manual_computation():
-    rng = np.random.default_rng(15)
-    n, t, d, heads = 2, 5, 8, 2
-    x = rng.normal(size=(n, t, d))
-    w_qkv = rng.normal(size=(3 * d, d)) * 0.3
-    b_qkv = rng.normal(size=3 * d) * 0.1
-    w_proj = rng.normal(size=(d, d)) * 0.3
-    b_proj = rng.normal(size=d) * 0.1
-
-    got = attention_forward(x, w_qkv, b_qkv, w_proj, b_proj, heads)
-
-    qkv = x @ w_qkv.T + b_qkv
-    hd = d // heads
-    qkv = qkv.reshape(n, t, 3, heads, hd).transpose(2, 0, 3, 1, 4)
-    q, k, v = qkv
-    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(hd)
-    attn = np.exp(scores - scores.max(-1, keepdims=True))
-    attn /= attn.sum(-1, keepdims=True)
-    mixed = (attn @ v).transpose(0, 2, 1, 3).reshape(n, t, d)
-    want = mixed @ w_proj.T + b_proj
-    assert np.allclose(got, want, atol=1e-10)
-
-
-def test_attention_approx_scores_switch_runs_and_stays_close():
-    rng = np.random.default_rng(16)
-    n, t, d, heads = 1, 4, 8, 2
-    x = rng.normal(size=(n, t, d)) * 0.5
-    w_qkv = rng.normal(size=(3 * d, d)) * 0.3
-    w_proj = rng.normal(size=(d, d)) * 0.3
-    base = attention_forward(x, w_qkv, np.zeros(3 * d), w_proj, np.zeros(d), heads,
-                             multiplier=EXACT, approx_scores=False)
-    full = attention_forward(x, w_qkv, np.zeros(3 * d), w_proj, np.zeros(d), heads,
-                             multiplier=EXACT, approx_scores=True)
-    assert np.abs(full - base).max() < 0.1
-
-
-def test_rejects_bad_head_count():
-    x = np.zeros((1, 3, 10))
-    with pytest.raises(ParameterError):
-        attention_forward(x, np.zeros((30, 10)), np.zeros(30), np.zeros((10, 10)),
-                          np.zeros(10), heads=3)
-
-
 # ---------------------------------------------------------------------------
 # model container
 # ---------------------------------------------------------------------------
@@ -363,7 +276,7 @@ def _tiny_model():
     rng = np.random.default_rng(17)
     return Model("tiny", [
         Linear("fc1", rng.normal(size=(5, 8)) * 0.3, np.zeros(5)),
-        GELU("act"),
+        ReLU("act"),
         Linear("fc2", rng.normal(size=(3, 5)) * 0.3, np.zeros(3)),
     ])
 
@@ -377,16 +290,3 @@ def test_model_load_params_validates_names_and_shapes():
         model.load_params({"nope.w": np.zeros((5, 8))})
     with pytest.raises(ParameterError):
         model.load_params({"fc1.w": np.zeros((5, 9))})
-
-
-def test_model_copy_is_independent():
-    model = _tiny_model()
-    dup = model.copy()
-    dup.params()["fc1.w"][:] = 0.0
-    assert model.params()["fc1.w"].any()
-
-
-def test_model_cast_switches_dtype():
-    model = _tiny_model()
-    model.cast(np.float64)
-    assert all(v.dtype == np.float64 for v in model.params().values())

@@ -1,0 +1,87 @@
+"""Executable models: parameter traversal, pooling, and the package surface."""
+
+import numpy as np
+import pytest
+
+import axmoe
+from axmoe.engine import AvgPool2d, Flatten, RunContext, softmax_cross_entropy
+from axmoe.graphs import VARIANTS, ClusterArch, MoEGroup, substitute_moe, toy_cnn, toy_mlp
+from axmoe.models import build_model
+from axmoe.train import TrainConfig, sgd_step
+
+ARCHS = {
+    "toy_cnn": lambda: toy_cnn(num_classes=3, resolution=8, channels=1),
+    "toy_mlp": lambda: toy_mlp(num_classes=3, resolution=6, channels=1),
+}
+
+
+def _expected_frozen(graph) -> set[str]:
+    """Routing-gate parameter names, read from the graph spec alone."""
+    if isinstance(graph, ClusterArch):
+        return {f"{spec.name}.{p}" for spec in graph.gateway.layers
+                if spec.kind in ("conv2d", "linear") for p in ("w", "b")}
+    return {f"{entry.name}.router.w" for entry in graph.layers if isinstance(entry, MoEGroup)}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("arch", sorted(ARCHS))
+def test_traversal_invariants_after_one_train_step(arch, variant):
+    spec = ARCHS[arch]()
+    graph = substitute_moe(spec, variant, n_experts=2)
+    model = build_model(graph, seed=3)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(12, *spec.input_shape)).astype(np.float32)
+    y = rng.integers(0, 3, size=12)
+
+    logits = model.forward(x, RunContext(train=True))
+    _, dlogits = softmax_cross_entropy(logits, y)
+    model.zero_grads()
+    model.backward(dlogits)
+    frozen = model.frozen_names()
+    sgd_step(model, TrainConfig(lr=0.1, epochs=1), frozen, {})
+
+    params = model.params()
+    grads = model.qualified_grads()
+    assert frozen <= set(params)
+    assert grads and set(grads) <= set(params)
+    assert frozen == _expected_frozen(graph)
+    assert bool(frozen) == (variant != "dense")
+    if variant == "cluster":
+        assert not frozen & set(grads)  # the gateway sits behind an argmax
+
+    snapshot = {k: v.copy() for k, v in params.items()}
+    for v in params.values():
+        v += 1.0
+    model.load_params(snapshot)
+    for k, v in model.params().items():
+        assert v.dtype == snapshot[k].dtype and np.array_equal(v, snapshot[k]), k
+
+    model.zero_grads()
+    assert model.qualified_grads() == {}
+
+
+def test_avgpool_to_one_pixel_feeds_flatten():
+    model = build_model(substitute_moe(toy_cnn(num_classes=3, resolution=4, channels=2),
+                                       "dense"), seed=0)
+    names = [layer.name for layer in model.layers]
+    pool = model.layers[names.index("pool2")]
+    assert isinstance(pool, AvgPool2d)
+    assert isinstance(model.layers[names.index("pool2") + 1], Flatten)
+
+    x = np.random.default_rng(5).normal(size=(6, 2, 4, 4)).astype(np.float32)
+    ctx = RunContext(train=True)
+    h = x
+    for layer in model.layers[: names.index("pool2") + 1]:
+        h = layer.forward(h, ctx)
+    assert h.shape == (6, 16, 1, 1)
+    assert model.layers[names.index("pool2") + 1].forward(h, ctx).shape == (6, 16)
+
+    logits = model.forward(x, ctx)
+    assert logits.shape == (6, 3)
+    assert model.backward(np.ones_like(logits)).shape == x.shape
+
+
+def test_every_exported_name_resolves():
+    assert len(set(axmoe.__all__)) == len(axmoe.__all__)
+    for name in axmoe.__all__:
+        getattr(axmoe, name)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from axmoe.engine import Linear, Model, RunContext
-from axmoe.moe import ClusterModel, MoELayer, Router, pool_features, route_hard, route_soft
+from axmoe.moe import ClusterModel, MoELayer, Router, pool_features
 
 
 def _experts(rng, n, fin, fout, scale=0.5):
@@ -62,7 +62,7 @@ def test_identical_experts_make_soft_equal_single_expert():
             clones.append(c)
         router = _router(rng, 3, fin, scale=2.0)
         x = rng.normal(size=(6, fin))
-        y_soft = route_soft(x, clones, router)
+        y_soft = MoELayer("route", clones, router, "soft").forward(x, RunContext())
         y_single = base.forward(x, RunContext())
         assert np.allclose(y_soft, y_single, atol=1e-5)
 
@@ -76,8 +76,8 @@ def test_one_hot_gates_collapse_soft_to_hard():
         # huge router weights drive the softmax to one-hot
         router = Router("r", rng.normal(size=(3, fin)) * 400.0)
         x = rng.normal(size=(8, fin))
-        y_soft = route_soft(x, experts_a, router)
-        y_hard = route_hard(x, experts_b, router)
+        y_soft = MoELayer("route", experts_a, router, "soft").forward(x, RunContext())
+        y_hard = MoELayer("route", experts_b, router, "hard").forward(x, RunContext())
         assert np.allclose(y_soft, y_hard, atol=1e-4)
 
 
@@ -121,7 +121,7 @@ def test_soft_gate_scaling_is_retained_not_renormalized():
     experts = _experts(rng, 2, 4, 3)
     router = _router(rng, 2, 4)
     x = rng.normal(size=(5, 4))
-    y = route_soft(x, experts, router)
+    y = MoELayer("route", experts, router, "soft").forward(x, RunContext())
     g, _ = router.gates(x)
     want = sum(g[:, i][:, None] * experts[i].forward(x, RunContext()) for i in range(2))
     assert np.allclose(y, want, atol=1e-6)

@@ -7,7 +7,7 @@ from axmoe.errors import FormatError, ParameterError
 from axmoe.multipliers import (EXACT_NAME, EXACT_POWER_NW, FILE_SIZE, TABLE_SIZE,
                                AxMultiplier, ErrorStats, REFERENCE_MULTIPLIERS,
                                build_exact_multiplier, build_truncation_multiplier,
-                               builtin_multiplier, error_stats, exact_mul8s, load_lut,
+                               builtin_multiplier, error_stats, load_lut,
                                lut_index, per_op_saving, save_lut, truncation_power_nw)
 
 
@@ -33,10 +33,11 @@ def test_lut_index_addresses_the_right_product():
 
 
 def test_exact_mul8s_rejects_out_of_range_operands():
-    assert exact_mul8s(-128, -128) == 16384
+    m = build_exact_multiplier()
+    assert m(-128, -128) == 16384
     for a, b in ((128, 0), (0, 128), (-129, 1), (5, 1000)):
         with pytest.raises(ParameterError):
-            exact_mul8s(a, b)
+            m(a, b)
 
 
 def test_scalar_call_agrees_with_vectorized_multiply():
@@ -44,7 +45,7 @@ def test_scalar_call_agrees_with_vectorized_multiply():
     m = builtin_multiplier("trunc3")
     a = rng.integers(-128, 128, size=257).astype(np.int8)
     b = rng.integers(-128, 128, size=257).astype(np.int8)
-    batch = m.multiply(a, b)
+    batch = m.lut[lut_index(a, b)]
     for i in range(a.size):
         assert batch[i] == m(int(a[i]), int(b[i]))
 
