@@ -7,8 +7,8 @@ architectures and their expert-routed variants.
 """
 
 from .config import ExperimentConfig, config_hash, load_config
-from .cost import (MacReport, SweepPoint, count_macs, dominates, effective_macs,
-                   layer_macs, layer_params, normalized_power, pareto_frontier)
+from .cost import (MacReport, SweepPoint, count_macs, dominates, layer_macs, layer_params,
+                   normalized_power, pareto_frontier)
 from .datasets import load_cifar100_bin, load_dataset, synthetic_blobs
 from .engine import (Model, QuantParams, RunContext, dequantize, lut_matmul, quantize,
                      softmax_cross_entropy)
@@ -34,7 +34,7 @@ __all__ = [
     "QuantParams", "Router", "RunContext", "Split", "SweepPoint", "TrainConfig",
     "build_arch", "build_exact_multiplier", "build_model",
     "build_truncation_multiplier", "builtin_multiplier", "config_hash",
-    "count_macs", "dequantize", "dominates", "effective_macs",
+    "count_macs", "dequantize", "dominates",
     "error_stats", "evaluate", "fit", "layer_macs", "layer_params",
     "load_checkpoint", "load_cifar100_bin", "load_config",
     "load_dataset", "load_lut", "load_model", "load_tensor", "lut_matmul",

@@ -3,7 +3,7 @@
 Per-op costs follow the profiler convention the published per-architecture
 figures were produced with:
 
-    conv2d        out_ch * Ho * Wo * (in_ch / groups) * kh * kw
+    conv2d        out_ch * Ho * Wo * in_ch * kh * kw
     linear        in * out * tokens
     batchnorm2d   4 per output element (subtract, divide, scale, shift)
     avgpool       1 per input element
@@ -21,14 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .graphs import APPROX, ArchSpec, ClusterArch, LayerSpec, MoEGroup, substitute_moe
+from .graphs import APPROX, ClusterArch, LayerSpec, MoEGroup
 
 
 def layer_macs(spec: LayerSpec) -> int:
     """Per-sample MAC count of a single layer under the op-cost convention."""
     if spec.kind == "conv2d":
         oh, ow = spec.out_hw
-        return spec.out_channels * oh * ow * (spec.in_channels // spec.groups) * spec.kernel[0] * spec.kernel[1]
+        return spec.out_channels * oh * ow * spec.in_channels * spec.kernel[0] * spec.kernel[1]
     if spec.kind == "linear":
         return spec.in_features * spec.out_features * spec.tokens
     if spec.kind == "batchnorm2d":
@@ -40,8 +40,7 @@ def layer_macs(spec: LayerSpec) -> int:
 
 def layer_params(spec: LayerSpec) -> int:
     if spec.kind == "conv2d":
-        return spec.out_channels * ((spec.in_channels // spec.groups)
-                                    * spec.kernel[0] * spec.kernel[1] + 1)
+        return spec.out_channels * (spec.in_channels * spec.kernel[0] * spec.kernel[1] + 1)
     if spec.kind == "linear":
         return spec.out_features * (spec.in_features + 1)
     if spec.kind in ("batchnorm2d", "layernorm"):
@@ -153,14 +152,6 @@ def _count_cluster(cluster: ClusterArch) -> MacReport:
         active_params=gw_params + replica.active_params,
         per_layer=replica.per_layer,
     )
-
-
-def effective_macs(arch: ArchSpec, variant: str, n_experts: int = 3,
-                   moe_ratio: float | None = None, gateway_macs: int | None = None) -> MacReport:
-    """Substitute the requested variant into a dense spec and account it."""
-    graph = substitute_moe(arch, variant, n_experts=n_experts, moe_ratio=moe_ratio,
-                           gateway_macs=gateway_macs)
-    return count_macs(graph)
 
 
 def normalized_power(m_eff: int, m_base: int, f_apx: float, p_apx: float, p_base: float) -> float:

@@ -21,6 +21,7 @@ operand values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,113 +250,96 @@ class Layer:
 # Parameterized layers
 # ---------------------------------------------------------------------------
 
-class Conv2d(Layer):
-    def __init__(self, name, w, b, stride=(1, 1), padding=(0, 0), groups=1, approximate=True):
-        super().__init__(name)
-        self.w = w  # (Cout, Cin/G, kh, kw)
-        self.b = b  # (Cout,)
-        self.stride = stride
-        self.padding = padding
-        self.groups = groups
-        self.approximate = approximate
-        self._cache = None
+class _Affine(Layer):
+    """Weight, bias and the LUT product shared by Conv2d and Linear.
 
-    def _params(self):
-        return {"w": self.w, "b": self.b}
-
-    def forward(self, x, ctx):
-        cout = self.w.shape[0]
-        kh, kw = self.w.shape[2], self.w.shape[3]
-        n = x.shape[0]
-        oh, ow = conv_out_hw(x.shape[2], x.shape[3], (kh, kw), self.stride, self.padding)
-        lut_mode = ctx.multiplier is not None and self.approximate
-        if lut_mode:
-            qx, sx = quantize(x)
-            qw, sw = quantize(self.w)
-            cols = im2col(qx, (kh, kw), self.stride, self.padding)
-            x_eff = dequantize(qx, sx).astype(x.dtype) if ctx.train else None
-            w_eff = dequantize(qw, sw).astype(self.w.dtype)
-        else:
-            cols = im2col(x, (kh, kw), self.stride, self.padding)
-            x_eff = x if ctx.train else None
-            w_eff = self.w
-        g = self.groups
-        cpg = x.shape[1] // g
-        opg = cout // g
-        flat = cols.reshape(n * oh * ow, g, cpg * kh * kw)
-        wmat = w_eff.reshape(g, opg, cpg * kh * kw)
-        if lut_mode:
-            qwmat = qw.reshape(g, opg, cpg * kh * kw)
-            scale = sx.scale * sw.scale
-            pieces = []
-            for gi in range(g):
-                acc = lut_matmul(flat[:, gi, :], qwmat[gi], ctx.multiplier)
-                pieces.append(acc.astype(np.float64) * scale)
-            y = np.stack(pieces, axis=1).astype(x.dtype)
-            ctx.count(self.name, n * oh * ow * cout * cpg * kh * kw)
-        else:
-            y = np.einsum("ngk,gok->ngo", flat, wmat)
-        y = y.reshape(n, oh, ow, cout).transpose(0, 3, 1, 2) + self.b[None, :, None, None]
-        if ctx.train:
-            self._cache = (x_eff, w_eff, x.shape, (oh, ow))
-        return y.astype(x.dtype)
-
-    def backward(self, dy):
-        x_eff, w_eff, x_shape, (oh, ow) = self._cache
-        n, cout = dy.shape[0], dy.shape[1]
-        kh, kw = self.w.shape[2], self.w.shape[3]
-        g = self.groups
-        cpg = x_shape[1] // g
-        opg = cout // g
-        cols = im2col(x_eff, (kh, kw), self.stride, self.padding)
-        flat = cols.reshape(n * oh * ow, g, cpg * kh * kw)
-        dyg = dy.transpose(0, 2, 3, 1).reshape(n * oh * ow, g, opg)
-        dw = np.einsum("ngo,ngk->gok", dyg, flat).reshape(self.w.shape)
-        db = dy.sum(axis=(0, 2, 3))
-        wmat = w_eff.reshape(g, opg, cpg * kh * kw)
-        dcols = np.einsum("ngo,gok->ngk", dyg, wmat)
-        dcols = dcols.reshape(n, oh, ow, x_shape[1], kh, kw)
-        dx = col2im(dcols, x_shape, (kh, kw), self.stride, self.padding)
-        self.grads = {"w": dw, "b": db}
-        return dx
-
-
-class Linear(Layer):
-    """Affine map on the last axis. Leading axes (batch, tokens) are rows."""
+    Subclasses supply `_rows`, which lays an input out as the (rows, fan_in)
+    left operand of the product, plus their float path, bias add and
+    backward.
+    """
 
     def __init__(self, name, w, b, approximate=True):
         super().__init__(name)
-        self.w = w  # (out, in)
-        self.b = b
+        self.w = w  # (out, fan_in...)
+        self.b = b  # (out,)
         self.approximate = approximate
         self._cache = None
 
     def _params(self):
         return {"w": self.w, "b": self.b}
 
+    def _lut_product(self, x, ctx):
+        """Quantize x and w per tensor, multiply every operand pair through the
+        table and count the lookups. Returns the float64 (rows, out) product
+        and the dequantized x (None outside training) and w for the
+        straight-through backward."""
+        qx, sx = quantize(x)
+        qw, sw = quantize(self.w)
+        acc = lut_matmul(self._rows(qx), qw.reshape(qw.shape[0], -1), ctx.multiplier)
+        ctx.count(self.name, acc.size * qw[0].size)
+        x_eff = dequantize(qx, sx).astype(x.dtype) if ctx.train else None
+        w_eff = dequantize(qw, sw).astype(self.w.dtype)
+        return acc.astype(np.float64) * (sx.scale * sw.scale), x_eff, w_eff
+
+
+class Conv2d(_Affine):
+    def __init__(self, name, w, b, stride=(1, 1), padding=(0, 0), approximate=True):
+        super().__init__(name, w, b, approximate)  # w: (Cout, Cin, kh, kw)
+        self.stride = stride
+        self.padding = padding
+
+    def _rows(self, x):
+        cols = im2col(x, self.w.shape[2:], self.stride, self.padding)
+        return cols.reshape(-1, math.prod(cols.shape[3:]))
+
+    def forward(self, x, ctx):
+        n, cout = x.shape[0], self.w.shape[0]
+        oh, ow = conv_out_hw(x.shape[2], x.shape[3], self.w.shape[2:], self.stride, self.padding)
+        if ctx.multiplier is not None and self.approximate:
+            y, x_eff, w_eff = self._lut_product(x, ctx)
+            y = y.astype(x.dtype)
+        else:
+            y = np.einsum("nk,ok->no", self._rows(x), self.w.reshape(cout, -1))
+            x_eff, w_eff = (x if ctx.train else None), self.w
+        y = y.reshape(n, oh, ow, cout).transpose(0, 3, 1, 2) + self.b[None, :, None, None]
+        if ctx.train:
+            self._cache = (x_eff, w_eff)
+        return y.astype(x.dtype)
+
+    def backward(self, dy):
+        x_eff, w_eff = self._cache
+        n, cout, oh, ow = dy.shape
+        dyr = dy.transpose(0, 2, 3, 1).reshape(-1, cout)
+        dw = np.einsum("no,nk->ok", dyr, self._rows(x_eff)).reshape(self.w.shape)
+        dcols = np.einsum("no,ok->nk", dyr, w_eff.reshape(cout, -1))
+        dcols = dcols.reshape(n, oh, ow, *self.w.shape[1:])
+        self.grads = {"w": dw, "b": dy.sum(axis=(0, 2, 3))}
+        return col2im(dcols, x_eff.shape, self.w.shape[2:], self.stride, self.padding)
+
+
+class Linear(_Affine):
+    """Affine map on the last axis, w: (out, in). Leading axes (batch,
+    tokens) are rows."""
+
+    def _rows(self, x):
+        return x.reshape(-1, x.shape[-1])
+
     def forward(self, x, ctx):
         lead = x.shape[:-1]
-        rows = x.reshape(-1, x.shape[-1])
-        lut_mode = ctx.multiplier is not None and self.approximate
-        if lut_mode:
-            qx, sx = quantize(rows)
-            qw, sw = quantize(self.w)
-            acc = lut_matmul(qx, qw, ctx.multiplier)
-            y = acc.astype(np.float64) * (sx.scale * sw.scale) + self.b
-            ctx.count(self.name, rows.shape[0] * self.w.shape[0] * self.w.shape[1])
-            x_eff = dequantize(qx, sx).astype(x.dtype) if ctx.train else None
-            w_eff = dequantize(qw, sw).astype(self.w.dtype)
+        rows = self._rows(x)
+        if ctx.multiplier is not None and self.approximate:
+            y, x_eff, w_eff = self._lut_product(rows, ctx)
+            y = y + self.b
         else:
             y = rows @ self.w.T + self.b
-            x_eff = rows if ctx.train else None
-            w_eff = self.w
+            x_eff, w_eff = (rows if ctx.train else None), self.w
         if ctx.train:
             self._cache = (x_eff, w_eff, lead)
         return y.reshape(*lead, self.w.shape[0]).astype(x.dtype)
 
     def backward(self, dy):
         x_eff, w_eff, lead = self._cache
-        drows = dy.reshape(-1, dy.shape[-1])
+        drows = self._rows(dy)
         self.grads = {"w": drows.T @ x_eff, "b": drows.sum(axis=0)}
         return (drows @ w_eff).reshape(*lead, w_eff.shape[1])
 

@@ -4,7 +4,7 @@ An ArchSpec is a flat list of layer descriptions carrying exactly the
 geometry the cost model needs. The same spec drives the executable builder
 (models.py), so cost predictions and runtime counters share one source of
 truth. Layers that may be replaced by expert mixtures carry a `moe_unit`
-tag; substitute_moe groups tagged layers into MoEGroup entries or wraps the
+tag; substitute_moe gathers tagged layers into MoEGroup entries or wraps the
 whole spec in a ClusterArch.
 """
 
@@ -36,7 +36,6 @@ class LayerSpec:
     kernel: tuple[int, int] = (0, 0)
     stride: tuple[int, int] = (1, 1)
     padding: tuple[int, int] = (0, 0)
-    groups: int = 1
     out_hw: tuple[int, int] = (0, 0)
     # linear geometry; tokens is the per-sample row multiplicity
     in_features: int = 0
@@ -315,8 +314,7 @@ def default_gateway(arch: ArchSpec, n_experts: int) -> ArchSpec:
 
 
 def substitute_moe(arch: ArchSpec, variant: str, n_experts: int = 3,
-                   moe_ratio: float | None = None, gateway_macs: int | None = None,
-                   gateway: ArchSpec | None = None):
+                   moe_ratio: float | None = None, gateway_macs: int | None = None):
     """Derive a mixture-of-experts graph from a dense spec.
 
     hard/soft replace each selected substitution unit by an n-expert group
@@ -333,8 +331,7 @@ def substitute_moe(arch: ArchSpec, variant: str, n_experts: int = 3,
     if variant == "cluster":
         if gateway_macs is None:
             gateway_macs = arch.gateway_macs
-        if gateway_macs is None and gateway is None:
-            gateway = default_gateway(arch, n_experts)
+        gateway = default_gateway(arch, n_experts) if gateway_macs is None else None
         return ClusterArch(name=arch.name, replica=arch, n_experts=n_experts,
                            gateway_macs=gateway_macs, gateway=gateway)
 

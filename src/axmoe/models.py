@@ -26,7 +26,7 @@ EXPERT_JITTER = 0.02
 
 
 def _init_conv(rng, spec: LayerSpec, dtype):
-    cout, cin = spec.out_channels, spec.in_channels // spec.groups
+    cout, cin = spec.out_channels, spec.in_channels
     kh, kw = spec.kernel
     std = np.sqrt(2.0 / (cin * kh * kw))
     w = rng.normal(0.0, std, size=(cout, cin, kh, kw)).astype(dtype)
@@ -44,7 +44,7 @@ def _instantiate(spec: LayerSpec, rng, dtype, prefix: str) -> Layer:
     kind = spec.kind
     if kind == "conv2d":
         w, b = _init_conv(rng, spec, dtype)
-        return Conv2d(name, w, b, spec.stride, spec.padding, spec.groups,
+        return Conv2d(name, w, b, spec.stride, spec.padding,
                       approximate=spec.arithmetic == APPROX)
     if kind == "linear":
         w, b = _init_linear(rng, spec, dtype)

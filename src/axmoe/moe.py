@@ -37,6 +37,41 @@ def _bcast(per_sample: np.ndarray, like: np.ndarray) -> np.ndarray:
     return per_sample.reshape(-1, *([1] * (like.ndim - 1)))
 
 
+def _run_units(x, picks, units, ctx: RunContext, prefix: str) -> list:
+    """Run unit i on x[picks[i]] and count the samples it gets. A unit with no
+    sample is skipped and its output is None."""
+    outs = []
+    for i, (pick, unit) in enumerate(zip(picks, units)):
+        xi = x[pick]
+        ctx.count_routed(f"{prefix}{i}", len(xi))
+        outs.append(unit.forward(xi, ctx) if len(xi) else None)
+    return outs
+
+
+def _scatter(n: int, picks, parts) -> np.ndarray:
+    """Write each part back to its picked rows of an n-row output."""
+    y = None
+    for pick, part in zip(picks, parts):
+        if part is not None:
+            if y is None:
+                y = np.zeros((n,) + part.shape[1:], dtype=part.dtype)
+            y[pick] = part
+    return y
+
+
+def _units_backward(dy, dx, units, picks, outs, gate=None) -> np.ndarray:
+    """Add each unit's input gradient into dx at its picks. With `gate`, unit
+    i's output was scaled by gate[:, i] in the forward pass."""
+    for i, (unit, pick, out) in enumerate(zip(units, picks, outs)):
+        if out is None:
+            continue
+        d = dy[pick]
+        if gate is not None:
+            d = _bcast(gate[pick, i], d) * d
+        dx[pick] += unit.backward(d)
+    return dx
+
+
 class Router:
     """Softmax gate over pooled features. Weight shape (n_experts, features)."""
 
@@ -78,68 +113,31 @@ class MoELayer(Layer):
         g, feats = self.router.gates(x)  # exact float, never quantized
         g = g.astype(x.dtype)
         if self.mode == "soft":
-            ys = [e.forward(x, ctx) for e in self.experts]
-            for i in range(len(self.experts)):
-                ctx.count_routed(f"{self.name}.expert{i}", x.shape[0])
-            y = sum(_bcast(g[:, i], ys[i]) * ys[i] for i in range(len(ys)))
-            if ctx.train:
-                self._cache = ("soft", x, feats, g, ys)
-            return y.astype(x.dtype)
-        sel = np.argmax(g, axis=1)  # ties resolve to the lowest index
-        y = None
-        masks, raw = [], []
-        for i, e in enumerate(self.experts):
-            mask = sel == i
-            n_routed = int(mask.sum())
-            ctx.count_routed(f"{self.name}.expert{i}", n_routed)
-            if n_routed == 0:
-                masks.append(mask)
-                raw.append(None)
-                continue
-            yi = e.forward(x[mask], ctx)
-            if y is None:
-                y = np.zeros((x.shape[0],) + yi.shape[1:], dtype=yi.dtype)
-            y[mask] = _bcast(g[mask, i], yi) * yi
-            masks.append(mask)
-            raw.append(yi)
+            picks = [slice(None)] * len(self.experts)
+        else:
+            sel = np.argmax(g, axis=1)  # ties resolve to the lowest index
+            picks = [sel == i for i in range(len(self.experts))]
+        outs = _run_units(x, picks, self.experts, ctx, f"{self.name}.expert")
+        parts = (None if out is None else _bcast(g[pick, i], out) * out
+                 for i, (pick, out) in enumerate(zip(picks, outs)))
+        y = sum(parts) if self.mode == "soft" else _scatter(len(x), picks, parts)
         if ctx.train:
-            self._cache = ("hard", x, feats, g, sel, masks, raw)
+            self._cache = (x, feats, g, picks, outs)
         return y.astype(x.dtype)
 
     def backward(self, dy):
-        if self._cache[0] == "soft":
-            return self._backward_soft(dy)
-        return self._backward_hard(dy)
-
-    def _router_backward(self, dg, g, feats, x):
-        dz = g * (dg - (dg * g).sum(axis=1, keepdims=True))
-        self.grads = {"router.w": dz.T @ feats.astype(dz.dtype)}
-        df = dz @ self.router.w.astype(dz.dtype)
-        return _spread_to(df, x)
-
-    def _backward_soft(self, dy):
-        _, x, feats, g, ys = self._cache
-        sum_axes = tuple(range(1, dy.ndim))
-        dg = np.stack([(dy * ys[i]).sum(axis=sum_axes) for i in range(len(ys))], axis=1)
-        dx = self._router_backward(dg, g, feats, x)
-        for i, e in enumerate(self.experts):
-            dx = dx + e.backward(_bcast(g[:, i], dy) * dy)
-        return dx
-
-    def _backward_hard(self, dy):
-        _, x, feats, g, sel, masks, raw = self._cache
-        n = x.shape[0]
+        x, feats, g, picks, outs = self._cache
         sum_axes = tuple(range(1, dy.ndim))
         dg = np.zeros_like(g)
-        dx = np.zeros_like(x)
-        for i, e in enumerate(self.experts):
-            mask = masks[i]
-            if raw[i] is None:
-                continue
-            dg[mask, i] = (dy[mask] * raw[i]).sum(axis=sum_axes)
-            dx[mask] += e.backward(_bcast(g[mask, i], dy[mask]) * dy[mask])
-        dx += self._router_backward(dg, g, feats, x)
-        return dx
+        for i, (pick, out) in enumerate(zip(picks, outs)):
+            if out is not None:
+                dg[pick, i] = (dy[pick] * out).sum(axis=sum_axes)
+        dz = g * (dg - (dg * g).sum(axis=1, keepdims=True))
+        self.grads = {"router.w": dz.T @ feats.astype(dz.dtype)}
+        # dx starts from the router term: soft then sums router + e0 + e1 + ...
+        # in that order, and the float rounding of existing runs is kept
+        dx = _spread_to(dz @ self.router.w.astype(dz.dtype), x)
+        return _units_backward(dy, dx, self.experts, picks, outs, gate=g)
 
 
 class ClusterModel(Layer):
@@ -161,31 +159,16 @@ class ClusterModel(Layer):
         return super().frozen_names() | set(self.gateway.params())
 
     def forward(self, x, ctx: RunContext):
-        logits = self.gateway.forward(x, ctx)  # gateway layers are all exact
-        sel = np.argmax(logits, axis=1)
-        y = None
-        masks = []
-        for i, replica in enumerate(self.replicas):
-            mask = sel == i
-            n_routed = int(mask.sum())
-            ctx.count_routed(f"{self.name}.replica{i}", n_routed)
-            masks.append(mask)
-            if n_routed == 0:
-                continue
-            yi = replica.forward(x[mask], ctx)
-            if y is None:
-                y = np.zeros((x.shape[0],) + yi.shape[1:], dtype=yi.dtype)
-            y[mask] = yi
+        # the gateway is exact and frozen: a fresh context keeps it in float and
+        # keeps it from caching inputs for a backward that never runs
+        sel = np.argmax(self.gateway.forward(x, RunContext()), axis=1)
+        picks = [sel == i for i in range(len(self.replicas))]
+        outs = _run_units(x, picks, self.replicas, ctx, f"{self.name}.replica")
         if ctx.train:
-            self._cache = (x, masks)
-        return y
+            self._cache = (x, picks, outs)
+        return _scatter(len(x), picks, outs)
 
     def backward(self, dy):
-        x, masks = self._cache
-        dx = np.zeros_like(x)
+        x, picks, outs = self._cache
         # selection is a hard argmax: gradients reach the chosen replica only
-        for i, replica in enumerate(self.replicas):
-            if masks[i].any():
-                dx[masks[i]] = replica.backward(dy[masks[i]])
-        return dx
-
+        return _units_backward(dy, np.zeros_like(x), self.replicas, picks, outs)

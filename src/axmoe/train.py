@@ -108,14 +108,14 @@ def evaluate(model, x, y, multiplier: AxMultiplier | None = None, batch_size: in
     return correct / max(len(x), 1)
 
 
-def fit(model, data: Split, cfg: TrainConfig, multiplier: AxMultiplier | None = None,
-        freeze: set[str] | None = None) -> History:
+def fit(model, data: Split, cfg: TrainConfig, multiplier: AxMultiplier | None = None) -> History:
     """Train in place and report per-epoch loss and test accuracy.
 
-    `freeze` lists qualified parameter names to pin; the default trains
-    everything, which is what float pretraining wants.
+    Float training moves every parameter, routers included. Under a
+    multiplier the model's own frozen set (router weights, gateway
+    parameters) stays pinned.
     """
-    frozen = set() if freeze is None else set(freeze)
+    frozen = set() if multiplier is None else model.frozen_names()
     rng = np.random.default_rng(cfg.seed)
     velocity: dict = {}
     hist = History()
@@ -132,4 +132,4 @@ def retrain(model, data: Split, cfg: TrainConfig, multiplier: AxMultiplier) -> H
     model's own frozen set (router weights, gateway parameters) is pinned."""
     if multiplier is None:
         raise ParameterError("retraining needs a multiplier to adapt to")
-    return fit(model, data, cfg, multiplier=multiplier, freeze=model.frozen_names())
+    return fit(model, data, cfg, multiplier=multiplier)

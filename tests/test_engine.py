@@ -130,38 +130,33 @@ def test_im2col_col2im_are_adjoint():
 # float layer math against naive oracles
 # ---------------------------------------------------------------------------
 
-def _naive_conv(x, w, b, stride, padding, groups):
+def _naive_conv(x, w, b, stride, padding):
     n, cin, h, wd = x.shape
-    cout, cpg, kh, kw = w.shape
+    cout, _, kh, kw = w.shape
     sh, sw = stride
     ph, pw = padding
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     oh = (h + 2 * ph - kh) // sh + 1
     ow = (wd + 2 * pw - kw) // sw + 1
     out = np.zeros((n, cout, oh, ow))
-    cin_g = cin // groups
-    cout_g = cout // groups
     for ni in range(n):
         for oc in range(cout):
-            g = oc // cout_g
             for i in range(oh):
                 for j in range(ow):
-                    patch = xp[ni, g * cin_g : (g + 1) * cin_g,
-                               i * sh : i * sh + kh, j * sw : j * sw + kw]
+                    patch = xp[ni, :, i * sh : i * sh + kh, j * sw : j * sw + kw]
                     out[ni, oc, i, j] = (patch * w[oc]).sum() + b[oc]
     return out
 
 
 def test_conv2d_float_matches_naive_loop():
     rng = np.random.default_rng(4)
-    for groups in (1, 2):
-        x = rng.normal(size=(2, 4, 6, 5))
-        w = rng.normal(size=(6, 4 // groups, 3, 2))
-        b = rng.normal(size=6)
-        for stride, padding in (((1, 1), (0, 0)), ((2, 1), (1, 1))):
-            got = Conv2d("conv", w, b, stride, padding, groups).forward(x, RunContext())
-            want = _naive_conv(x, w, b, stride, padding, groups)
-            assert np.allclose(got, want, atol=1e-10)
+    x = rng.normal(size=(2, 4, 6, 5))
+    w = rng.normal(size=(6, 4, 3, 2))
+    b = rng.normal(size=6)
+    for stride, padding in (((1, 1), (0, 0)), ((2, 1), (1, 1))):
+        got = Conv2d("conv", w, b, stride, padding).forward(x, RunContext())
+        want = _naive_conv(x, w, b, stride, padding)
+        assert np.allclose(got, want, atol=1e-10)
 
 
 def test_linear_float_matches_affine_oracle():
@@ -179,11 +174,11 @@ def test_linear_float_matches_affine_oracle():
 def test_conv2d_counter_formula():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(3, 4, 8, 8))
-    w = rng.normal(size=(6, 2, 3, 3))
+    w = rng.normal(size=(6, 4, 3, 3))
     b = np.zeros(6)
     ctx = RunContext(multiplier=EXACT)
-    Conv2d("conv", w, b, (1, 1), (1, 1), 2).forward(x, ctx)
-    assert ctx.counters == {"conv": 3 * 6 * 8 * 8 * 2 * 3 * 3}
+    Conv2d("conv", w, b, (1, 1), (1, 1)).forward(x, ctx)
+    assert ctx.counters == {"conv": 3 * 6 * 8 * 8 * 4 * 3 * 3}
 
 
 def test_linear_counter_formula():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from axmoe.cost import (MacReport, SweepPoint, approx_fraction, count_macs, dominates,
-                        effective_macs, layer_macs, layer_params, normalized_power,
+                        layer_macs, layer_params, normalized_power,
                         pareto_frontier)
 from axmoe.errors import ParameterError
 from axmoe.graphs import (APPROX, ARCHITECTURES, ArchSpec, ClusterArch, LayerSpec,
@@ -18,12 +18,8 @@ from axmoe.graphs import (APPROX, ARCHITECTURES, ArchSpec, ClusterArch, LayerSpe
 def test_layer_macs_hand_arithmetic():
     conv = LayerSpec(kind="conv2d", name="c", in_channels=3, out_channels=8,
                      kernel=(3, 3), stride=(1, 1), padding=(1, 1), out_hw=(8, 8),
-                     groups=1, arithmetic=APPROX)
+                     arithmetic=APPROX)
     assert layer_macs(conv) == 8 * 8 * 8 * 3 * 3 * 3
-    grouped = LayerSpec(kind="conv2d", name="g", in_channels=8, out_channels=8,
-                        kernel=(3, 3), stride=(1, 1), padding=(1, 1), out_hw=(4, 4),
-                        groups=2, arithmetic=APPROX)
-    assert layer_macs(grouped) == 8 * 4 * 4 * (8 // 2) * 3 * 3
     lin = LayerSpec(kind="linear", name="l", in_features=16, out_features=10, tokens=7)
     assert layer_macs(lin) == 16 * 10 * 7
     bn = LayerSpec(kind="batchnorm2d", name="b", out_channels=4, elements=4 * 25)
@@ -39,8 +35,7 @@ def test_layer_macs_hand_arithmetic():
 
 def test_layer_params_hand_arithmetic():
     conv = LayerSpec(kind="conv2d", name="c", in_channels=3, out_channels=8,
-                     kernel=(3, 3), stride=(1, 1), padding=(1, 1), out_hw=(8, 8),
-                     groups=1)
+                     kernel=(3, 3), stride=(1, 1), padding=(1, 1), out_hw=(8, 8))
     assert layer_params(conv) == 8 * 3 * 3 * 3 + 8
     lin = LayerSpec(kind="linear", name="l", in_features=16, out_features=10)
     assert layer_params(lin) == 16 * 10 + 10
@@ -144,8 +139,8 @@ def test_default_gateway_shape():
 def test_soft_replicates_experts_in_both_totals():
     arch = build_arch("toy_cnn")
     dense = count_macs(arch)
-    soft = effective_macs(arch, "soft", n_experts=3)
-    hard = effective_macs(arch, "hard", n_experts=3)
+    soft = count_macs(substitute_moe(arch, "soft", n_experts=3))
+    hard = count_macs(substitute_moe(arch, "hard", n_experts=3))
     unit = next(ly for ly in substitute_moe(arch, "soft").layers
                 if isinstance(ly, MoEGroup))
     unit_macs = sum(layer_macs(m) for m in unit.members)

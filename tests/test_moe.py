@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from axmoe.engine import Linear, Model, RunContext
+from axmoe.engine import Conv2d, Flatten, Linear, Model, RunContext
+from axmoe.graphs import build_arch, substitute_moe
+from axmoe.models import build_model
 from axmoe.moe import ClusterModel, MoELayer, Router, pool_features
 
 
@@ -217,3 +219,88 @@ def test_cluster_freezes_gateway_and_blocks_its_gradients():
     grads = model.qualified_grads()
     assert "gw.fc.w" not in grads
     assert any(k.startswith("replica") for k in grads)
+
+
+def test_cluster_gateway_caches_nothing_in_training():
+    graph = substitute_moe(build_arch("toy_mlp", resolution=8), "cluster", n_experts=3)
+    model = build_model(graph, seed=0)
+    x = np.random.default_rng(12).normal(size=(16, 1, 8, 8)).astype(np.float32)
+    model.forward(x, RunContext(train=True))
+    assert all(getattr(layer, "_cache", None) is None for layer in model.gateway.layers)
+    assert any(layer._cache is not None for r in model.replicas for layer in r.layers
+               if isinstance(layer, Linear))
+
+
+# ---------------------------------------------------------------------------
+# shared unit backward against central differences (criterion 9's eps and
+# tolerance), for every topology and both expert kinds
+# ---------------------------------------------------------------------------
+
+def _unit(rng, kind, name):
+    if kind == "conv":
+        return Conv2d(name, rng.normal(size=(2, 3, 3, 3)) * 0.3, rng.normal(size=2) * 0.1,
+                      padding=(1, 1))
+    return Linear(name, rng.normal(size=(2, 4)) * 0.5, rng.normal(size=2) * 0.1)
+
+
+def _topology(rng, mode, kind):
+    """A 3-unit layer plus an input on which sample s routes to unit s % 3 with a
+    logit margin of about 3, far beyond what an eps perturbation can flip."""
+    x = rng.normal(size=(6, 3, 5, 5) if kind == "conv" else (6, 4)) * 0.5
+    for s in range(len(x)):
+        x[s, s % 3] += 3.0
+    fin = x.shape[1]
+    if mode == "cluster":
+        if kind == "conv":  # per-channel mean of the flattened image
+            gw = [Flatten("gw.flat"), Linear("gw.fc", np.kron(np.eye(3), np.full(25, 1 / 25)),
+                                             np.zeros(3), approximate=False)]
+        else:
+            gw = [Linear("gw.fc", np.eye(3, fin), np.zeros(3), approximate=False)]
+        replicas = [Model(f"rep{i}", [_unit(rng, kind, f"rep{i}.u")]) for i in range(3)]
+        return ClusterModel("clu", Model("gw", gw), replicas), x
+    w = np.eye(3, fin) if mode == "hard" else rng.normal(size=(3, fin)) * 0.5
+    experts = [_unit(rng, kind, f"e{i}") for i in range(3)]
+    return MoELayer("mix", experts, Router("mix.router", w), mode), x
+
+
+def _central_differences(f, arr, eps=1e-6):
+    fd = np.zeros_like(arr)
+    for idx in np.ndindex(arr.shape):
+        orig = arr[idx]
+        arr[idx] = orig + eps
+        up = f()
+        arr[idx] = orig - eps
+        down = f()
+        arr[idx] = orig
+        fd[idx] = (up - down) / (2 * eps)
+    return fd
+
+
+def _assert_grad_close(name, an, fd):
+    denom = np.maximum(np.abs(an), np.abs(fd))
+    ok = (denom < 1e-7) | (np.abs(an - fd) <= 1e-4 * denom)
+    assert ok.all(), (name, np.max(np.abs(an - fd)))
+
+
+@pytest.mark.parametrize("kind", ["conv", "linear"])
+@pytest.mark.parametrize("mode", ["hard", "soft", "cluster"])
+def test_unit_backward_matches_central_differences(mode, kind):
+    rng = np.random.default_rng(13)
+    layer, x = _topology(rng, mode, kind)
+    ctx = RunContext(train=True)
+    y = layer.forward(x, ctx)
+    assert list(ctx.routed.values()) == ([6] * 3 if mode == "soft" else [2] * 3)
+    probe = rng.normal(size=y.shape)
+    layer.zero_grads()
+    dx = layer.backward(probe)
+    grads = layer.qualified_grads()
+    unit_params = {k for k in layer.params() if k.startswith(("e", "rep"))}
+    assert len(unit_params) == 6 and unit_params <= set(grads)
+
+    def loss():
+        return float((layer.forward(x, RunContext()) * probe).sum())
+
+    _assert_grad_close("x", dx, _central_differences(loss, x))
+    params = layer.params()
+    for name in sorted(grads):
+        _assert_grad_close(name, grads[name], _central_differences(loss, params[name]))
