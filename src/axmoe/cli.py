@@ -26,10 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, config_hash, load_config, parse_config_text
-from .cost import SweepPoint, count_macs, normalized_power, pareto_frontier
+from .cost import MacReport, SweepPoint, count_macs, normalized_power, pareto_frontier
 from .datasets import DATA_DIR_ENV, load_dataset
 from .errors import ConfigError, FormatError, NumericError, ParameterError
-from .graphs import build_arch, substitute_moe
+from .graphs import ArchSpec, build_arch, substitute_moe
 from .models import build_model, load_model, save_model
 from .multipliers import (EXACT_POWER_NW, REFERENCE_MULTIPLIERS, REFERENCE_POWER_NW,
                           AxMultiplier, builtin_multiplier, error_stats, load_lut,
@@ -80,6 +80,28 @@ def _arch_kwargs(cfg: ExperimentConfig) -> dict:
     return {}
 
 
+def _graphs(cfg: ExperimentConfig) -> tuple[ArchSpec, dict]:
+    """The dense spec, which is the p_norm base, and each configured
+    variant's graph, from one build of the architecture."""
+    arch = build_arch(cfg.arch, **_arch_kwargs(cfg))
+    return arch, {variant: substitute_moe(arch, variant, n_experts=cfg.n_experts,
+                                          moe_ratio=cfg.moe_ratio)
+                  for variant in cfg.variants}
+
+
+def _checkpoint_meta(cfg: ExperimentConfig, variant: str) -> dict:
+    """What `models.model_from_spec` needs to rebuild a variant's graph."""
+    return {"arch": cfg.arch, "arch_kwargs": _arch_kwargs(cfg), "variant": variant,
+            "n_experts": cfg.n_experts, "moe_ratio": cfg.moe_ratio, "seed": cfg.seed}
+
+
+def _p_norm(rep: MacReport, m_base: int, design) -> float:
+    """p_norm of `rep` from the `power_nw` of a multiplier or registry entry;
+    None, the float path, is costed as the exact design."""
+    p_apx = EXACT_POWER_NW if design is None else design.power_nw
+    return normalized_power(rep.m_eff, m_base, rep.f_apx, p_apx, EXACT_POWER_NW)
+
+
 def _dataset(cfg: ExperimentConfig):
     return load_dataset(cfg.dataset, cfg.data_path, samples=cfg.samples,
                         eval_samples=cfg.eval_samples, classes=cfg.num_classes,
@@ -87,22 +109,20 @@ def _dataset(cfg: ExperimentConfig):
                         noise=cfg.noise, seed=cfg.seed)
 
 
+# Shortcut flag -> the config key it sets. A given flag wins over --set; an
+# absent (None) or empty-string flag leaves the key alone.
+_FLAG_KEYS = {"arch": "arch", "variant": "variants", "multiplier": "multipliers",
+              "seed": "seed", "out": "out", "deterministic": "deterministic"}
+
+
 def _config(args) -> ExperimentConfig:
     overrides: dict = {}
     for item in getattr(args, "set", None) or []:
         overrides.update(parse_config_text(item, source="--set"))
-    if getattr(args, "arch", None):
-        overrides["arch"] = args.arch
-    if getattr(args, "variant", None):
-        overrides["variants"] = tuple(args.variant)
-    if getattr(args, "multiplier", None):
-        overrides["multipliers"] = tuple(args.multiplier)
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "out", None):
-        overrides["out"] = args.out
-    if getattr(args, "deterministic", None) is not None:
-        overrides["deterministic"] = args.deterministic
+    for flag, key in _FLAG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value is not None and value != "":
+            overrides[key] = tuple(value) if isinstance(value, list) else value
     cfg = load_config(args.config, overrides)
     if not cfg.deterministic:
         # A fresh entropy-derived seed; everything downstream stays seeded so
@@ -118,22 +138,16 @@ def _config(args) -> ExperimentConfig:
 
 def cmd_count(args) -> int:
     cfg = _config(args)
-    arch = build_arch(cfg.arch, **_arch_kwargs(cfg))
-    base = count_macs(substitute_moe(arch, "dense"))
+    dense, graphs = _graphs(cfg)
+    m_base = count_macs(dense).m_total
     # only the power figure is needed: reference designs take it from the
     # registry, so their table files need not be present
     name = cfg.multipliers[0]
-    if name in REFERENCE_POWER_NW:
-        p_apx = REFERENCE_POWER_NW[name]
-    else:
-        power = resolve_multiplier(name)
-        p_apx = power.power_nw if power is not None else EXACT_POWER_NW
-    for variant in cfg.variants:
-        graph = substitute_moe(arch, variant, n_experts=cfg.n_experts,
-                               moe_ratio=cfg.moe_ratio, gateway_macs=cfg.gateway_macs)
+    reference = {entry.name: entry for entry in REFERENCE_MULTIPLIERS}
+    design = reference[name] if name in reference else resolve_multiplier(name)
+    for graph in graphs.values():
         rep = count_macs(graph)
-        p = normalized_power(rep.m_eff, base.m_total, rep.f_apx, p_apx, EXACT_POWER_NW)
-        print(f"{rep.summary()}  p_norm({name}) {p:.4f}")
+        print(f"{rep.summary()}  p_norm({name}) {_p_norm(rep, m_base, design):.4f}")
     return 0
 
 
@@ -161,21 +175,15 @@ def cmd_mulinfo(args) -> int:
 # eval / sweep / retrain
 # ---------------------------------------------------------------------------
 
-def _fresh_model(cfg: ExperimentConfig):
-    arch = build_arch(cfg.arch, **_arch_kwargs(cfg))
-    graph = substitute_moe(arch, cfg.variants[0], n_experts=cfg.n_experts,
-                           moe_ratio=cfg.moe_ratio, gateway_macs=cfg.gateway_macs)
-    return build_model(graph, seed=cfg.seed)
-
-
 def cmd_eval(args) -> int:
     cfg = _config(args)
     if cfg.checkpoint:
         model, meta = load_model(cfg.checkpoint)
         label = meta.get("variant", "checkpoint")
     else:
-        model = _fresh_model(cfg)
         label = cfg.variants[0]
+        _, graphs = _graphs(cfg)
+        model = build_model(graphs[label], seed=cfg.seed)
     data = _dataset(cfg)
     for name in cfg.multipliers:
         top1 = evaluate(model, data.x_test, data.y_test, resolve_multiplier(name))
@@ -203,19 +211,18 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
             writer.writerow(_format_row(row))
 
 
-def _run_sweep(args, do_retrain: bool) -> int:
+def cmd_sweep(args) -> int:
+    """sweep, and with `args.do_retrain` set, retrain."""
     cfg = _config(args)
     started = time.perf_counter()
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     data = _dataset(cfg)
-    arch = build_arch(cfg.arch, **_arch_kwargs(cfg))
-    base = count_macs(substitute_moe(arch, "dense"))
+    dense, graphs = _graphs(cfg)
+    m_base = count_macs(dense).m_total
     rows: list[dict] = []
     reports: dict = {}
-    for variant in cfg.variants:
-        graph = substitute_moe(arch, variant, n_experts=cfg.n_experts,
-                               moe_ratio=cfg.moe_ratio, gateway_macs=cfg.gateway_macs)
+    for variant, graph in graphs.items():
         rep = count_macs(graph)
         reports[variant] = {"m_total": rep.m_total, "m_eff": rep.m_eff,
                             "m_approx": rep.m_approx, "f_apx": rep.f_apx,
@@ -223,22 +230,17 @@ def _run_sweep(args, do_retrain: bool) -> int:
                             "active_params": rep.active_params}
         model = build_model(graph, seed=cfg.seed)
         fit(model, data, _train_cfg(cfg, cfg.pretrain_epochs, cfg.seed))
-        save_model(model, out / f"ckpt_{variant}",
-                   {"arch": cfg.arch, "arch_kwargs": _arch_kwargs(cfg), "variant": variant,
-                    "n_experts": cfg.n_experts, "moe_ratio": cfg.moe_ratio,
-                    "seed": cfg.seed})
+        save_model(model, out / f"ckpt_{variant}", _checkpoint_meta(cfg, variant))
         pretrained = {k: v.copy() for k, v in model.params().items()}
         for name in cfg.multipliers:
             mul = resolve_multiplier(name)
             model.load_params(pretrained)
             retrained = False
-            if do_retrain and cfg.retrain_epochs > 0 and mul is not None:
+            if args.do_retrain and cfg.retrain_epochs > 0 and mul is not None:
                 retrain(model, data, _train_cfg(cfg, cfg.retrain_epochs, cfg.seed + 1), mul)
                 retrained = True
             top1 = evaluate(model, data.x_test, data.y_test, mul)
-            p_apx = mul.power_nw if mul is not None else EXACT_POWER_NW
-            p_norm = normalized_power(rep.m_eff, base.m_total, rep.f_apx, p_apx,
-                                      EXACT_POWER_NW)
+            p_norm = _p_norm(rep, m_base, mul)
             rows.append({"arch": cfg.arch, "variant": variant, "multiplier": name,
                          "m_total": rep.m_total, "m_eff": rep.m_eff, "f_apx": rep.f_apx,
                          "p_norm": p_norm, "top1": top1, "retrained": retrained,
@@ -255,14 +257,6 @@ def _run_sweep(args, do_retrain: bool) -> int:
         fh.write("\n")
     print(f"wrote {csv_path}")
     return 0
-
-
-def cmd_sweep(args) -> int:
-    return _run_sweep(args, do_retrain=False)
-
-
-def cmd_retrain(args) -> int:
-    return _run_sweep(args, do_retrain=True)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +345,12 @@ def _build_parser() -> argparse.ArgumentParser:
     info.set_defaults(func=cmd_mulinfo)
     sub.add_parser("eval", parents=[common],
                    help="evaluate a model").set_defaults(func=cmd_eval)
-    sub.add_parser("sweep", parents=[common],
-                   help="pretrain and evaluate all variants").set_defaults(func=cmd_sweep)
-    sub.add_parser("retrain", parents=[common],
-                   help="sweep with approximate retraining").set_defaults(func=cmd_retrain)
+    sweep_cmd = sub.add_parser("sweep", parents=[common],
+                               help="pretrain and evaluate all variants")
+    sweep_cmd.set_defaults(func=cmd_sweep, do_retrain=False)
+    retrain_cmd = sub.add_parser("retrain", parents=[common],
+                                 help="sweep with approximate retraining")
+    retrain_cmd.set_defaults(func=cmd_sweep, do_retrain=True)
     par = sub.add_parser("pareto", parents=[common], help="flag efficient sweep rows")
     par.add_argument("--csv", help="sweep CSV to read (default <out>/sweep.csv)")
     par.set_defaults(func=cmd_pareto)

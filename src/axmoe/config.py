@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
+from typing import get_type_hints
 
 from .datasets import DATASETS
 from .errors import ConfigError
@@ -38,7 +39,6 @@ class ExperimentConfig:
     momentum: float = 0.0
     batch_size: int = 64
     seed: int = 0
-    gateway_macs: int | None = None
     checkpoint: str | None = None
     deterministic: bool = True
     out: str = "results"
@@ -71,8 +71,6 @@ class ExperimentConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.weight_decay < 0.0 or self.momentum < 0.0 or self.momentum >= 1.0:
             raise ConfigError("weight_decay must be >= 0 and momentum within [0, 1)")
-        if self.gateway_macs is not None and self.gateway_macs < 1:
-            raise ConfigError(f"gateway_macs must be positive, got {self.gateway_macs}")
         return self
 
 
@@ -99,34 +97,29 @@ def _optional(parse):
     return inner
 
 
-_PARSERS = {
-    "arch": str,
-    "variants": _parse_tuple,
-    "multipliers": _parse_tuple,
-    "n_experts": int,
-    "moe_ratio": _optional(float),
-    "num_classes": int,
-    "resolution": int,
-    "channels": int,
-    "dataset": str,
-    "data_path": _optional(str),
-    "samples": int,
-    "eval_samples": int,
-    "noise": float,
-    "pretrain_epochs": int,
-    "retrain_epochs": int,
-    "lr": float,
-    "weight_decay": float,
-    "momentum": float,
-    "batch_size": int,
-    "seed": int,
-    "gateway_macs": _optional(int),
-    "checkpoint": _optional(str),
-    "deterministic": _parse_bool,
-    "out": str,
+_PARSER_OF_TYPE = {
+    str: str,
+    int: int,
+    float: float,
+    bool: _parse_bool,
+    tuple[str, ...]: _parse_tuple,
+    float | None: _optional(float),
+    str | None: _optional(str),
 }
 
-assert set(_PARSERS) == {f.name for f in fields(ExperimentConfig)}
+
+def _field_parsers(cls) -> dict:
+    """Parser of each field of `cls`, chosen by its annotation."""
+    hints = get_type_hints(cls)
+    parsers = {}
+    for f in fields(cls):
+        if hints[f.name] not in _PARSER_OF_TYPE:
+            raise TypeError(f"no config parser for {cls.__name__}.{f.name}: {hints[f.name]}")
+        parsers[f.name] = _PARSER_OF_TYPE[hints[f.name]]
+    return parsers
+
+
+_PARSERS = _field_parsers(ExperimentConfig)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:

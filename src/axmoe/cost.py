@@ -59,7 +59,6 @@ class MacReport:
     f_apx: float
     total_params: int
     active_params: int
-    per_layer: tuple[tuple[str, str, int], ...]  # (name, kind, per-sample MACs, once per expert)
 
     def __post_init__(self):
         if min(self.m_total, self.m_eff, self.m_approx) < 0:
@@ -95,7 +94,6 @@ def count_macs(graph) -> MacReport:
     total = eff = 0
     backbone_approx = 0
     total_params = active_params = 0
-    per_layer = []
     for entry in graph.layers:
         if isinstance(entry, MoEGroup):
             member_macs = sum(layer_macs(m) for m in entry.members)
@@ -107,8 +105,6 @@ def count_macs(graph) -> MacReport:
             total_params += entry.n_experts * member_params + layer_params(entry.router)
             active_params += (member_params if entry.mode == "hard"
                               else entry.n_experts * member_params) + layer_params(entry.router)
-            per_layer.extend((m.name, m.kind, layer_macs(m)) for m in entry.members)
-            per_layer.append((entry.router.name, "linear", router_macs))
         else:
             macs = layer_macs(entry)
             total += macs
@@ -118,14 +114,12 @@ def count_macs(graph) -> MacReport:
             p = layer_params(entry)
             total_params += p
             active_params += p
-            per_layer.append((entry.name, entry.kind, macs))
     m_approx = graph.n_experts * backbone_approx if graph.variant == "soft" else backbone_approx
     return MacReport(
         arch=graph.name, variant=graph.variant, n_experts=graph.n_experts,
         m_total=total, m_eff=eff, m_approx=m_approx,
         f_apx=approx_fraction(m_approx, eff) if eff else 0.0,
         total_params=total_params, active_params=active_params,
-        per_layer=tuple(per_layer),
     )
 
 
@@ -150,7 +144,6 @@ def _count_cluster(cluster: ClusterArch) -> MacReport:
         f_apx=approx_fraction(m_approx, m_eff),
         total_params=gw_params + cluster.n_experts * replica.total_params,
         active_params=gw_params + replica.active_params,
-        per_layer=replica.per_layer,
     )
 
 

@@ -10,6 +10,7 @@ whole spec in a ClusterArch.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -94,6 +95,10 @@ def _conv(name, cin, cout, k, hw_in, stride=1, pad=None, unit="", arithmetic=APP
 
 def _bn(name, c, hw):
     return LayerSpec(kind="batchnorm2d", name=name, out_channels=c, elements=c * hw * hw)
+
+
+def _ln(name, dim, tokens):
+    return LayerSpec(kind="layernorm", name=name, out_features=dim, elements=tokens * dim)
 
 
 def _relu(name, elems=0):
@@ -202,19 +207,19 @@ def vit_small_spec(num_classes: int = 200, image_size: int = 224, patch: int = 1
         pre = f"block{i}."
         unit = f"ffn{i}"
         layers += [
-            LayerSpec(kind="layernorm", name=pre + "ln1", elements=tokens * dim),
+            _ln(pre + "ln1", dim, tokens),
             _linear(pre + "qkv", dim, 3 * dim, tokens, APPROX),
             LayerSpec(kind="attention_mix", name=pre + "attn", elements=heads * tokens * tokens),
             _linear(pre + "proj", dim, dim, tokens, APPROX),
             LayerSpec(kind="residual_add", name=pre + "add1", elements=tokens * dim),
-            LayerSpec(kind="layernorm", name=pre + "ln2", elements=tokens * dim),
+            _ln(pre + "ln2", dim, tokens),
             _linear(pre + "fc1", dim, mlp_dim, tokens, APPROX, unit=unit),
             LayerSpec(kind="gelu", name=pre + "gelu", elements=tokens * mlp_dim, moe_unit=unit),
             _linear(pre + "fc2", mlp_dim, dim, tokens, APPROX, unit=unit),
             LayerSpec(kind="residual_add", name=pre + "add2", elements=tokens * dim),
         ]
     layers += [
-        LayerSpec(kind="layernorm", name="ln_final", elements=tokens * dim),
+        _ln("ln_final", dim, tokens),
         _linear("head", dim, num_classes, tokens=1),
     ]
     return ArchSpec("vit_small", (3, image_size, image_size), num_classes,
@@ -273,14 +278,6 @@ def build_arch(name: str, **kwargs) -> ArchSpec:
 # Expert substitution
 # ---------------------------------------------------------------------------
 
-def _substitutable_units(arch: ArchSpec) -> list[str]:
-    seen = []
-    for layer in arch.layers:
-        if isinstance(layer, LayerSpec) and layer.moe_unit and layer.moe_unit not in seen:
-            seen.append(layer.moe_unit)
-    return seen
-
-
 def _select_units(units: list[str], ratio: float | None) -> set[str]:
     if ratio is None:
         return set(units)
@@ -314,51 +311,45 @@ def default_gateway(arch: ArchSpec, n_experts: int) -> ArchSpec:
 
 
 def substitute_moe(arch: ArchSpec, variant: str, n_experts: int = 3,
-                   moe_ratio: float | None = None, gateway_macs: int | None = None):
+                   moe_ratio: float | None = None):
     """Derive a mixture-of-experts graph from a dense spec.
 
     hard/soft replace each selected substitution unit by an n-expert group
-    with its own router; cluster wraps the whole dense spec behind a
-    standalone gateway. dense returns the spec unchanged apart from the
+    with its own router; cluster wraps the whole dense spec behind the
+    architecture's published gateway budget, or behind `default_gateway`
+    when it has none. dense returns the spec unchanged apart from the
     variant field.
     """
     if variant not in VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if n_experts < 1:
         raise ParameterError(f"n_experts must be >= 1, got {n_experts}")
+    if not isinstance(arch, ArchSpec):
+        raise ParameterError(f"expected a layer spec, got a {type(arch).__name__}")
     if variant == "dense":
         return replace(arch, variant="dense", n_experts=1)
     if variant == "cluster":
-        if gateway_macs is None:
-            gateway_macs = arch.gateway_macs
-        gateway = default_gateway(arch, n_experts) if gateway_macs is None else None
+        gateway = default_gateway(arch, n_experts) if arch.gateway_macs is None else None
         return ClusterArch(name=arch.name, replica=arch, n_experts=n_experts,
-                           gateway_macs=gateway_macs, gateway=gateway)
+                           gateway_macs=arch.gateway_macs, gateway=gateway)
 
-    units = _substitutable_units(arch)
+    units = list(dict.fromkeys(layer.moe_unit for layer in arch.layers
+                               if isinstance(layer, LayerSpec) and layer.moe_unit))
     if not units:
         raise ParameterError(f"{arch.name} has no expert-substitutable layers")
     selected = _select_units(units, moe_ratio)
-    out, pending, pending_unit = [], [], None
 
-    def flush():
-        nonlocal pending, pending_unit
-        if pending:
-            members = tuple(pending)
-            out.append(MoEGroup(name=pending_unit, n_experts=n_experts, members=members,
-                                router=_router_for(members, pending_unit, n_experts), mode=variant))
-        pending, pending_unit = [], None
-
-    for layer in arch.layers:
+    def unit_of(layer) -> str:
         unit = layer.moe_unit if isinstance(layer, LayerSpec) else ""
-        if unit and unit in selected:
-            if pending_unit not in (None, unit):
-                flush()
-            pending_unit = unit
-            pending.append(layer)
-        else:
-            flush()
-            out.append(layer)
-    flush()
+        return unit if unit in selected else ""
+
+    out = []
+    for unit, run in itertools.groupby(arch.layers, key=unit_of):
+        if not unit:
+            out.extend(run)
+            continue
+        members = tuple(run)
+        out.append(MoEGroup(name=unit, n_experts=n_experts, members=members,
+                            router=_router_for(members, unit, n_experts), mode=variant))
     return replace(arch, layers=tuple(out), variant=variant, n_experts=n_experts,
                    moe_ratio=moe_ratio)

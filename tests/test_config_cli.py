@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from axmoe import cli
+from axmoe import cli, config
 from axmoe.config import ExperimentConfig, config_hash, load_config, parse_config_text
 from axmoe.datasets import DATA_DIR_ENV
 from axmoe.errors import ConfigError
@@ -54,6 +54,17 @@ def test_parse_config_text_errors_carry_line_numbers(line, fragment):
     assert fragment in str(err.value)
 
 
+def test_config_parsers_come_from_field_annotations():
+    assert set(config._PARSERS) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    @dataclasses.dataclass
+    class Unparseable:
+        ratio: complex = 0j
+
+    with pytest.raises(TypeError, match="ratio"):
+        config._field_parsers(Unparseable)
+
+
 def test_load_config_layering(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("arch = toy_mlp\nseed = 3\nlr = 0.2\n")
@@ -82,7 +93,6 @@ def test_validate_catches_bad_fields():
         {"num_classes": 0},
         {"lr": 0.0},
         {"momentum": 1.0},
-        {"gateway_macs": 0},
     ]
     for changes in cases:
         with pytest.raises(ConfigError):
@@ -135,6 +145,22 @@ def _base_args(out, extra=()):
             "--set", "retrain_epochs = 1",
             "--set", "batch_size = 32",
             *extra]
+
+
+def _cli_config(argv):
+    return cli._config(cli._build_parser().parse_args(["count", *argv]))
+
+
+@pytest.mark.parametrize("key,setting,flag,from_set,from_flag", [
+    ("arch", "arch = toy_mlp", ["--arch", "toy_cnn"], "toy_mlp", "toy_cnn"),
+    ("seed", "seed = 5", ["--seed", "0"], 5, 0),
+    ("variants", "variants = hard, soft", ["--variant", "dense"], ("hard", "soft"), ("dense",)),
+], ids=["arch", "seed", "variants"])
+def test_set_survives_absent_flags_and_a_given_flag_wins(key, setting, flag, from_set,
+                                                         from_flag):
+    assert getattr(_cli_config(["--set", setting]), key) == from_set
+    assert getattr(_cli_config(["--set", setting, *flag]), key) == from_flag
+    assert getattr(_cli_config([*flag, "--set", setting]), key) == from_flag
 
 
 def test_cli_count_and_mulinfo_run_clean(tmp_path, capsys):
@@ -208,6 +234,21 @@ def test_cli_retrain_cluster_checkpoint_reloads_and_evaluates(tmp_path, capsys):
                    "--set", f"checkpoint = {ckpt}"])
     assert rc == 0
     assert f"cluster float: top1 {float(rows[('cluster', 'float')][7]):.4f}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("arch,resolution", [("toy_cnn", 8), ("toy_mlp", 6)])
+def test_sweep_checkpoints_rebuild_every_variant(tmp_path, capsys, arch, resolution):
+    variants = ("dense", "hard", "soft", "cluster")
+    rc = cli.main(["sweep", *_base_args(tmp_path), "--arch", arch,
+                   "--set", f"resolution = {resolution}", "--set", "pretrain_epochs = 1",
+                   "--multiplier", "float", *(a for v in variants for a in ("--variant", v))])
+    assert rc == 0
+    for variant in variants:
+        saved, _, meta = load_checkpoint(tmp_path / f"ckpt_{variant}")
+        assert set(meta) == {"arch", "arch_kwargs", "variant", "n_experts", "moe_ratio", "seed"}
+        assert (meta["arch"], meta["variant"]) == (arch, variant)
+        rebuilt = model_from_spec(meta).params()
+        assert {k: v.shape for k, v in rebuilt.items()} == {k: v.shape for k, v in saved.items()}
 
 
 def test_cli_count_reference_design_needs_no_table_file(monkeypatch, capsys):

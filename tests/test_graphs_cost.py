@@ -1,5 +1,7 @@
 """Shape-level graphs, MAC accounting, power model, Pareto culling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from axmoe.cost import (MacReport, SweepPoint, approx_fraction, count_macs, domi
                         layer_macs, layer_params, normalized_power,
                         pareto_frontier)
 from axmoe.errors import ParameterError
-from axmoe.graphs import (APPROX, ARCHITECTURES, ArchSpec, ClusterArch, LayerSpec,
+from axmoe.graphs import (APPROX, ARCHITECTURES, VARIANTS, ArchSpec, ClusterArch, LayerSpec,
                           MoEGroup, build_arch, default_gateway, substitute_moe)
 
 
@@ -41,6 +43,11 @@ def test_layer_params_hand_arithmetic():
     assert layer_params(lin) == 16 * 10 + 10
     bn = LayerSpec(kind="batchnorm2d", name="b", out_channels=4, elements=100)
     assert layer_params(bn) == 2 * 4
+    ln = LayerSpec(kind="layernorm", name="n", out_features=384, elements=197 * 384)
+    assert layer_params(ln) == 2 * 384
+    # 25 LayerNorms (two per block, twelve blocks, plus the final one) of
+    # width 384 on top of the conv and linear weights
+    assert count_macs(build_arch("vit_small")).total_params == 21_647_432 + 25 * 2 * 384
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +113,19 @@ def test_substitution_errors():
     ))
     with pytest.raises(ParameterError):
         substitute_moe(no_units, "soft")
+    # toy_cnn's only unit is already a group, and a cluster graph has no
+    # layer list to substitute into
+    with pytest.raises(ParameterError):
+        substitute_moe(substitute_moe(arch, "hard"), "soft")
+    cluster = substitute_moe(arch, "cluster")
+    for variant in VARIANTS:
+        with pytest.raises(ParameterError):
+            substitute_moe(cluster, variant)
 
 
 def test_cluster_uses_budget_or_counted_gateway():
     arch = build_arch("toy_cnn")
-    budget = substitute_moe(arch, "cluster", n_experts=3, gateway_macs=10_000)
+    budget = substitute_moe(replace(arch, gateway_macs=10_000), "cluster", n_experts=3)
     assert isinstance(budget, ClusterArch)
     rep_budget = count_macs(budget)
     counted = substitute_moe(arch, "cluster", n_experts=3)
@@ -164,10 +179,10 @@ def test_approx_fraction_clamps_soft_overshoot():
 def test_mac_report_invariants():
     with pytest.raises(ParameterError):
         MacReport(arch="a", variant="dense", n_experts=1, m_total=10, m_eff=20,
-                  m_approx=5, f_apx=0.5, total_params=1, active_params=1, per_layer=())
+                  m_approx=5, f_apx=0.5, total_params=1, active_params=1)
     with pytest.raises(ParameterError):
         MacReport(arch="a", variant="dense", n_experts=1, m_total=10, m_eff=10,
-                  m_approx=5, f_apx=1.5, total_params=1, active_params=1, per_layer=())
+                  m_approx=5, f_apx=1.5, total_params=1, active_params=1)
 
 
 # ---------------------------------------------------------------------------

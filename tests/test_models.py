@@ -1,5 +1,9 @@
 """Executable models: parameter traversal, pooling, and the package surface."""
 
+import ast
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -85,3 +89,19 @@ def test_every_exported_name_resolves():
     assert len(set(axmoe.__all__)) == len(axmoe.__all__)
     for name in axmoe.__all__:
         getattr(axmoe, name)
+
+
+def test_runtime_imports_only_numpy_and_the_standard_library():
+    sources = sorted(Path(axmoe.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top == "numpy" or top in sys.stdlib_module_names, (path.name, name)
