@@ -142,12 +142,13 @@ def cmd_count(args) -> int:
     m_base = count_macs(dense).m_total
     # only the power figure is needed: reference designs take it from the
     # registry, so their table files need not be present
-    name = cfg.multipliers[0]
     reference = {entry.name: entry for entry in REFERENCE_MULTIPLIERS}
-    design = reference[name] if name in reference else resolve_multiplier(name)
+    designs = [(name, reference[name] if name in reference else resolve_multiplier(name))
+               for name in cfg.multipliers]
     for graph in graphs.values():
         rep = count_macs(graph)
-        print(f"{rep.summary()}  p_norm({name}) {_p_norm(rep, m_base, design):.4f}")
+        print(rep.summary() + "".join(f"  p_norm({name}) {_p_norm(rep, m_base, design):.4f}"
+                                      for name, design in designs))
     return 0
 
 

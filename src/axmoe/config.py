@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 from .datasets import DATASETS
 from .errors import ConfigError
@@ -120,6 +120,8 @@ def _field_parsers(cls) -> dict:
 
 
 _PARSERS = _field_parsers(ExperimentConfig)
+_NULLABLE = {name for name, hint in get_type_hints(ExperimentConfig).items()
+             if type(None) in get_args(hint)}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -146,7 +148,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
-    """Defaults, overlaid with the file (if any), overlaid with overrides."""
+    """Defaults, overlaid with the file (if any), overlaid with overrides. A
+    None override sets the key to None, which clears an optional file value."""
     values: dict = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -155,7 +158,10 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         unknown = set(overrides) - set(_PARSERS)
         if unknown:
             raise ConfigError(f"unknown override keys {sorted(unknown)}")
-        values.update({k: v for k, v in overrides.items() if v is not None})
+        not_nullable = {k for k, v in overrides.items() if v is None} - _NULLABLE
+        if not_nullable:
+            raise ConfigError(f"override keys {sorted(not_nullable)} cannot be None")
+        values.update(overrides)
     return ExperimentConfig(**values).validate()
 
 

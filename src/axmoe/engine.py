@@ -21,7 +21,6 @@ operand values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -251,11 +250,11 @@ class Layer:
 # ---------------------------------------------------------------------------
 
 class _Affine(Layer):
-    """Weight, bias and the LUT product shared by Conv2d and Linear.
+    """y = cols @ w.T + b, one forward and one backward for Conv2d and Linear.
 
-    Subclasses supply `_rows`, which lays an input out as the (rows, fan_in)
-    left operand of the product, plus their float path, bias add and
-    backward.
+    Subclasses only describe layout: `_lead(shape)` gives the output's row
+    axes, `_cols` lays x out as `(*lead, *w.shape[1:])`, `_uncols` is its
+    adjoint, and `_out_axis` is where the output channel goes.
     """
 
     def __init__(self, name, w, b, approximate=True):
@@ -268,80 +267,77 @@ class _Affine(Layer):
     def _params(self):
         return {"w": self.w, "b": self.b}
 
-    def _lut_product(self, x, ctx):
-        """Quantize x and w per tensor, multiply every operand pair through the
-        table and count the lookups. Returns the float64 (rows, out) product
-        and the dequantized x (None outside training) and w for the
-        straight-through backward."""
-        qx, sx = quantize(x)
-        qw, sw = quantize(self.w)
-        acc = lut_matmul(self._rows(qx), qw.reshape(qw.shape[0], -1), ctx.multiplier)
-        ctx.count(self.name, acc.size * qw[0].size)
-        x_eff = dequantize(qx, sx).astype(x.dtype) if ctx.train else None
-        w_eff = dequantize(qw, sw).astype(self.w.dtype)
-        return acc.astype(np.float64) * (sx.scale * sw.scale), x_eff, w_eff
-
-
-class Conv2d(_Affine):
-    def __init__(self, name, w, b, stride=(1, 1), padding=(0, 0), approximate=True):
-        super().__init__(name, w, b, approximate)  # w: (Cout, Cin, kh, kw)
-        self.stride = stride
-        self.padding = padding
-
     def _rows(self, x):
-        cols = im2col(x, self.w.shape[2:], self.stride, self.padding)
-        return cols.reshape(-1, math.prod(cols.shape[3:]))
+        return self._cols(x).reshape(-1, self.w[0].size)
 
     def forward(self, x, ctx):
-        n, cout = x.shape[0], self.w.shape[0]
-        oh, ow = conv_out_hw(x.shape[2], x.shape[3], self.w.shape[2:], self.stride, self.padding)
+        """Float product, or quantize both operands per tensor, multiply every
+        pair through the table and count the lookups. Training caches the
+        operands the product saw (dequantized on the LUT path) for the
+        straight-through backward."""
+        lead = self._lead(x.shape)  # rejects bad geometry before any im2col
+        w2d = self.w.reshape(self.w.shape[0], -1)
         if ctx.multiplier is not None and self.approximate:
-            y, x_eff, w_eff = self._lut_product(x, ctx)
-            y = y.astype(x.dtype)
+            qx, sx = quantize(x)
+            qw, sw = quantize(w2d)
+            acc = lut_matmul(self._rows(qx), qw, ctx.multiplier)
+            ctx.count(self.name, acc.size * qw.shape[1])
+            y = acc.astype(np.float64) * (sx.scale * sw.scale)
+            x_eff = dequantize(qx, sx).astype(x.dtype) if ctx.train else None
+            w_eff = dequantize(qw, sw).astype(self.w.dtype)
         else:
-            y = np.einsum("nk,ok->no", self._rows(x), self.w.reshape(cout, -1))
-            x_eff, w_eff = (x if ctx.train else None), self.w
-        y = y.reshape(n, oh, ow, cout).transpose(0, 3, 1, 2) + self.b[None, :, None, None]
+            y = self._rows(x) @ w2d.T
+            x_eff, w_eff = (x if ctx.train else None), w2d
         if ctx.train:
             self._cache = (x_eff, w_eff)
-        return y.astype(x.dtype)
+        y = (y + self.b).reshape(*lead, self.w.shape[0])
+        return np.moveaxis(y, -1, self._out_axis).astype(x.dtype, copy=False)
 
     def backward(self, dy):
         x_eff, w_eff = self._cache
-        n, cout, oh, ow = dy.shape
-        dyr = dy.transpose(0, 2, 3, 1).reshape(-1, cout)
-        dw = np.einsum("no,nk->ok", dyr, self._rows(x_eff)).reshape(self.w.shape)
-        dcols = np.einsum("no,ok->nk", dyr, w_eff.reshape(cout, -1))
-        dcols = dcols.reshape(n, oh, ow, *self.w.shape[1:])
-        self.grads = {"w": dw, "b": dy.sum(axis=(0, 2, 3))}
-        return col2im(dcols, x_eff.shape, self.w.shape[2:], self.stride, self.padding)
+        drows = np.moveaxis(dy, self._out_axis, -1).reshape(-1, self.w.shape[0])
+        self.grads = {"w": (drows.T @ self._rows(x_eff)).reshape(self.w.shape),
+                      "b": drows.sum(axis=0)}
+        dcols = (drows @ w_eff).reshape(*self._lead(x_eff.shape), *self.w.shape[1:])
+        return self._uncols(dcols, x_eff.shape)
+
+
+class Conv2d(_Affine):
+    """w: (Cout, Cin, kh, kw) over NCHW input; the product runs over im2col
+    columns, one row per output pixel."""
+
+    _out_axis = 1
+
+    def __init__(self, name, w, b, stride=(1, 1), padding=(0, 0), approximate=True):
+        super().__init__(name, w, b, approximate)
+        self.stride = stride
+        self.padding = padding
+
+    def _lead(self, shape):
+        return (shape[0], *conv_out_hw(shape[2], shape[3], self.w.shape[2:], self.stride,
+                                       self.padding))
+
+    def _cols(self, x):
+        return im2col(x, self.w.shape[2:], self.stride, self.padding)
+
+    def _uncols(self, dcols, shape):
+        return col2im(dcols, shape, self.w.shape[2:], self.stride, self.padding)
 
 
 class Linear(_Affine):
     """Affine map on the last axis, w: (out, in). Leading axes (batch,
     tokens) are rows."""
 
-    def _rows(self, x):
-        return x.reshape(-1, x.shape[-1])
+    _out_axis = -1
 
-    def forward(self, x, ctx):
-        lead = x.shape[:-1]
-        rows = self._rows(x)
-        if ctx.multiplier is not None and self.approximate:
-            y, x_eff, w_eff = self._lut_product(rows, ctx)
-            y = y + self.b
-        else:
-            y = rows @ self.w.T + self.b
-            x_eff, w_eff = (rows if ctx.train else None), self.w
-        if ctx.train:
-            self._cache = (x_eff, w_eff, lead)
-        return y.reshape(*lead, self.w.shape[0]).astype(x.dtype)
+    def _lead(self, shape):
+        return shape[:-1]
 
-    def backward(self, dy):
-        x_eff, w_eff, lead = self._cache
-        drows = self._rows(dy)
-        self.grads = {"w": drows.T @ x_eff, "b": drows.sum(axis=0)}
-        return (drows @ w_eff).reshape(*lead, w_eff.shape[1])
+    def _cols(self, x):
+        return x
+
+    def _uncols(self, dcols, shape):
+        return dcols
 
 
 class ReLU(Layer):
@@ -366,11 +362,11 @@ class AvgPool2d(Layer):
         k = self.k
         if h % k or w % k:
             raise ParameterError(f"avgpool window {k} does not tile input {h}x{w}")
-        self._in_shape = x.shape
+        # mean reduces in memory order: one layout makes the bits layout-free
+        x = np.ascontiguousarray(x)
         return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
 
     def backward(self, dy):
-        n, c, h, w = self._in_shape
         k = self.k
         up = np.repeat(np.repeat(dy, k, axis=2), k, axis=3)
         return up / (k * k)

@@ -75,6 +75,18 @@ def test_load_config_layering(tmp_path):
     assert cfg.batch_size == 64  # untouched default
 
 
+def test_none_override_clears_a_file_value(tmp_path, capsys):
+    path = tmp_path / "r.cfg"
+    path.write_text("arch = vit_small\nmoe_ratio = 0.5\ncheckpoint = ckpt_dense\n")
+    cfg = load_config(path, {"moe_ratio": None, "checkpoint": None})
+    assert cfg.moe_ratio is None and cfg.checkpoint is None
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(path, {"seed": None})
+    assert cli.main(["count", "--config", str(path), "--variant", "hard",
+                     "--set", "moe_ratio = none"]) == 0
+    assert "total    9831.90 M" in capsys.readouterr().out
+
+
 def test_load_config_rejects_unknown_override():
     with pytest.raises(ConfigError):
         load_config(None, {"turbo": True})
@@ -249,6 +261,14 @@ def test_sweep_checkpoints_rebuild_every_variant(tmp_path, capsys, arch, resolut
         assert (meta["arch"], meta["variant"]) == (arch, variant)
         rebuilt = model_from_spec(meta).params()
         assert {k: v.shape for k, v in rebuilt.items()} == {k: v.shape for k, v in saved.items()}
+
+
+def test_cli_count_prices_every_multiplier_in_order(capsys):
+    assert cli.main(["count", "--arch", "vit_small", "--variant", "hard",
+                     "--multiplier", "trunc2", "--multiplier", "exact"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert re.search(r"  p_norm\(trunc2\) [0-9.]+  p_norm\(exact\) [0-9.]+$", out.rstrip("\n"))
 
 
 def test_cli_count_reference_design_needs_no_table_file(monkeypatch, capsys):

@@ -8,6 +8,7 @@ from axmoe.engine import (AvgPool2d, Conv2d, Linear, Model, QuantParams, ReLU, R
                           softmax_cross_entropy, stable_softmax)
 from axmoe.errors import NumericError, ParameterError
 from axmoe.multipliers import build_exact_multiplier, build_truncation_multiplier
+from test_moe import _assert_grad_close, _central_differences
 
 EXACT = build_exact_multiplier()
 
@@ -171,6 +172,36 @@ def test_linear_float_matches_affine_oracle():
     assert np.allclose(layer.forward(x3, RunContext()), x3 @ w.T + b, atol=1e-12)
 
 
+def test_input_smaller_than_kernel_raises_before_any_product():
+    conv = Conv2d("conv", np.ones((2, 1, 3, 3)), np.zeros(2))
+    for ctx in (RunContext(), RunContext(multiplier=EXACT)):
+        with pytest.raises(ParameterError):
+            conv.forward(np.ones((1, 1, 2, 4)), ctx)
+        assert ctx.counters == {}
+
+
+@pytest.mark.parametrize("kind", ["strided_conv", "token_linear"])
+def test_affine_backward_matches_central_differences(kind):
+    rng = np.random.default_rng(21)
+    if kind == "strided_conv":
+        layer = Conv2d("conv", rng.normal(size=(3, 2, 3, 2)) * 0.5, rng.normal(size=3),
+                       stride=(2, 1), padding=(1, 0))
+        x = rng.normal(size=(2, 2, 5, 4))
+    else:
+        layer = Linear("lin", rng.normal(size=(3, 4)) * 0.5, rng.normal(size=3))
+        x = rng.normal(size=(2, 5, 4))
+    y = layer.forward(x, RunContext(train=True))
+    probe = rng.normal(size=y.shape)
+    dx = layer.backward(probe)
+
+    def loss():
+        return float((layer.forward(x, RunContext()) * probe).sum())
+
+    _assert_grad_close("x", dx, _central_differences(loss, x))
+    for name, param in (("w", layer.w), ("b", layer.b)):
+        _assert_grad_close(name, layer.grads[name], _central_differences(loss, param))
+
+
 def test_conv2d_counter_formula():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(3, 4, 8, 8))
@@ -214,6 +245,14 @@ def test_avgpool_forward_and_backward():
     assert np.allclose(dx, 0.25)
     with pytest.raises(ParameterError):
         layer.forward(np.zeros((1, 1, 5, 5)), RunContext())
+
+
+def test_avgpool_bits_do_not_depend_on_memory_layout():
+    layer = AvgPool2d("pool", 2)
+    for seed in range(20):
+        x = np.random.default_rng(seed).normal(size=(8, 16, 8, 8)).astype(np.float32)
+        nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        assert np.array_equal(layer.forward(x, RunContext()), layer.forward(nhwc, RunContext()))
 
 
 def test_softmax_cross_entropy_uniform_logits():
