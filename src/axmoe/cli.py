@@ -23,8 +23,7 @@ import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
+from . import __version__
 from .config import ExperimentConfig, config_hash, load_config, parse_config_text
 from .cost import MacReport, SweepPoint, count_macs, normalized_power, pareto_frontier
 from .datasets import DATA_DIR_ENV, load_dataset
@@ -35,8 +34,6 @@ from .multipliers import (EXACT_POWER_NW, REFERENCE_MULTIPLIERS, REFERENCE_POWER
                           AxMultiplier, builtin_multiplier, error_stats, load_lut,
                           per_op_saving, build_exact_multiplier)
 from .train import TrainConfig, evaluate, fit, retrain
-
-VERSION = "0.1.0"
 
 CSV_COLUMNS = ("arch", "variant", "multiplier", "m_total", "m_eff", "f_apx",
                "p_norm", "top1", "retrained", "seed")
@@ -112,7 +109,7 @@ def _dataset(cfg: ExperimentConfig):
 # Shortcut flag -> the config key it sets. A given flag wins over --set; an
 # absent (None) or empty-string flag leaves the key alone.
 _FLAG_KEYS = {"arch": "arch", "variant": "variants", "multiplier": "multipliers",
-              "seed": "seed", "out": "out", "deterministic": "deterministic"}
+              "seed": "seed", "out": "out"}
 
 
 def _config(args) -> ExperimentConfig:
@@ -123,13 +120,7 @@ def _config(args) -> ExperimentConfig:
         value = getattr(args, flag, None)
         if value is not None and value != "":
             overrides[key] = tuple(value) if isinstance(value, list) else value
-    cfg = load_config(args.config, overrides)
-    if not cfg.deterministic:
-        # A fresh entropy-derived seed; everything downstream stays seeded so
-        # the run is still internally consistent, just not repeatable.
-        fresh = int(np.random.SeedSequence().generate_state(1)[0]) & 0x7FFFFFFF
-        cfg = replace(cfg, seed=fresh)
-    return cfg
+    return load_config(args.config, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +171,10 @@ def cmd_eval(args) -> int:
     cfg = _config(args)
     if cfg.checkpoint:
         model, meta = load_model(cfg.checkpoint)
-        label = meta.get("variant", "checkpoint")
+        # the checkpoint fixes the architecture and the data shape; the
+        # config only picks the draw
+        cfg = replace(cfg, arch=meta["arch"], **meta["arch_kwargs"])
+        label = meta["variant"]
     else:
         label = cfg.variants[0]
         _, graphs = _graphs(cfg)
@@ -250,7 +244,7 @@ def cmd_sweep(args) -> int:
                   f"{' (retrained)' if retrained else ''}")
     csv_path = out / "sweep.csv"
     _write_csv(csv_path, rows)
-    record = {"version": VERSION, "config_hash": config_hash(cfg), "config": asdict(cfg),
+    record = {"version": __version__, "config_hash": config_hash(cfg), "config": asdict(cfg),
               "rows": [dict(zip(CSV_COLUMNS, _format_row(r))) for r in rows],
               "reports": reports, "wall_clock_s": round(time.perf_counter() - started, 3)}
     with open(out / "run.json", "w", encoding="utf-8") as fh:
@@ -324,7 +318,7 @@ def cmd_pareto(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="axmoe",
                                      description="approximate-multiplier MoE workbench")
-    parser.add_argument("--version", action="version", version=f"%(prog)s {VERSION}")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value experiment file")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -336,8 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="multiplier name or .axm8 path (repeatable)")
     common.add_argument("--seed", type=int)
     common.add_argument("--out", help="output directory")
-    common.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
-                        default=None, help="reuse the configured seed (default on)")
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("count", parents=[common],
                    help="MAC and power accounting").set_defaults(func=cmd_count)

@@ -40,7 +40,6 @@ class ExperimentConfig:
     batch_size: int = 64
     seed: int = 0
     checkpoint: str | None = None
-    deterministic: bool = True
     out: str = "results"
 
     def validate(self) -> "ExperimentConfig":
@@ -74,15 +73,6 @@ class ExperimentConfig:
         return self
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _parse_tuple(raw: str) -> tuple[str, ...]:
     items = tuple(part.strip() for part in raw.split(",") if part.strip())
     if not items:
@@ -101,7 +91,6 @@ _PARSER_OF_TYPE = {
     str: str,
     int: int,
     float: float,
-    bool: _parse_bool,
     tuple[str, ...]: _parse_tuple,
     float | None: _optional(float),
     str | None: _optional(str),

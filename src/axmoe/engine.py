@@ -154,10 +154,11 @@ def col2im(dcols: np.ndarray, x_shape, kernel, stride, padding) -> np.ndarray:
     return dxp[:, :, ph : ph + h, pw : pw + w]
 
 
-def stable_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = z - z.max(axis=axis, keepdims=True)
+def stable_softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +391,8 @@ class Sequential(Layer):
         return self.layers
 
     def forward(self, x, ctx):
+        if not len(x):
+            raise ParameterError(f"{self.name}: empty batch")
         for layer in self.layers:
             x = layer.forward(x, ctx)
         return x
@@ -411,7 +414,7 @@ class Model(Sequential):
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy over the batch. Returns (loss, dloss/dlogits)."""
     n = logits.shape[0]
-    p = stable_softmax(logits.astype(np.float64), axis=-1)
+    p = stable_softmax(logits.astype(np.float64))
     eps = np.finfo(np.float64).tiny
     loss = float(-np.log(p[np.arange(n), labels] + eps).mean())
     dlogits = p.copy()

@@ -26,6 +26,9 @@ VARIANTS = ("dense", "hard", "soft", "cluster")
 CNN_GATEWAY_MACS = 125_800_000
 VIT_GATEWAY_MACS = 4_140_000_000
 
+# The CNNs are published for CIFAR-100.
+CIFAR100_CLASSES = 100
+
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -67,7 +70,6 @@ class ArchSpec:
     layers: tuple
     variant: str = "dense"
     n_experts: int = 1
-    moe_ratio: float | None = None
     gateway_macs: int | None = None
 
 
@@ -114,7 +116,7 @@ def _linear(name, fin, fout, tokens=1, arithmetic=EXACT, unit=""):
 # Architecture builders
 # ---------------------------------------------------------------------------
 
-def resnet20(num_classes: int = 100) -> ArchSpec:
+def resnet20() -> ArchSpec:
     """Three stages of three two-conv residual blocks, widths 16/32/64."""
     layers = []
     conv, hw = _conv("stem.conv", 3, 16, 3, 32)
@@ -140,9 +142,9 @@ def resnet20(num_classes: int = 100) -> ArchSpec:
     layers += [
         LayerSpec(kind="avgpool", name="pool", elements=cin * hw * hw, out_hw=(1, 1)),
         LayerSpec(kind="flatten", name="flatten"),
-        _linear("fc", cin, num_classes),
+        _linear("fc", cin, CIFAR100_CLASSES),
     ]
-    return ArchSpec("resnet20", (3, 32, 32), num_classes, tuple(layers),
+    return ArchSpec("resnet20", (3, 32, 32), CIFAR100_CLASSES, tuple(layers),
                     gateway_macs=CNN_GATEWAY_MACS)
 
 
@@ -153,7 +155,7 @@ _VGG_CFG = {
 }
 
 
-def _vgg(name: str, num_classes: int = 100) -> ArchSpec:
+def _vgg(name: str) -> ArchSpec:
     """Batch-normalized VGG feature stack with the compact 3-linear head.
 
     Every conv after the first is its own expert-substitution unit.
@@ -175,28 +177,31 @@ def _vgg(name: str, num_classes: int = 100) -> ArchSpec:
         LayerSpec(kind="flatten", name="flatten"),
         _linear("fc0", 512, 512), _relu("fc0.relu", 512),
         _linear("fc1", 512, 512), _relu("fc1.relu", 512),
-        _linear("fc2", 512, num_classes),
+        _linear("fc2", 512, CIFAR100_CLASSES),
     ]
-    return ArchSpec(name, (3, 32, 32), num_classes, tuple(layers),
+    return ArchSpec(name, (3, 32, 32), CIFAR100_CLASSES, tuple(layers),
                     gateway_macs=CNN_GATEWAY_MACS)
 
 
-def vgg11_bn(num_classes: int = 100) -> ArchSpec:
-    return _vgg("vgg11_bn", num_classes)
+def vgg11_bn() -> ArchSpec:
+    return _vgg("vgg11_bn")
 
 
-def vgg19_bn(num_classes: int = 100) -> ArchSpec:
-    return _vgg("vgg19_bn", num_classes)
+def vgg19_bn() -> ArchSpec:
+    return _vgg("vgg19_bn")
 
 
-def vit_small_spec(num_classes: int = 200, image_size: int = 224, patch: int = 16,
-                   dim: int = 384, depth: int = 12, heads: int = 6, mlp_dim: int = 1536) -> ArchSpec:
-    """Cost-model description of the small vision transformer.
+def vit_small_spec() -> ArchSpec:
+    """Cost-model description of the small vision transformer: 224x224
+    images in 16x16 patches, width 384, 12 blocks of 6 heads with a 1536-wide
+    feed-forward, and 200 classes (Tiny ImageNet-200).
 
     Patch embedding and classifier head stay exact; every in-block linear is
     approximable; each block's feed-forward is an expert-substitution unit.
     Attention score and score-value matmuls are modelled as zero-MAC mixes.
     """
+    num_classes, image_size, patch = 200, 224, 16
+    dim, depth, heads, mlp_dim = 384, 12, 6, 1536
     grid = image_size // patch
     tokens = grid * grid + 1  # class token
     layers = []
@@ -351,5 +356,4 @@ def substitute_moe(arch: ArchSpec, variant: str, n_experts: int = 3,
         members = tuple(run)
         out.append(MoEGroup(name=unit, n_experts=n_experts, members=members,
                             router=_router_for(members, unit, n_experts), mode=variant))
-    return replace(arch, layers=tuple(out), variant=variant, n_experts=n_experts,
-                   moe_ratio=moe_ratio)
+    return replace(arch, layers=tuple(out), variant=variant, n_experts=n_experts)

@@ -81,7 +81,7 @@ class Router:
 
     def gates(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         feats = pool_features(x).astype(np.float64)
-        return stable_softmax(feats @ self.w.T.astype(np.float64), axis=-1), feats
+        return stable_softmax(feats @ self.w.T.astype(np.float64)), feats
 
 
 class MoELayer(Layer):

@@ -88,9 +88,9 @@ def _exact_table() -> np.ndarray:
     return (a * b).astype(np.int16).ravel()
 
 
-def build_exact_multiplier(name: str = EXACT_NAME, power_nw: float = EXACT_POWER_NW) -> AxMultiplier:
+def build_exact_multiplier() -> AxMultiplier:
     """Exact signed 8-bit multiplier; the power baseline for savings figures."""
-    return AxMultiplier(name=name, power_nw=power_nw, lut=_exact_table())
+    return AxMultiplier(name=EXACT_NAME, power_nw=EXACT_POWER_NW, lut=_exact_table())
 
 
 def _truncate_magnitude(v: np.ndarray, bits: int) -> np.ndarray:
@@ -107,7 +107,7 @@ def truncation_power_nw(dropped_low_bits: int) -> float:
     return EXACT_POWER_NW - dropped_low_bits * (EXACT_POWER_NW - 0.200) / 7.0
 
 
-def build_truncation_multiplier(dropped_low_bits: int, power_nw: float | None = None) -> AxMultiplier:
+def build_truncation_multiplier(dropped_low_bits: int) -> AxMultiplier:
     """Synthetic multiplier that zeroes the lowest k bits of each operand's
     magnitude before multiplying exactly. k in [1, 7]."""
     k = int(dropped_low_bits)
@@ -115,9 +115,7 @@ def build_truncation_multiplier(dropped_low_bits: int, power_nw: float | None = 
         raise ParameterError(f"dropped_low_bits must be in [1, 7], got {dropped_low_bits}")
     a, b = _operand_grids()
     lut = (_truncate_magnitude(a, k) * _truncate_magnitude(b, k)).astype(np.int16).ravel()
-    if power_nw is None:
-        power_nw = truncation_power_nw(k)
-    return AxMultiplier(name=f"trunc{k}", power_nw=power_nw, lut=lut)
+    return AxMultiplier(name=f"trunc{k}", power_nw=truncation_power_nw(k), lut=lut)
 
 
 def error_stats(m: AxMultiplier) -> ErrorStats:

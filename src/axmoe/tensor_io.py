@@ -82,11 +82,21 @@ def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], set[str], dict]:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{manifest_path}: expected a JSON object")
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise FormatError(f"{directory}: unknown checkpoint format {manifest.get('format')!r}")
+    meta, entries = manifest.get("meta"), manifest.get("tensors")
+    if not isinstance(meta, dict):
+        raise FormatError(f"{manifest_path}: meta must be an object")
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("name"), str)
+            and isinstance(e.get("file"), str) for e in entries):
+        raise FormatError(f"{manifest_path}: tensors must be a list of objects "
+                          "with a name and a file")
     params, frozen = {}, set()
-    for entry in manifest["tensors"]:
+    for entry in entries:
         params[entry["name"]] = load_tensor(directory / entry["file"])
         if entry.get("frozen"):
             frozen.add(entry["name"])
-    return params, frozen, manifest.get("meta", {})
+    return params, frozen, meta

@@ -53,6 +53,8 @@ class Split:
             raise ParameterError("train images and labels disagree on length")
         if len(self.x_test) != len(self.y_test):
             raise ParameterError("test images and labels disagree on length")
+        if not len(self.x_train) or not len(self.x_test):
+            raise ParameterError("train and test splits must not be empty")
 
 
 @dataclass
@@ -100,12 +102,14 @@ def train_epoch(model, x, y, cfg: TrainConfig, rng, multiplier: AxMultiplier | N
 
 def evaluate(model, x, y, multiplier: AxMultiplier | None = None, batch_size: int = 256) -> float:
     """Top-1 accuracy over a labelled set, batched to bound memory."""
+    if not len(x):
+        raise ParameterError("cannot evaluate on an empty set")
     correct = 0
     for start in range(0, len(x), batch_size):
         ctx = RunContext(multiplier=multiplier, train=False)
         logits = model.forward(x[start : start + batch_size], ctx)
         correct += int((np.argmax(logits, axis=1) == y[start : start + batch_size]).sum())
-    return correct / max(len(x), 1)
+    return correct / len(x)
 
 
 def fit(model, data: Split, cfg: TrainConfig, multiplier: AxMultiplier | None = None) -> History:

@@ -9,11 +9,14 @@ import re
 import numpy as np
 import pytest
 
+import axmoe
 from axmoe import cli, config
 from axmoe.config import ExperimentConfig, config_hash, load_config, parse_config_text
 from axmoe.datasets import DATA_DIR_ENV
-from axmoe.errors import ConfigError
-from axmoe.models import load_model, model_from_spec
+from axmoe.engine import RunContext
+from axmoe.errors import ConfigError, FormatError
+from axmoe.graphs import build_arch, substitute_moe
+from axmoe.models import build_model, load_model, model_from_spec, save_model
 from axmoe.tensor_io import load_checkpoint
 from axmoe.multipliers import builtin_multiplier, save_lut
 
@@ -27,7 +30,6 @@ def test_parse_config_text_types_and_comments():
     n_experts = 4
     moe_ratio = 0.5
     lr = 0.05
-    deterministic = off
     data_path = none
     """
     values = parse_config_text(text)
@@ -37,7 +39,6 @@ def test_parse_config_text_types_and_comments():
     assert values["n_experts"] == 4
     assert values["moe_ratio"] == 0.5
     assert values["lr"] == 0.05
-    assert values["deterministic"] is False
     assert values["data_path"] is None
 
 
@@ -201,7 +202,7 @@ def test_cli_sweep_writes_csv_and_run_json(tmp_path, capsys):
     assert b"\r\n" in csv_path.read_bytes()
 
     record = json.loads((tmp_path / "run.json").read_text())
-    assert record["version"] == cli.VERSION
+    assert record["version"] == axmoe.__version__
     assert record["config"]["arch"] == "toy_mlp"
     assert len(record["config_hash"]) == 64
     assert len(record["rows"]) == 2
@@ -261,6 +262,13 @@ def test_sweep_checkpoints_rebuild_every_variant(tmp_path, capsys, arch, resolut
         assert (meta["arch"], meta["variant"]) == (arch, variant)
         rebuilt = model_from_spec(meta).params()
         assert {k: v.shape for k, v in rebuilt.items()} == {k: v.shape for k, v in saved.items()}
+        model, _ = load_model(tmp_path / f"ckpt_{variant}")
+        assert all(v.dtype == np.float32 for v in model.params().values()), variant
+        kw = meta["arch_kwargs"]
+        x = np.random.default_rng(0).random(
+            (2, kw["channels"], kw["resolution"], kw["resolution"]), dtype=np.float32)
+        for mul in (None, builtin_multiplier("trunc2")):
+            assert model.forward(x, RunContext(multiplier=mul)).dtype == np.float32, variant
 
 
 def test_cli_count_prices_every_multiplier_in_order(capsys):
@@ -321,16 +329,50 @@ def test_cli_pareto_flags_frontier(tmp_path, capsys):
 
 
 def test_cli_eval_reloads_checkpoints(tmp_path, capsys):
-    assert cli.main(["sweep", *_base_args(tmp_path), "--variant", "dense",
-                     "--multiplier", "float"]) == 0
+    # arch and shape differ from the defaults; eval must take them from the
+    # checkpoint and keep the default draw the sweep used
+    assert cli.main(["sweep", "--arch", "toy_mlp", "--out", str(tmp_path),
+                     "--set", "num_classes = 3", "--set", "resolution = 6",
+                     "--set", "channels = 1", "--variant", "dense"]) == 0
     run = json.loads((tmp_path / "run.json").read_text())
     want = float(run["rows"][0]["top1"])
     capsys.readouterr()
-    rc = cli.main(["eval", *_base_args(tmp_path), "--multiplier", "float",
-                   "--set", f"checkpoint = {tmp_path / 'ckpt_dense'}"])
+    rc = cli.main(["eval", "--set", f"checkpoint = {tmp_path / 'ckpt_dense'}"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert f"top1 {want:.4f}" in out
+    assert f"toy_mlp dense exact: top1 {want:.4f}" in capsys.readouterr().out
+
+
+def _drop_tensors(manifest):
+    del manifest["tensors"]
+    return manifest
+
+
+def _drop_arch(manifest):
+    del manifest["meta"]["arch"]
+    return manifest
+
+
+def _drop_file(manifest):
+    del manifest["tensors"][0]["file"]
+    return manifest
+
+
+@pytest.mark.parametrize("corrupt", [_drop_tensors, lambda m: [m], _drop_arch, _drop_file],
+                         ids=["no_tensors", "json_list", "meta_without_arch", "entry_without_file"])
+def test_malformed_checkpoint_is_a_format_error(tmp_path, capsys, corrupt):
+    graph = substitute_moe(build_arch("toy_mlp", num_classes=3, resolution=6, channels=1),
+                           "dense")
+    ckpt = tmp_path / "ckpt"
+    save_model(build_model(graph), ckpt,
+               {"arch": "toy_mlp", "arch_kwargs": {"num_classes": 3, "resolution": 6,
+                                                   "channels": 1},
+                "variant": "dense", "n_experts": 1, "moe_ratio": None, "seed": 0})
+    manifest = ckpt / "manifest.json"
+    manifest.write_text(json.dumps(corrupt(json.loads(manifest.read_text()))))
+    with pytest.raises(FormatError):
+        load_model(ckpt)
+    assert cli.main(["eval", "--set", f"checkpoint = {ckpt}"]) == 4
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -345,14 +387,3 @@ def test_cli_exit_codes(tmp_path, capsys):
     # no subcommand prints help and fails
     assert cli.main([]) == 2
     capsys.readouterr()
-
-
-def test_cli_nondeterministic_draws_fresh_seed(tmp_path, capsys):
-    seeds = set()
-    for _ in range(4):
-        assert cli.main(["count", "--arch", "toy_mlp", "--no-deterministic",
-                         "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        seeds.add(cli._config(cli._build_parser().parse_args(
-            ["count", "--arch", "toy_mlp", "--no-deterministic"])).seed)
-    assert len(seeds) > 1

@@ -10,8 +10,10 @@ import pytest
 import axmoe
 from axmoe.engine import AvgPool2d, Flatten, RunContext, softmax_cross_entropy
 from axmoe.graphs import VARIANTS, ClusterArch, MoEGroup, substitute_moe, toy_cnn, toy_mlp
+from axmoe.errors import ParameterError
 from axmoe.models import build_model
-from axmoe.train import TrainConfig, sgd_step
+from axmoe.multipliers import builtin_multiplier
+from axmoe.train import TrainConfig, evaluate, sgd_step
 
 ARCHS = {
     "toy_cnn": lambda: toy_cnn(num_classes=3, resolution=8, channels=1),
@@ -62,6 +64,22 @@ def test_traversal_invariants_after_one_train_step(arch, variant):
 
     model.zero_grads()
     assert model.qualified_grads() == {}
+
+
+@pytest.mark.parametrize("mul", [None, "trunc2"], ids=["float", "trunc2"])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("arch", sorted(ARCHS))
+def test_empty_batch_is_a_parameter_error(arch, variant, mul):
+    spec = ARCHS[arch]()
+    model = build_model(substitute_moe(spec, variant, n_experts=2), seed=0)
+    mul = builtin_multiplier(mul) if mul else None
+    x = np.zeros((0, *spec.input_shape), dtype=np.float32)
+    y = np.zeros(0, dtype=np.int64)
+    for train in (False, True):
+        with pytest.raises(ParameterError, match="empty batch"):
+            model.forward(x, RunContext(multiplier=mul, train=train))
+    with pytest.raises(ParameterError, match="empty set"):
+        evaluate(model, x, y, mul)
 
 
 def test_avgpool_to_one_pixel_feeds_flatten():

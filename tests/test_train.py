@@ -80,6 +80,11 @@ def test_split_length_validation():
         Split(x, y, x, np.zeros(4, dtype=np.int64))
     with pytest.raises(ParameterError):
         Split(x, np.zeros(4, dtype=np.int64), x, y)
+    y = np.zeros(4, dtype=np.int64)
+    with pytest.raises(ParameterError):
+        Split(x[:0], y[:0], x, y)
+    with pytest.raises(ParameterError):
+        Split(x, y, x[:0], y[:0])
 
 
 def test_cross_entropy_is_ln2_on_zero_logit_binary_batch():
