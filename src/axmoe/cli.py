@@ -3,7 +3,7 @@
 Subcommands:
   count    MAC and power accounting for an architecture's variants
   mulinfo  reference multiplier table, with measured LUT statistics
-  eval     accuracy of a model under one or more multipliers
+  eval     accuracy of a checkpoint under one or more multipliers
   sweep    pretrain per variant, evaluate every multiplier, write a CSV
   retrain  sweep with approximate retraining before each evaluation
   pareto   flag the power/accuracy-efficient rows of a sweep CSV
@@ -100,10 +100,22 @@ def _p_norm(rep: MacReport, m_base: int, design) -> float:
 
 
 def _dataset(cfg: ExperimentConfig):
-    return load_dataset(cfg.dataset, cfg.data_path, samples=cfg.samples,
+    """The configured split, checked against the shape and class count the
+    model is built for."""
+    data = load_dataset(cfg.dataset, cfg.data_path, samples=cfg.samples,
                         eval_samples=cfg.eval_samples, classes=cfg.num_classes,
                         channels=cfg.channels, resolution=cfg.resolution,
                         noise=cfg.noise, seed=cfg.seed)
+    shape = (cfg.channels, cfg.resolution, cfg.resolution)
+    for split, x, y in (("train", data.x_train, data.y_train),
+                        ("test", data.x_test, data.y_test)):
+        if x.shape[1:] != shape:
+            raise ConfigError(f"{cfg.dataset} {split} images are {x.shape[1:]}, not the "
+                              f"configured {shape}; set channels and resolution to match")
+        if y.min() < 0 or y.max() >= cfg.num_classes:
+            raise ConfigError(f"{cfg.dataset} {split} labels span {y.min()}..{y.max()}, outside "
+                              f"0..{cfg.num_classes - 1}; set num_classes to match")
+    return data
 
 
 # Shortcut flag -> the config key it sets. A given flag wins over --set; an
@@ -169,26 +181,21 @@ def cmd_mulinfo(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _config(args)
-    if cfg.checkpoint:
-        model, meta = load_model(cfg.checkpoint)
-        # the checkpoint fixes the architecture and the data shape; the
-        # config only picks the draw
-        cfg = replace(cfg, arch=meta["arch"], **meta["arch_kwargs"])
-        label = meta["variant"]
-    else:
-        label = cfg.variants[0]
-        _, graphs = _graphs(cfg)
-        model = build_model(graphs[label], seed=cfg.seed)
+    if not cfg.checkpoint:
+        raise ConfigError('eval needs a trained model: --set "checkpoint = <dir>"')
+    model, meta = load_model(cfg.checkpoint)
+    # the checkpoint fixes the architecture and the data shape; the config
+    # only picks the draw
+    cfg = replace(cfg, arch=meta["arch"], **meta["arch_kwargs"])
     data = _dataset(cfg)
     for name in cfg.multipliers:
         top1 = evaluate(model, data.x_test, data.y_test, resolve_multiplier(name))
-        print(f"{cfg.arch} {label} {name}: top1 {top1:.4f}")
+        print(f"{cfg.arch} {meta['variant']} {name}: top1 {top1:.4f}")
     return 0
 
 
 def _train_cfg(cfg: ExperimentConfig, epochs: int, seed: int) -> TrainConfig:
-    return TrainConfig(lr=cfg.lr, weight_decay=cfg.weight_decay, momentum=cfg.momentum,
-                       batch_size=cfg.batch_size, epochs=epochs, seed=seed)
+    return TrainConfig(lr=cfg.lr, batch_size=cfg.batch_size, epochs=epochs, seed=seed)
 
 
 def _format_row(row: dict) -> list[str]:
@@ -337,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="reference multiplier table")
     info.set_defaults(func=cmd_mulinfo)
     sub.add_parser("eval", parents=[common],
-                   help="evaluate a model").set_defaults(func=cmd_eval)
+                   help="evaluate a checkpoint").set_defaults(func=cmd_eval)
     sweep_cmd = sub.add_parser("sweep", parents=[common],
                                help="pretrain and evaluate all variants")
     sweep_cmd.set_defaults(func=cmd_sweep, do_retrain=False)

@@ -35,8 +35,6 @@ class ExperimentConfig:
     pretrain_epochs: int = 4
     retrain_epochs: int = 2
     lr: float = 0.1
-    weight_decay: float = 5e-4
-    momentum: float = 0.0
     batch_size: int = 64
     seed: int = 0
     checkpoint: str | None = None
@@ -68,8 +66,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.lr <= 0.0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.weight_decay < 0.0 or self.momentum < 0.0 or self.momentum >= 1.0:
-            raise ConfigError("weight_decay must be >= 0 and momentum within [0, 1)")
         return self
 
 

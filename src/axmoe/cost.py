@@ -52,7 +52,6 @@ def layer_params(spec: LayerSpec) -> int:
 class MacReport:
     arch: str
     variant: str
-    n_experts: int
     m_total: int
     m_eff: int
     m_approx: int
@@ -74,76 +73,63 @@ class MacReport:
                 f"active params {self.active_params / 1e6:.3f} M")
 
 
-def approx_fraction(m_approx: int, m_eff: int) -> float:
-    """Share of effective MACs executed on the approximate multiplier,
-    clamped to 1.0 when replication overshoots the effective count."""
-    if m_eff <= 0:
-        raise ParameterError(f"m_eff must be positive, got {m_eff}")
-    if m_approx < 0:
-        raise ParameterError(f"m_approx must be non-negative, got {m_approx}")
-    return min(m_approx / m_eff, 1.0)
+def _price(spec: LayerSpec) -> tuple[int, int, int]:
+    """(MACs, approximate MACs, params) of one layer."""
+    macs = layer_macs(spec)
+    return macs, macs if spec.arithmetic == APPROX else 0, layer_params(spec)
+
+
+def _parts(graph):
+    """(copies stored, copies a sample runs through, MACs, approximate MACs,
+    params) of every part of a graph.
+
+    A plain layer, a router and a cluster gateway are stored and run once.
+    An expert member is stored n times and runs once per sample under hard
+    routing, n times under soft routing. A cluster replica is stored n times
+    and one of them runs per sample.
+    """
+    if isinstance(graph, ClusterArch):
+        budget = graph.gateway_macs
+        if budget is None and graph.gateway is not None:
+            yield from _parts(graph.gateway)
+        elif budget is None or budget < 0:
+            raise ParameterError("cluster graph needs a gateway spec or a non-negative "
+                                 f"gateway MAC budget, got {budget}")
+        else:
+            yield 1, 1, int(budget), 0, 0  # a budget-only gateway runs exact
+        for stored, runs, *price in _parts(graph.replica):
+            yield graph.n_experts * stored, runs, *price
+        return
+    for entry in graph.layers:
+        if isinstance(entry, MoEGroup):
+            yield 1, 1, *_price(entry.router)
+            runs = entry.n_experts if entry.mode == "soft" else 1
+            for member in entry.members:
+                yield entry.n_experts, runs, *_price(member)
+        else:
+            yield 1, 1, *_price(entry)
 
 
 def count_macs(graph) -> MacReport:
-    """MAC, parameter, and approximable-fraction accounting for any graph.
+    """MAC, parameter, and approximable-fraction accounting for any graph:
+    a dense spec, a substituted hard/soft spec, or a ClusterArch.
 
-    Accepts a dense spec, a substituted hard/soft spec, or a ClusterArch.
+    Totals and stored params count every stored copy of a part; effective
+    and approximate MACs and active params count the copies one sample runs
+    through, so batch * m_approx is the engine's LUT lookups for the batch.
     """
-    if isinstance(graph, ClusterArch):
-        return _count_cluster(graph)
-    total = eff = 0
-    backbone_approx = 0
-    total_params = active_params = 0
-    for entry in graph.layers:
-        if isinstance(entry, MoEGroup):
-            member_macs = sum(layer_macs(m) for m in entry.members)
-            member_params = sum(layer_params(m) for m in entry.members)
-            router_macs = layer_macs(entry.router)
-            total += entry.n_experts * member_macs + router_macs
-            eff += (member_macs if entry.mode == "hard" else entry.n_experts * member_macs) + router_macs
-            backbone_approx += sum(layer_macs(m) for m in entry.members if m.arithmetic == APPROX)
-            total_params += entry.n_experts * member_params + layer_params(entry.router)
-            active_params += (member_params if entry.mode == "hard"
-                              else entry.n_experts * member_params) + layer_params(entry.router)
-        else:
-            macs = layer_macs(entry)
-            total += macs
-            eff += macs
-            if entry.arithmetic == APPROX:
-                backbone_approx += macs
-            p = layer_params(entry)
-            total_params += p
-            active_params += p
-    m_approx = graph.n_experts * backbone_approx if graph.variant == "soft" else backbone_approx
+    m_total = m_eff = m_approx = total_params = active_params = 0
+    for stored, runs, macs, approx, params in _parts(graph):
+        m_total += stored * macs
+        m_eff += runs * macs
+        m_approx += runs * approx
+        total_params += stored * params
+        active_params += runs * params
     return MacReport(
-        arch=graph.name, variant=graph.variant, n_experts=graph.n_experts,
-        m_total=total, m_eff=eff, m_approx=m_approx,
-        f_apx=approx_fraction(m_approx, eff) if eff else 0.0,
-        total_params=total_params, active_params=active_params,
-    )
-
-
-def _count_cluster(cluster: ClusterArch) -> MacReport:
-    replica = count_macs(cluster.replica)
-    if cluster.gateway_macs is not None:
-        budget = int(cluster.gateway_macs)
-        gw_params = 0
-    elif cluster.gateway is not None:
-        gw = count_macs(cluster.gateway)
-        budget, gw_params = gw.m_total, gw.total_params
-    else:
-        raise ParameterError("cluster graph needs gateway_macs or a gateway spec")
-    if budget < 0:
-        raise ParameterError(f"gateway MAC budget must be non-negative, got {budget}")
-    m_total = budget + cluster.n_experts * replica.m_total
-    m_eff = budget + replica.m_total
-    m_approx = replica.m_approx  # gateway runs exact arithmetic
-    return MacReport(
-        arch=cluster.name, variant="cluster", n_experts=cluster.n_experts,
+        arch=graph.name, variant="cluster" if isinstance(graph, ClusterArch) else graph.variant,
         m_total=m_total, m_eff=m_eff, m_approx=m_approx,
-        f_apx=approx_fraction(m_approx, m_eff),
-        total_params=gw_params + cluster.n_experts * replica.total_params,
-        active_params=gw_params + replica.active_params,
+        f_apx=m_approx / m_eff if m_eff else 0.0,
+        total_params=total_params, active_params=active_params,
     )
 
 

@@ -98,9 +98,6 @@ def lut_matmul(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
     n, k = a.shape
     mrows = b.shape[0]
     out = np.empty((n, mrows), dtype=np.int64)
-    if k == 0:
-        out[:] = 0
-        return out.astype(np.int32)
     b_idx = (b.astype(np.int32) + 128)[None, :, :]
     chunk = max(1, _GATHER_BUDGET // max(1, mrows * k))
     for start in range(0, n, chunk):

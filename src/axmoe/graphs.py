@@ -66,7 +66,6 @@ class MoEGroup:
 class ArchSpec:
     name: str
     input_shape: tuple[int, ...]
-    num_classes: int
     layers: tuple
     variant: str = "dense"
     n_experts: int = 1
@@ -144,8 +143,7 @@ def resnet20() -> ArchSpec:
         LayerSpec(kind="flatten", name="flatten"),
         _linear("fc", cin, CIFAR100_CLASSES),
     ]
-    return ArchSpec("resnet20", (3, 32, 32), CIFAR100_CLASSES, tuple(layers),
-                    gateway_macs=CNN_GATEWAY_MACS)
+    return ArchSpec("resnet20", (3, 32, 32), tuple(layers), gateway_macs=CNN_GATEWAY_MACS)
 
 
 _VGG_CFG = {
@@ -179,8 +177,7 @@ def _vgg(name: str) -> ArchSpec:
         _linear("fc1", 512, 512), _relu("fc1.relu", 512),
         _linear("fc2", 512, CIFAR100_CLASSES),
     ]
-    return ArchSpec(name, (3, 32, 32), CIFAR100_CLASSES, tuple(layers),
-                    gateway_macs=CNN_GATEWAY_MACS)
+    return ArchSpec(name, (3, 32, 32), tuple(layers), gateway_macs=CNN_GATEWAY_MACS)
 
 
 def vgg11_bn() -> ArchSpec:
@@ -227,8 +224,8 @@ def vit_small_spec() -> ArchSpec:
         _ln("ln_final", dim, tokens),
         _linear("head", dim, num_classes, tokens=1),
     ]
-    return ArchSpec("vit_small", (3, image_size, image_size), num_classes,
-                    tuple(layers), gateway_macs=VIT_GATEWAY_MACS)
+    return ArchSpec("vit_small", (3, image_size, image_size), tuple(layers),
+                    gateway_macs=VIT_GATEWAY_MACS)
 
 
 def toy_cnn(num_classes: int = 10, resolution: int = 16, channels: int = 1) -> ArchSpec:
@@ -249,7 +246,7 @@ def toy_cnn(num_classes: int = 10, resolution: int = 16, channels: int = 1) -> A
         LayerSpec(kind="flatten", name="flatten"),
         _linear("fc", 16 * hw * hw, num_classes),
     ]
-    return ArchSpec("toy_cnn", (channels, resolution, resolution), num_classes, tuple(layers))
+    return ArchSpec("toy_cnn", (channels, resolution, resolution), tuple(layers))
 
 
 def toy_mlp(num_classes: int = 10, resolution: int = 28, channels: int = 1) -> ArchSpec:
@@ -260,7 +257,7 @@ def toy_mlp(num_classes: int = 10, resolution: int = 28, channels: int = 1) -> A
         _relu("relu1", 32),
         _linear("fc2", 32, num_classes, arithmetic=APPROX),
     )
-    return ArchSpec("toy_mlp", (channels, resolution, resolution), num_classes, layers)
+    return ArchSpec("toy_mlp", (channels, resolution, resolution), layers)
 
 
 ARCHITECTURES = {
@@ -312,7 +309,7 @@ def default_gateway(arch: ArchSpec, n_experts: int) -> ArchSpec:
         LayerSpec(kind="flatten", name="gateway.flatten"),
         _linear("gateway.fc", fin, n_experts),
     )
-    return ArchSpec(f"{arch.name}_gateway", arch.input_shape, n_experts, layers)
+    return ArchSpec(f"{arch.name}_gateway", arch.input_shape, layers)
 
 
 def substitute_moe(arch: ArchSpec, variant: str, n_experts: int = 3,

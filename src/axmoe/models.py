@@ -137,9 +137,12 @@ def load_model(directory):
     missing = [k for k in META_KEYS if k not in meta]
     if missing:
         raise FormatError(f"{directory}: checkpoint meta lacks {missing}")
-    model = model_from_spec(meta)
-    model.load_params(params)
-    expected_frozen = model.frozen_names()
-    if frozen - expected_frozen:
-        raise ParameterError(f"checkpoint freezes unknown parameters: {sorted(frozen - expected_frozen)}")
+    try:
+        model = model_from_spec(meta)
+        model.load_params(params)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{directory}: checkpoint meta does not rebuild a model: {exc}") from exc
+    unknown = frozen - model.frozen_names()
+    if unknown:
+        raise FormatError(f"{directory}: checkpoint freezes unknown parameters: {sorted(unknown)}")
     return model, meta

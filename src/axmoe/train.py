@@ -21,7 +21,6 @@ from .multipliers import AxMultiplier
 class TrainConfig:
     lr: float = 0.1
     weight_decay: float = 5e-4
-    momentum: float = 0.0
     batch_size: int = 128
     epochs: int = 5
     seed: int = 0
@@ -31,8 +30,6 @@ class TrainConfig:
             raise ParameterError(f"lr must be positive, got {self.lr}")
         if self.weight_decay < 0.0:
             raise ParameterError(f"weight_decay must be non-negative, got {self.weight_decay}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ParameterError(f"momentum {self.momentum} outside [0, 1)")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -65,7 +62,7 @@ class History:
     top1: list[float] = field(default_factory=list)
 
 
-def sgd_step(model, cfg: TrainConfig, frozen: set[str], velocity: dict) -> None:
+def sgd_step(model, cfg: TrainConfig, frozen: set[str]) -> None:
     """One in-place parameter update. Parameters without a gradient (never on
     the sampled routing path, or behind an argmax) are left alone."""
     grads = model.qualified_grads()
@@ -76,16 +73,11 @@ def sgd_step(model, cfg: TrainConfig, frozen: set[str], velocity: dict) -> None:
         if g is None:
             continue
         g = g + cfg.weight_decay * p
-        if cfg.momentum > 0.0:
-            v = velocity.get(name)
-            v = g if v is None else cfg.momentum * v + g
-            velocity[name] = v
-            g = v
         p -= cfg.lr * g.astype(p.dtype, copy=False)
 
 
 def train_epoch(model, x, y, cfg: TrainConfig, rng, multiplier: AxMultiplier | None,
-                frozen: set[str], velocity: dict) -> float:
+                frozen: set[str]) -> float:
     order = rng.permutation(len(x))
     total = 0.0
     for start in range(0, len(order), cfg.batch_size):
@@ -95,7 +87,7 @@ def train_epoch(model, x, y, cfg: TrainConfig, rng, multiplier: AxMultiplier | N
         loss, dlogits = softmax_cross_entropy(logits, y[idx])
         model.zero_grads()
         model.backward(dlogits)
-        sgd_step(model, cfg, frozen, velocity)
+        sgd_step(model, cfg, frozen)
         total += loss * len(idx)
     return total / max(len(order), 1)
 
@@ -121,11 +113,9 @@ def fit(model, data: Split, cfg: TrainConfig, multiplier: AxMultiplier | None = 
     """
     frozen = set() if multiplier is None else model.frozen_names()
     rng = np.random.default_rng(cfg.seed)
-    velocity: dict = {}
     hist = History()
     for _ in range(cfg.epochs):
-        loss = train_epoch(model, data.x_train, data.y_train, cfg, rng,
-                           multiplier, frozen, velocity)
+        loss = train_epoch(model, data.x_train, data.y_train, cfg, rng, multiplier, frozen)
         hist.loss.append(float(loss))
         hist.top1.append(evaluate(model, data.x_test, data.y_test, multiplier))
     return hist

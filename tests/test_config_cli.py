@@ -105,7 +105,6 @@ def test_validate_catches_bad_fields():
         {"dataset": "imagenet"},
         {"num_classes": 0},
         {"lr": 0.0},
-        {"momentum": 1.0},
     ]
     for changes in cases:
         with pytest.raises(ConfigError):
@@ -357,8 +356,20 @@ def _drop_file(manifest):
     return manifest
 
 
-@pytest.mark.parametrize("corrupt", [_drop_tensors, lambda m: [m], _drop_arch, _drop_file],
-                         ids=["no_tensors", "json_list", "meta_without_arch", "entry_without_file"])
+def _set_meta(**values):
+    def corrupt(manifest):
+        manifest["meta"].update(values)
+        return manifest
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_tensors, lambda m: [m], _drop_arch, _drop_file,
+    _set_meta(arch_kwargs={"classes": 3}), _set_meta(arch_kwargs=[1]),
+    _set_meta(n_experts="x"), _set_meta(arch="alexnet"), _set_meta(variant="fuzzy"),
+], ids=["no_tensors", "json_list", "meta_without_arch", "entry_without_file",
+        "unknown_arch_kwarg", "arch_kwargs_list", "n_experts_not_int", "unknown_arch",
+        "unknown_variant"])
 def test_malformed_checkpoint_is_a_format_error(tmp_path, capsys, corrupt):
     graph = substitute_moe(build_arch("toy_mlp", num_classes=3, resolution=6, channels=1),
                            "dense")
@@ -372,7 +383,26 @@ def test_malformed_checkpoint_is_a_format_error(tmp_path, capsys, corrupt):
     with pytest.raises(FormatError):
         load_model(ckpt)
     assert cli.main(["eval", "--set", f"checkpoint = {ckpt}"]) == 4
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_data_that_does_not_match_the_config_exits_2(tmp_path, capsys):
+    # two CIFAR-format records per split: coarse label, fine label 0 or 9,
+    # then a 3x32x32 image
+    records = np.zeros((2, 3074), dtype=np.uint8)
+    records[:, 1] = (0, 9)
+    for split in ("train", "test"):
+        records.tofile(tmp_path / f"{split}.bin")
+    base = ["sweep", "--out", str(tmp_path / "out"), "--set", "dataset = cifar100",
+            "--set", f"data_path = {tmp_path}", "--set", "samples = 2",
+            "--set", "eval_samples = 2", "--set", "channels = 3"]
+    # the default resolution of 8 does not match the 32x32 images
+    assert cli.main(base) == 2
+    assert "resolution" in capsys.readouterr().err
+    # label 9 is outside 4 classes
+    assert cli.main(base + ["--set", "resolution = 32", "--set", "num_classes = 4"]) == 2
+    assert "num_classes" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -386,4 +416,6 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["pareto", "--csv", str(bad), "--out", str(tmp_path)]) == 4
     # no subcommand prints help and fails
     assert cli.main([]) == 2
+    # eval scores a checkpoint, and none is given
+    assert cli.main(["eval"]) == 2
     capsys.readouterr()

@@ -70,8 +70,8 @@ def test_quant_params_validation():
 
 def test_lut_matmul_equals_integer_matmul():
     rng = np.random.default_rng(2)
-    for _ in range(10):
-        n, k, m = rng.integers(1, 24, size=3)
+    shapes = [tuple(rng.integers(1, 24, size=3)) for _ in range(10)] + [(3, 0, 4)]
+    for n, k, m in shapes:
         a = rng.integers(-128, 128, size=(n, k)).astype(np.int8)
         b = rng.integers(-128, 128, size=(m, k)).astype(np.int8)
         got = lut_matmul(a, b, EXACT)

@@ -5,12 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from axmoe.cost import (MacReport, SweepPoint, approx_fraction, count_macs, dominates,
-                        layer_macs, layer_params, normalized_power,
-                        pareto_frontier)
+from axmoe.cost import (MacReport, SweepPoint, count_macs, dominates, layer_macs, layer_params,
+                        normalized_power, pareto_frontier)
+from axmoe.engine import RunContext
 from axmoe.errors import ParameterError
 from axmoe.graphs import (APPROX, ARCHITECTURES, VARIANTS, ArchSpec, ClusterArch, LayerSpec,
                           MoEGroup, build_arch, default_gateway, substitute_moe)
+from axmoe.models import build_model
+from axmoe.multipliers import build_exact_multiplier
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +109,7 @@ def test_substitution_errors():
         substitute_moe(arch, "fuzzy")
     with pytest.raises(ParameterError):
         substitute_moe(arch, "hard", n_experts=0)
-    no_units = ArchSpec("bare", (1, 4, 4), 2, (
+    no_units = ArchSpec("bare", (1, 4, 4), (
         LayerSpec(kind="flatten", name="flat"),
         LayerSpec(kind="linear", name="fc", in_features=16, out_features=2),
     ))
@@ -159,29 +161,37 @@ def test_soft_replicates_experts_in_both_totals():
     unit = next(ly for ly in substitute_moe(arch, "soft").layers
                 if isinstance(ly, MoEGroup))
     unit_macs = sum(layer_macs(m) for m in unit.members)
+    unit_approx = sum(layer_macs(m) for m in unit.members if m.arithmetic == APPROX)
     router_macs = layer_macs(unit.router)
     assert soft.m_total == dense.m_total + 2 * unit_macs + router_macs
+    # a sample runs through every expert copy, so each copy's approximate
+    # MACs count once per sample
+    assert soft.m_approx == dense.m_approx + 2 * unit_approx
+    assert hard.m_approx == dense.m_approx
     assert soft.m_eff == soft.m_total
     assert hard.m_total == soft.m_total
     assert hard.m_eff == dense.m_eff + router_macs
     assert hard.m_eff < soft.m_eff
 
 
-def test_approx_fraction_clamps_soft_overshoot():
-    assert approx_fraction(80, 100) == pytest.approx(0.8)
-    assert approx_fraction(300, 100) == 1.0
-    with pytest.raises(ParameterError):
-        approx_fraction(-1, 100)
-    with pytest.raises(ParameterError):
-        approx_fraction(5, 0)
+@pytest.mark.parametrize("arch_name", ["toy_cnn", "toy_mlp"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_engine_lookups_equal_batch_times_approximate_macs(arch_name, variant):
+    arch = build_arch(arch_name, num_classes=5, resolution=8, channels=2)
+    graph = substitute_moe(arch, variant, n_experts=3)
+    batch = 17
+    x = np.random.default_rng(3).normal(size=(batch,) + arch.input_shape).astype(np.float32)
+    ctx = RunContext(multiplier=build_exact_multiplier())
+    build_model(graph, seed=7).forward(x, ctx)
+    assert sum(ctx.counters.values()) == batch * count_macs(graph).m_approx
 
 
 def test_mac_report_invariants():
     with pytest.raises(ParameterError):
-        MacReport(arch="a", variant="dense", n_experts=1, m_total=10, m_eff=20,
+        MacReport(arch="a", variant="dense", m_total=10, m_eff=20,
                   m_approx=5, f_apx=0.5, total_params=1, active_params=1)
     with pytest.raises(ParameterError):
-        MacReport(arch="a", variant="dense", n_experts=1, m_total=10, m_eff=10,
+        MacReport(arch="a", variant="dense", m_total=10, m_eff=10,
                   m_approx=5, f_apx=1.5, total_params=1, active_params=1)
 
 

@@ -44,7 +44,7 @@ def test_traversal_invariants_after_one_train_step(arch, variant):
     model.zero_grads()
     model.backward(dlogits)
     frozen = model.frozen_names()
-    sgd_step(model, TrainConfig(lr=0.1, epochs=1), frozen, {})
+    sgd_step(model, TrainConfig(lr=0.1, epochs=1), frozen)
 
     params = model.params()
     grads = model.qualified_grads()

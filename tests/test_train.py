@@ -26,7 +26,7 @@ def test_sgd_step_hand_values():
     p = np.array([1.0])
     stub = _Stub({"w": p}, {"w": np.array([1.0])})
     cfg = TrainConfig(lr=0.1, weight_decay=0.0, epochs=1)
-    sgd_step(stub, cfg, frozen=set(), velocity={})
+    sgd_step(stub, cfg, frozen=set())
     assert p[0] == pytest.approx(0.9)
 
 
@@ -34,7 +34,7 @@ def test_sgd_step_weight_decay_shrinks_parameters():
     p = np.array([2.0])
     stub = _Stub({"w": p}, {"w": np.array([0.0])})
     cfg = TrainConfig(lr=0.5, weight_decay=0.1, epochs=1)
-    sgd_step(stub, cfg, frozen=set(), velocity={})
+    sgd_step(stub, cfg, frozen=set())
     # update is lr * wd * p = 0.5 * 0.1 * 2
     assert p[0] == pytest.approx(1.9)
 
@@ -43,21 +43,10 @@ def test_sgd_step_skips_frozen_and_gradient_free_params():
     a, b, c = np.array([1.0]), np.array([1.0]), np.array([1.0])
     stub = _Stub({"a": a, "b": b, "c": c}, {"a": np.array([1.0]), "b": np.array([1.0])})
     cfg = TrainConfig(lr=0.1, weight_decay=0.0, epochs=1)
-    sgd_step(stub, cfg, frozen={"b"}, velocity={})
+    sgd_step(stub, cfg, frozen={"b"})
     assert a[0] == pytest.approx(0.9)
     assert b[0] == 1.0  # frozen
     assert c[0] == 1.0  # no gradient
-
-
-def test_sgd_momentum_accumulates():
-    p = np.array([0.0])
-    stub = _Stub({"w": p}, {"w": np.array([1.0])})
-    cfg = TrainConfig(lr=1.0, weight_decay=0.0, momentum=0.5, epochs=1)
-    vel = {}
-    sgd_step(stub, cfg, frozen=set(), velocity=vel)   # v=1, p=-1
-    sgd_step(stub, cfg, frozen=set(), velocity=vel)   # v=1.5, p=-2.5
-    assert p[0] == pytest.approx(-2.5)
-    assert vel["w"][0] == pytest.approx(1.5)
 
 
 def test_train_config_validation():
@@ -65,8 +54,6 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ParameterError):
         TrainConfig(weight_decay=-1e-3)
-    with pytest.raises(ParameterError):
-        TrainConfig(momentum=1.0)
     with pytest.raises(ParameterError):
         TrainConfig(batch_size=0)
     with pytest.raises(ParameterError):
