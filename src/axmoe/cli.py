@@ -9,7 +9,7 @@ Subcommands:
   pareto   flag the power/accuracy-efficient rows of a sweep CSV
 
 Exit codes: 0 success, 2 configuration, 3 I/O, 4 file format, 5 numeric
-overflow.
+(accumulator overflow or non-finite input).
 """
 
 from __future__ import annotations

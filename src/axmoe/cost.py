@@ -89,7 +89,7 @@ def _parts(graph):
     and one of them runs per sample.
     """
     if isinstance(graph, ClusterArch):
-        budget = graph.gateway_macs
+        budget = graph.replica.gateway_macs
         if budget is None and graph.gateway is not None:
             yield from _parts(graph.gateway)
         elif budget is None or budget < 0:
@@ -110,6 +110,13 @@ def _parts(graph):
             yield 1, 1, *_price(entry)
 
 
+def _variant(graph) -> str:
+    """Report label, read from the graph's structure."""
+    if isinstance(graph, ClusterArch):
+        return "cluster"
+    return next((entry.mode for entry in graph.layers if isinstance(entry, MoEGroup)), "dense")
+
+
 def count_macs(graph) -> MacReport:
     """MAC, parameter, and approximable-fraction accounting for any graph:
     a dense spec, a substituted hard/soft spec, or a ClusterArch.
@@ -126,7 +133,7 @@ def count_macs(graph) -> MacReport:
         total_params += stored * params
         active_params += runs * params
     return MacReport(
-        arch=graph.name, variant="cluster" if isinstance(graph, ClusterArch) else graph.variant,
+        arch=graph.name, variant=_variant(graph),
         m_total=m_total, m_eff=m_eff, m_approx=m_approx,
         f_apx=m_approx / m_eff if m_eff else 0.0,
         total_params=total_params, active_params=active_params,

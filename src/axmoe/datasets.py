@@ -21,7 +21,6 @@ DATA_DIR_ENV = "AXMOE_DATA_DIR"
 # CIFAR-100 binary record: coarse label byte, fine label byte, then a
 # channel-planar 3x32x32 image.
 CIFAR_RECORD_BYTES = 3074
-CIFAR_IMAGE_BYTES = 3072
 
 DATASETS = ("synthetic", "cifar100", "axt")
 

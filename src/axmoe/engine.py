@@ -281,13 +281,13 @@ class _Affine(Layer):
             acc = lut_matmul(self._rows(qx), qw, ctx.multiplier)
             ctx.count(self.name, acc.size * qw.shape[1])
             y = acc.astype(np.float64) * (sx.scale * sw.scale)
-            x_eff = dequantize(qx, sx).astype(x.dtype) if ctx.train else None
-            w_eff = dequantize(qw, sw).astype(self.w.dtype)
+            if ctx.train:
+                self._cache = (dequantize(qx, sx).astype(x.dtype),
+                               dequantize(qw, sw).astype(self.w.dtype))
         else:
             y = self._rows(x) @ w2d.T
-            x_eff, w_eff = (x if ctx.train else None), w2d
-        if ctx.train:
-            self._cache = (x_eff, w_eff)
+            if ctx.train:
+                self._cache = (x, w2d)
         y = (y + self.b).reshape(*lead, self.w.shape[0])
         return np.moveaxis(y, -1, self._out_axis).astype(x.dtype, copy=False)
 
@@ -390,6 +390,8 @@ class Sequential(Layer):
     def forward(self, x, ctx):
         if not len(x):
             raise ParameterError(f"{self.name}: empty batch")
+        if not np.isfinite(x).all():
+            raise NumericError(f"{self.name}: input contains non-finite values")
         for layer in self.layers:
             x = layer.forward(x, ctx)
         return x

@@ -5,14 +5,15 @@ geometry the cost model needs. The same spec drives the executable builder
 (models.py), so cost predictions and runtime counters share one source of
 truth. Layers that may be replaced by expert mixtures carry a `moe_unit`
 tag; substitute_moe gathers tagged layers into MoEGroup entries or wraps the
-whole spec in a ClusterArch.
+whole spec in a ClusterArch. A graph's variant is its structure; no label
+is stored beside it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import ParameterError
 
@@ -45,7 +46,7 @@ class LayerSpec:
     in_features: int = 0
     out_features: int = 0
     tokens: int = 1
-    # elementwise kinds: element count per sample (avgpool counts input elems)
+    # batchnorm2d, avgpool, gelu: element count per sample (avgpool counts input elems)
     elements: int = 0
     arithmetic: str = EXACT
     moe_unit: str = ""
@@ -67,8 +68,6 @@ class ArchSpec:
     name: str
     input_shape: tuple[int, ...]
     layers: tuple
-    variant: str = "dense"
-    n_experts: int = 1
     gateway_macs: int | None = None
 
 
@@ -79,7 +78,6 @@ class ClusterArch:
     name: str
     replica: ArchSpec
     n_experts: int
-    gateway_macs: int | None = None
     gateway: ArchSpec | None = None
 
 
@@ -98,12 +96,12 @@ def _bn(name, c, hw):
     return LayerSpec(kind="batchnorm2d", name=name, out_channels=c, elements=c * hw * hw)
 
 
-def _ln(name, dim, tokens):
-    return LayerSpec(kind="layernorm", name=name, out_features=dim, elements=tokens * dim)
+def _ln(name, dim):
+    return LayerSpec(kind="layernorm", name=name, out_features=dim)
 
 
-def _relu(name, elems=0):
-    return LayerSpec(kind="relu", name=name, elements=elems)
+def _relu(name):
+    return LayerSpec(kind="relu", name=name)
 
 
 def _linear(name, fin, fout, tokens=1, arithmetic=EXACT, unit=""):
@@ -119,7 +117,7 @@ def resnet20() -> ArchSpec:
     """Three stages of three two-conv residual blocks, widths 16/32/64."""
     layers = []
     conv, hw = _conv("stem.conv", 3, 16, 3, 32)
-    layers += [conv, _bn("stem.bn", 16, hw), _relu("stem.relu", 16 * hw * hw)]
+    layers += [conv, _bn("stem.bn", 16, hw), _relu("stem.relu")]
     cin = 16
     for s, width in enumerate((16, 32, 64)):
         for b in range(3):
@@ -127,19 +125,19 @@ def resnet20() -> ArchSpec:
             unit = f"s{s}b{b}"
             pre = f"{unit}."
             c1, ohw = _conv(pre + "conv1", cin, width, 3, hw, stride, unit=unit)
-            layers += [c1, _bn(pre + "bn1", width, ohw), _relu(pre + "relu1", width * ohw * ohw)]
+            layers += [c1, _bn(pre + "bn1", width, ohw), _relu(pre + "relu1")]
             c2, ohw = _conv(pre + "conv2", width, width, 3, ohw, unit=unit)
             layers += [c2, _bn(pre + "bn2", width, ohw)]
             if stride != 1 or cin != width:
                 ds, _ = _conv(pre + "downsample", cin, width, 1, hw, stride, pad=0)
                 layers += [ds, _bn(pre + "bn_ds", width, ohw)]
             layers += [
-                LayerSpec(kind="residual_add", name=pre + "add", elements=width * ohw * ohw),
-                _relu(pre + "relu2", width * ohw * ohw),
+                LayerSpec(kind="residual_add", name=pre + "add"),
+                _relu(pre + "relu2"),
             ]
             cin, hw = width, ohw
     layers += [
-        LayerSpec(kind="avgpool", name="pool", elements=cin * hw * hw, out_hw=(1, 1)),
+        LayerSpec(kind="avgpool", name="pool", elements=cin * hw * hw),
         LayerSpec(kind="flatten", name="flatten"),
         _linear("fc", cin, CIFAR100_CLASSES),
     ]
@@ -162,19 +160,18 @@ def _vgg(name: str) -> ArchSpec:
     hw, cin, idx = 32, 3, 0
     for v in _VGG_CFG[name]:
         if v == "M":
-            layers.append(LayerSpec(kind="maxpool", name=f"pool{idx}",
-                                    elements=cin * hw * hw, out_hw=(hw // 2, hw // 2)))
+            layers.append(LayerSpec(kind="maxpool", name=f"pool{idx}"))
             hw //= 2
             continue
         unit = f"conv{idx}" if idx > 0 else ""
         conv, hw = _conv(f"conv{idx}", cin, v, 3, hw, unit=unit)
-        layers += [conv, _bn(f"bn{idx}", v, hw), _relu(f"relu{idx}", v * hw * hw)]
+        layers += [conv, _bn(f"bn{idx}", v, hw), _relu(f"relu{idx}")]
         cin = v
         idx += 1
     layers += [
         LayerSpec(kind="flatten", name="flatten"),
-        _linear("fc0", 512, 512), _relu("fc0.relu", 512),
-        _linear("fc1", 512, 512), _relu("fc1.relu", 512),
+        _linear("fc0", 512, 512), _relu("fc0.relu"),
+        _linear("fc1", 512, 512), _relu("fc1.relu"),
         _linear("fc2", 512, CIFAR100_CLASSES),
     ]
     return ArchSpec(name, (3, 32, 32), tuple(layers), gateway_macs=CNN_GATEWAY_MACS)
@@ -198,7 +195,7 @@ def vit_small_spec() -> ArchSpec:
     Attention score and score-value matmuls are modelled as zero-MAC mixes.
     """
     num_classes, image_size, patch = 200, 224, 16
-    dim, depth, heads, mlp_dim = 384, 12, 6, 1536
+    dim, depth, mlp_dim = 384, 12, 1536
     grid = image_size // patch
     tokens = grid * grid + 1  # class token
     layers = []
@@ -209,19 +206,19 @@ def vit_small_spec() -> ArchSpec:
         pre = f"block{i}."
         unit = f"ffn{i}"
         layers += [
-            _ln(pre + "ln1", dim, tokens),
+            _ln(pre + "ln1", dim),
             _linear(pre + "qkv", dim, 3 * dim, tokens, APPROX),
-            LayerSpec(kind="attention_mix", name=pre + "attn", elements=heads * tokens * tokens),
+            LayerSpec(kind="attention_mix", name=pre + "attn"),
             _linear(pre + "proj", dim, dim, tokens, APPROX),
-            LayerSpec(kind="residual_add", name=pre + "add1", elements=tokens * dim),
-            _ln(pre + "ln2", dim, tokens),
+            LayerSpec(kind="residual_add", name=pre + "add1"),
+            _ln(pre + "ln2", dim),
             _linear(pre + "fc1", dim, mlp_dim, tokens, APPROX, unit=unit),
             LayerSpec(kind="gelu", name=pre + "gelu", elements=tokens * mlp_dim, moe_unit=unit),
             _linear(pre + "fc2", mlp_dim, dim, tokens, APPROX, unit=unit),
-            LayerSpec(kind="residual_add", name=pre + "add2", elements=tokens * dim),
+            LayerSpec(kind="residual_add", name=pre + "add2"),
         ]
     layers += [
-        _ln("ln_final", dim, tokens),
+        _ln("ln_final", dim),
         _linear("head", dim, num_classes, tokens=1),
     ]
     return ArchSpec("vit_small", (3, image_size, image_size), tuple(layers),
@@ -233,14 +230,12 @@ def toy_cnn(num_classes: int = 10, resolution: int = 16, channels: int = 1) -> A
         raise ParameterError("toy_cnn resolution must be divisible by 4")
     layers = []
     c1, hw = _conv("conv1", channels, 8, 3, resolution)
-    layers += [c1, _relu("relu1", 8 * hw * hw),
-               LayerSpec(kind="avgpool", name="pool1", kernel=(2, 2), elements=8 * hw * hw,
-                         out_hw=(hw // 2, hw // 2))]
+    layers += [c1, _relu("relu1"),
+               LayerSpec(kind="avgpool", name="pool1", kernel=(2, 2), elements=8 * hw * hw)]
     hw //= 2
     c2, hw = _conv("conv2", 8, 16, 3, hw, unit="conv2")
-    layers += [c2, _relu("relu2", 16 * hw * hw),
-               LayerSpec(kind="avgpool", name="pool2", kernel=(2, 2), elements=16 * hw * hw,
-                         out_hw=(hw // 2, hw // 2))]
+    layers += [c2, _relu("relu2"),
+               LayerSpec(kind="avgpool", name="pool2", kernel=(2, 2), elements=16 * hw * hw)]
     hw //= 2
     layers += [
         LayerSpec(kind="flatten", name="flatten"),
@@ -254,7 +249,7 @@ def toy_mlp(num_classes: int = 10, resolution: int = 28, channels: int = 1) -> A
     layers = (
         LayerSpec(kind="flatten", name="flatten"),
         _linear("fc1", fin, 32, arithmetic=APPROX, unit="fc1"),
-        _relu("relu1", 32),
+        _relu("relu1"),
         _linear("fc2", 32, num_classes, arithmetic=APPROX),
     )
     return ArchSpec("toy_mlp", (channels, resolution, resolution), layers)
@@ -319,31 +314,31 @@ def substitute_moe(arch: ArchSpec, variant: str, n_experts: int = 3,
     hard/soft replace each selected substitution unit by an n-expert group
     with its own router; cluster wraps the whole dense spec behind the
     architecture's published gateway budget, or behind `default_gateway`
-    when it has none. dense returns the spec unchanged apart from the
-    variant field.
+    when it has none. dense returns the spec itself. Only a dense spec is
+    accepted: a substituted spec or a ClusterArch raises ParameterError.
     """
     if variant not in VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if n_experts < 1:
         raise ParameterError(f"n_experts must be >= 1, got {n_experts}")
     if not isinstance(arch, ArchSpec):
-        raise ParameterError(f"expected a layer spec, got a {type(arch).__name__}")
+        raise ParameterError(f"expected a dense layer spec, got a {type(arch).__name__}")
+    if any(isinstance(layer, MoEGroup) for layer in arch.layers):
+        raise ParameterError(f"{arch.name} already holds expert groups; "
+                             "substitute into its dense spec")
     if variant == "dense":
-        return replace(arch, variant="dense", n_experts=1)
+        return arch
     if variant == "cluster":
         gateway = default_gateway(arch, n_experts) if arch.gateway_macs is None else None
-        return ClusterArch(name=arch.name, replica=arch, n_experts=n_experts,
-                           gateway_macs=arch.gateway_macs, gateway=gateway)
+        return ClusterArch(name=arch.name, replica=arch, n_experts=n_experts, gateway=gateway)
 
-    units = list(dict.fromkeys(layer.moe_unit for layer in arch.layers
-                               if isinstance(layer, LayerSpec) and layer.moe_unit))
+    units = list(dict.fromkeys(layer.moe_unit for layer in arch.layers if layer.moe_unit))
     if not units:
         raise ParameterError(f"{arch.name} has no expert-substitutable layers")
     selected = _select_units(units, moe_ratio)
 
     def unit_of(layer) -> str:
-        unit = layer.moe_unit if isinstance(layer, LayerSpec) else ""
-        return unit if unit in selected else ""
+        return layer.moe_unit if layer.moe_unit in selected else ""
 
     out = []
     for unit, run in itertools.groupby(arch.layers, key=unit_of):
@@ -353,4 +348,4 @@ def substitute_moe(arch: ArchSpec, variant: str, n_experts: int = 3,
         members = tuple(run)
         out.append(MoEGroup(name=unit, n_experts=n_experts, members=members,
                             router=_router_for(members, unit, n_experts), mode=variant))
-    return replace(arch, layers=tuple(out), variant=variant, n_experts=n_experts)
+    return replace(arch, layers=tuple(out))

@@ -11,14 +11,12 @@ expert receive identical gradients, which would pin them together forever.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from . import tensor_io
 from .engine import AvgPool2d, Conv2d, Flatten, Layer, Linear, Model, ReLU, Sequential
 from .errors import FormatError, ParameterError
-from .graphs import APPROX, ArchSpec, ClusterArch, LayerSpec, MoEGroup, build_arch, substitute_moe
+from .graphs import APPROX, ClusterArch, MoEGroup, build_arch, substitute_moe
 from .moe import ClusterModel, MoELayer, Router
 
 ROUTER_INIT_STD = 0.05
@@ -28,30 +26,27 @@ DTYPE = np.float32  # parameter dtype of every executable model
 META_KEYS = ("arch", "arch_kwargs", "variant", "n_experts", "moe_ratio", "seed")
 
 
-def _init_conv(rng, spec: LayerSpec):
-    cout, cin = spec.out_channels, spec.in_channels
-    kh, kw = spec.kernel
-    std = np.sqrt(2.0 / (cin * kh * kw))
-    w = rng.normal(0.0, std, size=(cout, cin, kh, kw)).astype(DTYPE)
-    return w, np.zeros(cout, dtype=DTYPE)
+def _init(rng, spec) -> tuple:
+    """He-normal weight and zero bias of a conv2d or linear spec; () for
+    every other kind, which draws nothing."""
+    if spec.kind == "conv2d":
+        shape = (spec.out_channels, spec.in_channels, *spec.kernel)
+    elif spec.kind == "linear":
+        shape = (spec.out_features, spec.in_features)
+    else:
+        return ()
+    std = np.sqrt(2.0 / np.prod(shape[1:]))
+    return rng.normal(0.0, std, size=shape).astype(DTYPE), np.zeros(shape[0], dtype=DTYPE)
 
 
-def _init_linear(rng, spec: LayerSpec):
-    std = np.sqrt(2.0 / spec.in_features)
-    w = rng.normal(0.0, std, size=(spec.out_features, spec.in_features)).astype(DTYPE)
-    return w, np.zeros(spec.out_features, dtype=DTYPE)
-
-
-def _instantiate(spec: LayerSpec, rng, prefix: str = "") -> Layer:
-    name = prefix + spec.name
+def _layer(spec, name: str, params: tuple) -> Layer:
+    """Executable layer for `spec` under `name`, holding `_init`'s params."""
     kind = spec.kind
     if kind == "conv2d":
-        w, b = _init_conv(rng, spec)
-        return Conv2d(name, w, b, spec.stride, spec.padding,
+        return Conv2d(name, *params, spec.stride, spec.padding,
                       approximate=spec.arithmetic == APPROX)
     if kind == "linear":
-        w, b = _init_linear(rng, spec)
-        return Linear(name, w, b, approximate=spec.arithmetic == APPROX)
+        return Linear(name, *params, approximate=spec.arithmetic == APPROX)
     if kind == "relu":
         return ReLU(name)
     if kind == "avgpool":
@@ -67,20 +62,14 @@ def _jitter(arr: np.ndarray, rng) -> np.ndarray:
 
 
 def _build_group(group: MoEGroup, rng) -> MoELayer:
-    base = [_instantiate(m, rng) for m in group.members]
+    base = [(spec, _init(rng, spec)) for spec in group.members]
     experts: list[Layer] = []
     for i in range(group.n_experts):
-        copies = []
-        for layer in base:
-            dup = copy.deepcopy(layer)
-            dup.name = f"{group.name}.expert{i}.{layer.name}"
-            for pname, arr in layer._params().items():
-                setattr(dup, pname, arr.copy() if i == 0 else _jitter(arr, rng))
-            copies.append(dup)
-        if len(copies) == 1:
-            experts.append(copies[0])
-        else:
-            experts.append(Sequential(f"{group.name}.expert{i}", copies))
+        prefix = f"{group.name}.expert{i}"
+        layers = [_layer(spec, f"{prefix}.{spec.name}",
+                         params if i == 0 else tuple(_jitter(p, rng) for p in params))
+                  for spec, params in base]
+        experts.append(layers[0] if len(layers) == 1 else Sequential(prefix, layers))
     router_w = (ROUTER_INIT_STD * rng.standard_normal(
         (group.n_experts, group.router.in_features))).astype(DTYPE)
     return MoELayer(group.name, experts, Router(f"{group.name}.router", router_w), group.mode)
@@ -91,13 +80,8 @@ def build_model(graph, seed: int = 0):
     if isinstance(graph, ClusterArch):
         return _build_cluster(graph, seed)
     rng = np.random.default_rng(seed)
-    layers: list[Layer] = []
-    for entry in graph.layers:
-        if isinstance(entry, MoEGroup):
-            layers.append(_build_group(entry, rng))
-        else:
-            layers.append(_instantiate(entry, rng))
-    return Model(graph.name, layers)
+    return Model(graph.name, [_build_group(e, rng) if isinstance(e, MoEGroup)
+                              else _layer(e, e.name, _init(rng, e)) for e in graph.layers])
 
 
 def _build_cluster(cluster: ClusterArch, seed: int) -> ClusterModel:
@@ -105,14 +89,13 @@ def _build_cluster(cluster: ClusterArch, seed: int) -> ClusterModel:
         raise ParameterError(
             "cluster with a budget-only gateway has no executable gateway network")
     gw_rng = np.random.default_rng([seed, 0xBEEF])
-    gw_layers = [_instantiate(s, gw_rng) for s in cluster.gateway.layers]
-    gateway = Model(cluster.gateway.name, gw_layers)
+    gateway = Model(cluster.gateway.name,
+                    [_layer(s, s.name, _init(gw_rng, s)) for s in cluster.gateway.layers])
     replicas = []
     for i in range(cluster.n_experts):
         rng = np.random.default_rng([seed, i])
-        layers = [_instantiate(s, rng, prefix=f"replica{i}.")
-                  for s in cluster.replica.layers]
-        replicas.append(Model(f"replica{i}", layers))
+        replicas.append(Model(f"replica{i}", [_layer(s, f"replica{i}.{s.name}", _init(rng, s))
+                                              for s in cluster.replica.layers]))
     return ClusterModel(cluster.name, gateway, replicas)
 
 

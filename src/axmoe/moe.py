@@ -49,13 +49,14 @@ def _run_units(x, picks, units, ctx: RunContext, prefix: str) -> list:
 
 
 def _scatter(n: int, picks, parts) -> np.ndarray:
-    """Write each part back to its picked rows of an n-row output."""
+    """Add each part into its picked rows of an n-row output, in unit order.
+    Hard and cluster picks do not overlap; soft picks are every row."""
     y = None
     for pick, part in zip(picks, parts):
         if part is not None:
             if y is None:
                 y = np.zeros((n,) + part.shape[1:], dtype=part.dtype)
-            y[pick] = part
+            y[pick] += part
     return y
 
 
@@ -120,10 +121,10 @@ class MoELayer(Layer):
         outs = _run_units(x, picks, self.experts, ctx, f"{self.name}.expert")
         parts = (None if out is None else _bcast(g[pick, i], out) * out
                  for i, (pick, out) in enumerate(zip(picks, outs)))
-        y = sum(parts) if self.mode == "soft" else _scatter(len(x), picks, parts)
+        y = _scatter(len(x), picks, parts)
         if ctx.train:
             self._cache = (x, feats, g, picks, outs)
-        return y.astype(x.dtype)
+        return y
 
     def backward(self, dy):
         x, feats, g, picks, outs = self._cache

@@ -17,7 +17,7 @@ from axmoe.engine import RunContext
 from axmoe.errors import ConfigError, FormatError
 from axmoe.graphs import build_arch, substitute_moe
 from axmoe.models import build_model, load_model, model_from_spec, save_model
-from axmoe.tensor_io import load_checkpoint
+from axmoe.tensor_io import load_checkpoint, save_tensor
 from axmoe.multipliers import builtin_multiplier, save_lut
 
 
@@ -403,6 +403,23 @@ def test_data_that_does_not_match_the_config_exits_2(tmp_path, capsys):
     # label 9 is outside 4 classes
     assert cli.main(base + ["--set", "resolution = 32", "--set", "num_classes = 4"]) == 2
     assert "num_classes" in capsys.readouterr().err
+
+
+def test_non_finite_input_exits_5(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    for split, n in (("train", 96), ("test", 48)):
+        x = rng.normal(size=(n, 3, 6, 6)).astype(np.float32)
+        if split == "train":
+            x[5, 0, 2, 3] = np.nan
+        save_tensor(x, tmp_path / f"x_{split}.axt")
+        save_tensor(rng.integers(0, 3, size=n).astype(np.float32), tmp_path / f"y_{split}.axt")
+    # float only: no LUT quantizer stands between the pixel and the network
+    argv = ["sweep", *_base_args(tmp_path / "out", ["--set", "dataset = axt",
+                                                    "--set", f"data_path = {tmp_path}",
+                                                    "--multiplier", "float"])]
+    assert cli.main(argv) == 5
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -78,8 +78,16 @@ def test_registry_contains_all_builders():
 def test_dense_substitution_is_identity_on_layers():
     arch = build_arch("toy_cnn")
     dense = substitute_moe(arch, "dense")
-    assert dense.layers == arch.layers
-    assert dense.variant == "dense"
+    assert dense is arch
+    assert count_macs(dense).variant == "dense"
+
+
+def test_report_label_comes_from_the_graph():
+    arch = build_arch("toy_cnn")
+    for variant in VARIANTS:
+        assert count_macs(substitute_moe(arch, variant, n_experts=3)).variant == variant
+    vit = substitute_moe(build_arch("vit_small"), "hard", n_experts=3, moe_ratio=0.25)
+    assert count_macs(vit).variant == "hard"
 
 
 def test_hard_substitution_replaces_tagged_units():
@@ -115,14 +123,14 @@ def test_substitution_errors():
     ))
     with pytest.raises(ParameterError):
         substitute_moe(no_units, "soft")
-    # toy_cnn's only unit is already a group, and a cluster graph has no
-    # layer list to substitute into
-    with pytest.raises(ParameterError):
-        substitute_moe(substitute_moe(arch, "hard"), "soft")
+    # only a dense spec is substituted: a spec that already holds expert
+    # groups and a cluster graph are refused for every variant
+    hard = substitute_moe(arch, "hard")
     cluster = substitute_moe(arch, "cluster")
-    for variant in VARIANTS:
-        with pytest.raises(ParameterError):
-            substitute_moe(cluster, variant)
+    for graph in (hard, cluster):
+        for variant in VARIANTS:
+            with pytest.raises(ParameterError):
+                substitute_moe(graph, variant)
 
 
 def test_cluster_uses_budget_or_counted_gateway():
@@ -138,6 +146,8 @@ def test_cluster_uses_budget_or_counted_gateway():
     gw = sum(layer_macs(s) for s in counted.gateway.layers)
     assert rep_counted.m_eff == dense_eff + gw
     assert rep_counted.m_total == 3 * count_macs(arch).m_total + gw
+    with pytest.raises(ParameterError, match="gateway"):
+        count_macs(replace(counted, gateway=None))
 
 
 def test_default_gateway_shape():

@@ -10,8 +10,9 @@ import pytest
 import axmoe
 from axmoe.engine import AvgPool2d, Flatten, RunContext, softmax_cross_entropy
 from axmoe.graphs import VARIANTS, ClusterArch, MoEGroup, substitute_moe, toy_cnn, toy_mlp
-from axmoe.errors import ParameterError
-from axmoe.models import build_model
+from axmoe.errors import NumericError, ParameterError
+from axmoe.models import EXPERT_JITTER, build_model
+from axmoe.moe import MoELayer
 from axmoe.multipliers import builtin_multiplier
 from axmoe.train import TrainConfig, evaluate, sgd_step
 
@@ -80,6 +81,35 @@ def test_empty_batch_is_a_parameter_error(arch, variant, mul):
             model.forward(x, RunContext(multiplier=mul, train=train))
     with pytest.raises(ParameterError, match="empty set"):
         evaluate(model, x, y, mul)
+    # a non-finite input is a numeric error on the float path as on the LUT path
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.zeros((4, *spec.input_shape), dtype=np.float32)
+        x[1, 0, 0, 0] = bad
+        for train in (False, True):
+            with pytest.raises(NumericError, match="non-finite"):
+                model.forward(x, RunContext(multiplier=mul, train=train))
+
+
+@pytest.mark.parametrize("variant", ["hard", "soft"])
+@pytest.mark.parametrize("arch", sorted(ARCHS))
+def test_expert_zero_is_the_dense_layer_and_the_rest_are_jittered(arch, variant):
+    spec = ARCHS[arch]()
+    dense = build_model(spec, seed=7).params()
+    moe = build_model(substitute_moe(spec, variant, n_experts=3), seed=7)
+    groups = [layer for layer in moe.layers if isinstance(layer, MoELayer)]
+    assert groups
+    for group in groups:
+        for i, expert in enumerate(group.experts):
+            prefix = f"{group.name}.expert{i}."
+            params = expert.params()
+            assert params
+            for name, value in params.items():
+                base = dense[name.removeprefix(prefix)]
+                if i == 0:
+                    assert value.dtype == base.dtype and np.array_equal(value, base), name
+                    continue
+                scale = float(np.std(base)) or 1.0
+                assert 0 < np.abs(value - base).max() <= 10 * EXPERT_JITTER * scale, name
 
 
 def test_avgpool_to_one_pixel_feeds_flatten():
@@ -123,3 +153,23 @@ def test_runtime_imports_only_numpy_and_the_standard_library():
             for name in names:
                 top = name.partition(".")[0]
                 assert top == "numpy" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def test_every_import_is_used():
+    """No module of the package imports a name it never reads."""
+    sources = sorted(Path(axmoe.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        assert not imported - used, (path.name, sorted(imported - used))
