@@ -30,9 +30,8 @@ from .datasets import DATA_DIR_ENV, load_dataset
 from .errors import ConfigError, FormatError, NumericError, ParameterError
 from .graphs import ArchSpec, build_arch, substitute_moe
 from .models import build_model, load_model, save_model
-from .multipliers import (EXACT_POWER_NW, REFERENCE_MULTIPLIERS, REFERENCE_POWER_NW,
-                          AxMultiplier, builtin_multiplier, error_stats, load_lut,
-                          per_op_saving, build_exact_multiplier)
+from .multipliers import (EXACT_POWER_NW, REFERENCE_MULTIPLIERS, AxMultiplier,
+                          builtin_multiplier, error_stats, load_lut, per_op_saving)
 from .train import TrainConfig, evaluate, fit, retrain
 
 CSV_COLUMNS = ("arch", "variant", "multiplier", "m_total", "m_eff", "f_apx",
@@ -57,7 +56,7 @@ def resolve_multiplier(name: str) -> AxMultiplier | None:
         return builtin_multiplier(name)
     except ParameterError:
         pass
-    if name in REFERENCE_POWER_NW:
+    if name in REFERENCE_MULTIPLIERS:
         root = os.environ.get(DATA_DIR_ENV)
         if root:
             candidate = Path(root) / f"{name}.axm8"
@@ -145,8 +144,7 @@ def cmd_count(args) -> int:
     m_base = count_macs(dense).m_total
     # only the power figure is needed: reference designs take it from the
     # registry, so their table files need not be present
-    reference = {entry.name: entry for entry in REFERENCE_MULTIPLIERS}
-    designs = [(name, reference[name] if name in reference else resolve_multiplier(name))
+    designs = [(name, REFERENCE_MULTIPLIERS.get(name) or resolve_multiplier(name))
                for name in cfg.multipliers]
     for graph in graphs.values():
         rep = count_macs(graph)
@@ -156,12 +154,10 @@ def cmd_count(args) -> int:
 
 
 def cmd_mulinfo(args) -> int:
-    baseline = build_exact_multiplier()
     print(f"{'name':<12} {'power_nW':>8} {'saving_%':>9} {'derived_%':>10} {'err_prob_%':>11}")
-    for entry in REFERENCE_MULTIPLIERS:
-        derived = (1.0 - entry.power_nw / EXACT_POWER_NW) * 100.0
+    for entry in REFERENCE_MULTIPLIERS.values():
         print(f"{entry.name:<12} {entry.power_nw:>8.3f} {entry.saving_pct:>9.1f} "
-              f"{derived:>10.2f} {entry.error_probability_pct:>11.2f}")
+              f"{per_op_saving(entry):>10.2f} {entry.error_probability_pct:>11.2f}")
     for name in args.multiplier or []:
         m = resolve_multiplier(name)
         if m is None:
@@ -169,7 +165,7 @@ def cmd_mulinfo(args) -> int:
             continue
         stats = error_stats(m)
         print(f"{m.name}: power {m.power_nw:.3f} nW, per-op saving "
-              f"{per_op_saving(m, baseline):.2f} %, error probability "
+              f"{per_op_saving(m):.2f} %, error probability "
               f"{stats.error_probability * 100.0:.2f} %, mean |error| "
               f"{stats.mean_abs_error:.3f}, max |error| {stats.max_abs_error}")
     return 0
@@ -198,21 +194,6 @@ def _train_cfg(cfg: ExperimentConfig, epochs: int, seed: int) -> TrainConfig:
     return TrainConfig(lr=cfg.lr, batch_size=cfg.batch_size, epochs=epochs, seed=seed)
 
 
-def _format_row(row: dict) -> list[str]:
-    return [row["arch"], row["variant"], row["multiplier"],
-            str(row["m_total"]), str(row["m_eff"]), f"{row['f_apx']:.6f}",
-            f"{row['p_norm']:.6f}", f"{row['top1']:.6f}",
-            "true" if row["retrained"] else "false", str(row["seed"])]
-
-
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)  # default dialect terminates lines with CRLF
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(_format_row(row))
-
-
 def cmd_sweep(args) -> int:
     """sweep, and with `args.do_retrain` set, retrain."""
     cfg = _config(args)
@@ -222,7 +203,7 @@ def cmd_sweep(args) -> int:
     data = _dataset(cfg)
     dense, graphs = _graphs(cfg)
     m_base = count_macs(dense).m_total
-    rows: list[dict] = []
+    rows: list[list[str]] = []  # sweep.csv rows, in CSV_COLUMNS order
     reports: dict = {}
     for variant, graph in graphs.items():
         rep = count_macs(graph)
@@ -243,16 +224,18 @@ def cmd_sweep(args) -> int:
                 retrained = True
             top1 = evaluate(model, data.x_test, data.y_test, mul)
             p_norm = _p_norm(rep, m_base, mul)
-            rows.append({"arch": cfg.arch, "variant": variant, "multiplier": name,
-                         "m_total": rep.m_total, "m_eff": rep.m_eff, "f_apx": rep.f_apx,
-                         "p_norm": p_norm, "top1": top1, "retrained": retrained,
-                         "seed": cfg.seed})
+            rows.append([cfg.arch, variant, name, str(rep.m_total), str(rep.m_eff),
+                         f"{rep.f_apx:.6f}", f"{p_norm:.6f}", f"{top1:.6f}",
+                         "true" if retrained else "false", str(cfg.seed)])
             print(f"{cfg.arch} {variant} {name}: top1 {top1:.4f} p_norm {p_norm:.4f}"
                   f"{' (retrained)' if retrained else ''}")
     csv_path = out / "sweep.csv"
-    _write_csv(csv_path, rows)
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)  # default dialect terminates lines with CRLF
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(rows)
     record = {"version": __version__, "config_hash": config_hash(cfg), "config": asdict(cfg),
-              "rows": [dict(zip(CSV_COLUMNS, _format_row(r))) for r in rows],
+              "rows": [dict(zip(CSV_COLUMNS, row)) for row in rows],
               "reports": reports, "wall_clock_s": round(time.perf_counter() - started, 3)}
     with open(out / "run.json", "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)

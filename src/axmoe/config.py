@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import get_args, get_type_hints
 
@@ -64,8 +65,10 @@ class ExperimentConfig:
         for name in ("pretrain_epochs", "retrain_epochs"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.lr <= 0.0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
+        if not 0.0 <= self.noise < math.inf:
+            raise ConfigError(f"noise must be finite and non-negative, got {self.noise}")
         return self
 
 
@@ -138,7 +141,11 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     values: dict = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            values.update(parse_config_text(fh.read(), source=str(path)))
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+        values.update(parse_config_text(text, source=str(path)))
     if overrides:
         unknown = set(overrides) - set(_PARSERS)
         if unknown:

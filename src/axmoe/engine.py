@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .multipliers import AxMultiplier
+from .multipliers import AxMultiplier, lut_index
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
@@ -98,11 +98,10 @@ def lut_matmul(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
     n, k = a.shape
     mrows = b.shape[0]
     out = np.empty((n, mrows), dtype=np.int64)
-    b_idx = (b.astype(np.int32) + 128)[None, :, :]
     chunk = max(1, _GATHER_BUDGET // max(1, mrows * k))
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
-        idx = (a[start:stop].astype(np.int32) + 128)[:, None, :] * 256 + b_idx
+        idx = lut_index(a[start:stop, None, :], b[None, :, :])
         out[start:stop] = m.lut[idx].sum(axis=2, dtype=np.int64)
     if out.size and (out.min() < INT32_MIN or out.max() > INT32_MAX):
         raise NumericError("lut_matmul: 32-bit accumulator overflow")
@@ -225,11 +224,13 @@ class Layer:
             child.zero_grads()
 
     def load_params(self, values: dict[str, np.ndarray]) -> None:
-        """Copy `values` into the live parameters, validating names and shapes."""
+        """Copy `values` into the live parameters. The names must be exactly
+        the live ones and each shape must match."""
         live = self.params()
-        unknown = set(values) - set(live)
-        if unknown:
-            raise ParameterError(f"unknown parameter names: {sorted(unknown)}")
+        unknown, missing = set(values) - set(live), set(live) - set(values)
+        if unknown or missing:
+            raise ParameterError(f"parameter names differ: unknown {sorted(unknown)}, "
+                                 f"missing {sorted(missing)}")
         for name, arr in values.items():
             dst = live[name]
             if dst.shape != arr.shape:
@@ -379,7 +380,10 @@ class Flatten(Layer):
         return dy.reshape(self._in_shape)
 
 
-class Sequential(Layer):
+class Model(Layer):
+    """Layers run in order: a whole graph, a multi-layer expert, a cluster
+    gateway or replica."""
+
     def __init__(self, name, layers):
         super().__init__(name)
         self.layers = list(layers)
@@ -400,10 +404,6 @@ class Sequential(Layer):
         for layer in reversed(self.layers):
             dy = layer.backward(dy)
         return dy
-
-
-class Model(Sequential):
-    """Top-level sequential graph."""
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor_io
-from .engine import AvgPool2d, Conv2d, Flatten, Layer, Linear, Model, ReLU, Sequential
+from .engine import AvgPool2d, Conv2d, Flatten, Layer, Linear, Model, ReLU
 from .errors import FormatError, ParameterError
 from .graphs import APPROX, ClusterArch, MoEGroup, build_arch, substitute_moe
 from .moe import ClusterModel, MoELayer, Router
@@ -69,7 +69,7 @@ def _build_group(group: MoEGroup, rng) -> MoELayer:
         layers = [_layer(spec, f"{prefix}.{spec.name}",
                          params if i == 0 else tuple(_jitter(p, rng) for p in params))
                   for spec, params in base]
-        experts.append(layers[0] if len(layers) == 1 else Sequential(prefix, layers))
+        experts.append(layers[0] if len(layers) == 1 else Model(prefix, layers))
     router_w = (ROUTER_INIT_STD * rng.standard_normal(
         (group.n_experts, group.router.in_features))).astype(DTYPE)
     return MoELayer(group.name, experts, Router(f"{group.name}.router", router_w), group.mode)

@@ -27,8 +27,33 @@ NAME_BYTES = 32
 # magic(4) + version(1) + name(32) + power float64(8) + 65536 int16 products
 FILE_SIZE = 4 + 1 + NAME_BYTES + 8 + TABLE_SIZE * 2
 
+
+@dataclass(frozen=True)
+class ReferenceEntry:
+    """Published datasheet figures for one design of the mul8s family."""
+
+    name: str
+    power_nw: float
+    saving_pct: float
+    error_probability_pct: float
+
+
+# Datasheet power and error figures for the EvoApproxLib 8-bit signed family,
+# by name in datasheet order. Savings are relative to mul8s_1KV6 and are
+# re-derived (not read) at runtime by per_op_saving.
+REFERENCE_MULTIPLIERS = {e.name: e for e in (
+    ReferenceEntry("mul8s_1KV6", 0.425, 0.0, 0.0),
+    ReferenceEntry("mul8s_1KV8", 0.422, 0.7, 50.0),
+    ReferenceEntry("mul8s_1KV9", 0.410, 3.5, 68.75),
+    ReferenceEntry("mul8s_1KVA", 0.391, 8.0, 81.25),
+    ReferenceEntry("mul8s_1KVM", 0.369, 13.2, 49.80),
+    ReferenceEntry("mul8s_1KVP", 0.363, 14.6, 74.8),
+    ReferenceEntry("mul8s_1L2J", 0.301, 29.2, 74.61),
+    ReferenceEntry("mul8s_1L2L", 0.200, 52.9, 93.16),
+)}
+
 EXACT_NAME = "mul8s_1KV6"
-EXACT_POWER_NW = 0.425
+EXACT_POWER_NW = REFERENCE_MULTIPLIERS[EXACT_NAME].power_nw
 
 
 def lut_index(a, b):
@@ -43,7 +68,6 @@ class ErrorStats:
     error_probability: float  # fraction of the 65536 pairs with a wrong product
     mean_abs_error: float
     max_abs_error: int
-    mean_error: float  # signed, exposes systematic bias
 
     def __post_init__(self):
         zero = self.error_probability == 0.0
@@ -70,13 +94,6 @@ class AxMultiplier:
             raise ParameterError("lut must be a (65536,) int16 array")
         self.lut.setflags(write=False)
 
-    def __call__(self, a: int, b: int) -> int:
-        """One product through the table. Domain-checked: a negative index
-        would otherwise wrap around to an unrelated entry."""
-        if not (INT8_MIN <= a <= INT8_MAX and INT8_MIN <= b <= INT8_MAX):
-            raise ParameterError(f"operands ({a}, {b}) outside signed 8-bit range")
-        return int(self.lut[lut_index(a, b)])
-
 
 def _operand_grids():
     ops = np.arange(INT8_MIN, INT8_MAX + 1, dtype=np.int32)
@@ -99,23 +116,19 @@ def _truncate_magnitude(v: np.ndarray, bits: int) -> np.ndarray:
     return np.sign(v) * mag
 
 
-def truncation_power_nw(dropped_low_bits: int) -> float:
-    """Stand-in power figure for the synthetic family, linear between the
-    exact multiplier (k=0) and the smallest reference design (k=7)."""
-    if not 0 <= dropped_low_bits <= 7:
-        raise ParameterError(f"dropped_low_bits must be in [0, 7], got {dropped_low_bits}")
-    return EXACT_POWER_NW - dropped_low_bits * (EXACT_POWER_NW - 0.200) / 7.0
-
-
 def build_truncation_multiplier(dropped_low_bits: int) -> AxMultiplier:
     """Synthetic multiplier that zeroes the lowest k bits of each operand's
-    magnitude before multiplying exactly. k in [1, 7]."""
+    magnitude before multiplying exactly. k in [1, 7]. Its stand-in power
+    figure is linear between the exact design (k=0) and the smallest
+    reference design (k=7)."""
     k = int(dropped_low_bits)
     if not 1 <= k <= 7:
         raise ParameterError(f"dropped_low_bits must be in [1, 7], got {dropped_low_bits}")
     a, b = _operand_grids()
     lut = (_truncate_magnitude(a, k) * _truncate_magnitude(b, k)).astype(np.int16).ravel()
-    return AxMultiplier(name=f"trunc{k}", power_nw=truncation_power_nw(k), lut=lut)
+    smallest = min(e.power_nw for e in REFERENCE_MULTIPLIERS.values())
+    power_nw = EXACT_POWER_NW - k * (EXACT_POWER_NW - smallest) / 7.0
+    return AxMultiplier(name=f"trunc{k}", power_nw=power_nw, lut=lut)
 
 
 def error_stats(m: AxMultiplier) -> ErrorStats:
@@ -126,15 +139,13 @@ def error_stats(m: AxMultiplier) -> ErrorStats:
         error_probability=float(np.count_nonzero(wrong)) / TABLE_SIZE,
         mean_abs_error=float(np.abs(diff).mean()),
         max_abs_error=int(np.abs(diff).max()),
-        mean_error=float(diff.mean()),
     )
 
 
-def per_op_saving(m: AxMultiplier, baseline: AxMultiplier) -> float:
-    """Per-operation power saving in percent relative to the baseline design."""
-    if not (baseline.power_nw > 0):
-        raise ParameterError("baseline power must be positive")
-    return (1.0 - m.power_nw / baseline.power_nw) * 100.0
+def per_op_saving(design) -> float:
+    """Per-operation power saving in percent of a multiplier or registry
+    entry relative to the exact design."""
+    return (1.0 - design.power_nw / EXACT_POWER_NW) * 100.0
 
 
 def save_lut(m: AxMultiplier, path) -> None:
@@ -157,39 +168,13 @@ def load_lut(path) -> AxMultiplier:
     version = blob[4]
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    name = blob[5 : 5 + NAME_BYTES].rstrip(b"\x00").decode("utf-8")
     (power_nw,) = struct.unpack("<d", blob[5 + NAME_BYTES : 13 + NAME_BYTES])
     lut = np.frombuffer(blob[13 + NAME_BYTES :], dtype="<i2").astype(np.int16)
     try:
+        name = blob[5 : 5 + NAME_BYTES].rstrip(b"\x00").decode("utf-8")
         return AxMultiplier(name=name, power_nw=power_nw, lut=lut)
-    except ParameterError as exc:
+    except (UnicodeDecodeError, ParameterError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class ReferenceEntry:
-    """Published datasheet figures for one design of the mul8s family."""
-
-    name: str
-    power_nw: float
-    saving_pct: float
-    error_probability_pct: float
-
-
-# Datasheet power and error figures for the EvoApproxLib 8-bit signed family.
-# Savings are relative to mul8s_1KV6 and are re-derived (not read) at runtime.
-REFERENCE_MULTIPLIERS = (
-    ReferenceEntry("mul8s_1KV6", 0.425, 0.0, 0.0),
-    ReferenceEntry("mul8s_1KV8", 0.422, 0.7, 50.0),
-    ReferenceEntry("mul8s_1KV9", 0.410, 3.5, 68.75),
-    ReferenceEntry("mul8s_1KVA", 0.391, 8.0, 81.25),
-    ReferenceEntry("mul8s_1KVM", 0.369, 13.2, 49.80),
-    ReferenceEntry("mul8s_1KVP", 0.363, 14.6, 74.8),
-    ReferenceEntry("mul8s_1L2J", 0.301, 29.2, 74.61),
-    ReferenceEntry("mul8s_1L2L", 0.200, 52.9, 93.16),
-)
-
-REFERENCE_POWER_NW = {e.name: e.power_nw for e in REFERENCE_MULTIPLIERS}
 
 
 def builtin_multiplier(name: str) -> AxMultiplier:

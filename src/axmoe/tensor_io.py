@@ -80,7 +80,7 @@ def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], set[str], dict]:
     with open(manifest_path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise FormatError(f"{manifest_path}: expected a JSON object")

@@ -105,6 +105,10 @@ def test_validate_catches_bad_fields():
         {"dataset": "imagenet"},
         {"num_classes": 0},
         {"lr": 0.0},
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+        {"noise": -0.1},
+        {"noise": float("nan")},
     ]
     for changes in cases:
         with pytest.raises(ConfigError):
@@ -182,8 +186,19 @@ def test_cli_count_and_mulinfo_run_clean(tmp_path, capsys):
     assert "dense" in out and "hard" in out and "p_norm" in out
 
     assert cli.main(["mulinfo", "--multiplier", "trunc2"]) == 0
-    out = capsys.readouterr().out
-    assert "mul8s_1KV6" in out and "trunc2" in out
+    out = capsys.readouterr().out.splitlines()
+    assert out[:9] == [
+        "name         power_nW  saving_%  derived_%  err_prob_%",
+        "mul8s_1KV6      0.425       0.0       0.00        0.00",
+        "mul8s_1KV8      0.422       0.7       0.71       50.00",
+        "mul8s_1KV9      0.410       3.5       3.53       68.75",
+        "mul8s_1KVA      0.391       8.0       8.00       81.25",
+        "mul8s_1KVM      0.369      13.2      13.18       49.80",
+        "mul8s_1KVP      0.363      14.6      14.59       74.80",
+        "mul8s_1L2J      0.301      29.2      29.18       74.61",
+        "mul8s_1L2L      0.200      52.9      52.94       93.16",
+    ]
+    assert out[9].startswith("trunc2: power 0.361 nW, per-op saving 15.13 %")
 
 
 def test_cli_sweep_writes_csv_and_run_json(tmp_path, capsys):
@@ -356,6 +371,17 @@ def _drop_file(manifest):
     return manifest
 
 
+def _drop_entry(name):
+    def corrupt(manifest):
+        manifest["tensors"] = [e for e in manifest["tensors"] if e["name"] != name]
+        return manifest
+    return corrupt
+
+
+def _not_utf8(manifest):
+    return json.dumps(manifest).encode() + b"\xff\xfe"
+
+
 def _set_meta(**values):
     def corrupt(manifest):
         manifest["meta"].update(values)
@@ -367,9 +393,10 @@ def _set_meta(**values):
     _drop_tensors, lambda m: [m], _drop_arch, _drop_file,
     _set_meta(arch_kwargs={"classes": 3}), _set_meta(arch_kwargs=[1]),
     _set_meta(n_experts="x"), _set_meta(arch="alexnet"), _set_meta(variant="fuzzy"),
+    _drop_entry("fc1.w"), _not_utf8,
 ], ids=["no_tensors", "json_list", "meta_without_arch", "entry_without_file",
         "unknown_arch_kwarg", "arch_kwargs_list", "n_experts_not_int", "unknown_arch",
-        "unknown_variant"])
+        "unknown_variant", "missing_tensor", "not_utf8"])
 def test_malformed_checkpoint_is_a_format_error(tmp_path, capsys, corrupt):
     graph = substitute_moe(build_arch("toy_mlp", num_classes=3, resolution=6, channels=1),
                            "dense")
@@ -379,7 +406,9 @@ def test_malformed_checkpoint_is_a_format_error(tmp_path, capsys, corrupt):
                                                    "channels": 1},
                 "variant": "dense", "n_experts": 1, "moe_ratio": None, "seed": 0})
     manifest = ckpt / "manifest.json"
-    manifest.write_text(json.dumps(corrupt(json.loads(manifest.read_text()))))
+    corrupted = corrupt(json.loads(manifest.read_text()))
+    manifest.write_bytes(corrupted if isinstance(corrupted, bytes)
+                         else json.dumps(corrupted).encode())
     with pytest.raises(FormatError):
         load_model(ckpt)
     assert cli.main(["eval", "--set", f"checkpoint = {ckpt}"]) == 4
@@ -427,6 +456,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["count", "--set", "quantum = 9"]) == 2
     # missing config file
     assert cli.main(["count", "--config", str(tmp_path / "missing.cfg")]) == 3
+    # config file that is not UTF-8
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"# caf\xe9\narch = toy_mlp\n")
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_config(latin1)
+    assert cli.main(["count", "--config", str(latin1)]) == 2
+    # learning rate that is not a number
+    assert cli.main(["sweep", "--set", "lr = nan", "--out", str(tmp_path / "nan")]) == 2
     # malformed sweep CSV header
     bad = tmp_path / "bad.csv"
     bad.write_text("nope,nope\n1,2\n")

@@ -320,7 +320,9 @@ def test_model_load_params_validates_names_and_shapes():
     good = {k: np.zeros_like(v) for k, v in model.params().items()}
     model.load_params(good)
     assert not model.params()["fc1.w"].any()
-    with pytest.raises(ParameterError):
-        model.load_params({"nope.w": np.zeros((5, 8))})
-    with pytest.raises(ParameterError):
-        model.load_params({"fc1.w": np.zeros((5, 9))})
+    with pytest.raises(ParameterError, match=r"unknown \['nope.w'\], missing \[\]"):
+        model.load_params({**good, "nope.w": np.zeros((5, 8))})
+    with pytest.raises(ParameterError, match=r"unknown \[\], missing \['fc2.b'\]"):
+        model.load_params({k: v for k, v in good.items() if k != "fc2.b"})
+    with pytest.raises(ParameterError, match="shape"):
+        model.load_params({**good, "fc1.w": np.zeros((5, 9))})

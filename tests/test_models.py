@@ -156,8 +156,10 @@ def test_runtime_imports_only_numpy_and_the_standard_library():
 
 
 def test_every_import_is_used():
-    """No module of the package imports a name it never reads."""
-    sources = sorted(Path(axmoe.__file__).parent.glob("*.py"))
+    """No module of the package or of the test suite imports a name it never
+    reads."""
+    sources = [path for root in (Path(axmoe.__file__).parent, Path(__file__).parent)
+               for path in sorted(root.glob("*.py"))]
     assert sources
     for path in sources:
         tree = ast.parse(path.read_text(encoding="utf-8"))
