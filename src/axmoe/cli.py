@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -36,6 +37,10 @@ from .train import TrainConfig, evaluate, fit, retrain
 
 CSV_COLUMNS = ("arch", "variant", "multiplier", "m_total", "m_eff", "f_apx",
                "p_norm", "top1", "retrained", "seed")
+
+# Exit code of each error class a command may raise.
+_EXIT_CODES = ((ConfigError, 2), (ParameterError, 2), (OSError, 3), (FormatError, 4),
+              (NumericError, 5))
 
 # Pseudo-multiplier name: run the float path, no quantization at all.
 FLOAT_NAME = "float"
@@ -95,7 +100,7 @@ def _p_norm(rep: MacReport, m_base: int, design) -> float:
     """p_norm of `rep` from the `power_nw` of a multiplier or registry entry;
     None, the float path, is costed as the exact design."""
     p_apx = EXACT_POWER_NW if design is None else design.power_nw
-    return normalized_power(rep.m_eff, m_base, rep.f_apx, p_apx, EXACT_POWER_NW)
+    return normalized_power(rep.m_eff, m_base, rep.f_apx, p_apx)
 
 
 def _dataset(cfg: ExperimentConfig):
@@ -207,10 +212,7 @@ def cmd_sweep(args) -> int:
     reports: dict = {}
     for variant, graph in graphs.items():
         rep = count_macs(graph)
-        reports[variant] = {"m_total": rep.m_total, "m_eff": rep.m_eff,
-                            "m_approx": rep.m_approx, "f_apx": rep.f_apx,
-                            "total_params": rep.total_params,
-                            "active_params": rep.active_params}
+        reports[variant] = {k: v for k, v in asdict(rep).items() if k not in ("arch", "variant")}
         model = build_model(graph, seed=cfg.seed)
         fit(model, data, _train_cfg(cfg, cfg.pretrain_epochs, cfg.seed))
         save_model(model, out / f"ckpt_{variant}", _checkpoint_meta(cfg, variant))
@@ -248,7 +250,8 @@ def cmd_sweep(args) -> int:
 # pareto
 # ---------------------------------------------------------------------------
 
-def _read_sweep_csv(path) -> tuple[list[dict], list[SweepPoint]]:
+def _read_sweep_csv(path) -> tuple[list[list[str]], list[SweepPoint]]:
+    """Each row as read, and its (p_norm, top1) point."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -257,7 +260,7 @@ def _read_sweep_csv(path) -> tuple[list[dict], list[SweepPoint]]:
             raise FormatError(f"{path}: empty file") from None
         if tuple(header) != CSV_COLUMNS:
             raise FormatError(f"{path}: unexpected header {header}")
-        raw_rows, points = [], []
+        rows, points = [], []
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(CSV_COLUMNS):
                 raise FormatError(f"{path}:{line_no}: expected {len(CSV_COLUMNS)} "
@@ -268,28 +271,28 @@ def _read_sweep_csv(path) -> tuple[list[dict], list[SweepPoint]]:
                 top1 = float(record["top1"])
             except ValueError as exc:
                 raise FormatError(f"{path}:{line_no}: {exc}") from None
-            raw_rows.append(record)
+            if not (math.isfinite(p_norm) and math.isfinite(top1)):
+                raise FormatError(f"{path}:{line_no}: p_norm {p_norm} and top1 {top1} "
+                                  "must be finite")
+            rows.append(row)
             points.append(SweepPoint(p_norm, top1,
                                      label=f"{record['variant']}+{record['multiplier']}"))
-    return raw_rows, points
+    return rows, points
 
 
 def cmd_pareto(args) -> int:
     cfg = _config(args)
     src = Path(args.csv) if args.csv else Path(cfg.out) / "sweep.csv"
-    raw_rows, points = _read_sweep_csv(src)
+    rows, points = _read_sweep_csv(src)
     front = pareto_frontier(points)
-    keep = {(p.p_norm, p.top1) for p in front}
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     flagged = out / "pareto.csv"
     with open(flagged, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS + ("pareto",))
-        for record, point in zip(raw_rows, points):
-            row = [record[c] for c in CSV_COLUMNS]
-            row.append("true" if (point.p_norm, point.top1) in keep else "false")
-            writer.writerow(row)
+        writer.writerows(row + ["true" if point in front else "false"]
+                         for row, point in zip(rows, points))
     plot = out / "pareto.dat"
     with open(plot, "w", encoding="utf-8") as fh:
         fh.write("# p_norm top1\n")
@@ -309,23 +312,23 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="axmoe",
                                      description="approximate-multiplier MoE workbench")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
+    multiplier = argparse.ArgumentParser(add_help=False)
+    multiplier.add_argument("--multiplier", action="append",
+                            help="multiplier name or .axm8 path (repeatable)")
+    common = argparse.ArgumentParser(add_help=False, parents=[multiplier])
     common.add_argument("--config", help="key=value experiment file")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
     common.add_argument("--arch", help="architecture name")
     common.add_argument("--variant", action="append",
                         help="variant to run (repeatable)")
-    common.add_argument("--multiplier", action="append",
-                        help="multiplier name or .axm8 path (repeatable)")
     common.add_argument("--seed", type=int)
     common.add_argument("--out", help="output directory")
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("count", parents=[common],
                    help="MAC and power accounting").set_defaults(func=cmd_count)
-    info = sub.add_parser("mulinfo", parents=[common],
-                          help="reference multiplier table")
-    info.set_defaults(func=cmd_mulinfo)
+    sub.add_parser("mulinfo", parents=[multiplier],
+                   help="reference multiplier table").set_defaults(func=cmd_mulinfo)
     sub.add_parser("eval", parents=[common],
                    help="evaluate a checkpoint").set_defaults(func=cmd_eval)
     sweep_cmd = sub.add_parser("sweep", parents=[common],
@@ -348,19 +351,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ConfigError, ParameterError) as exc:
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -62,7 +62,7 @@ class ExperimentConfig:
                      "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("pretrain_epochs", "retrain_epochs"):
+        for name in ("pretrain_epochs", "retrain_epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 < self.lr < math.inf:

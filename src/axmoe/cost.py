@@ -3,11 +3,12 @@
 Per-op costs follow the profiler convention the published per-architecture
 figures were produced with:
 
-    conv2d        out_ch * Ho * Wo * in_ch * kh * kw
-    linear        in * out * tokens
-    batchnorm2d   4 per output element (subtract, divide, scale, shift)
-    avgpool       1 per input element
-    gelu          1 per element
+    conv2d          out_ch * Ho * Wo * in_ch * kh * kw
+    linear, router  in * out * tokens
+    batchnorm2d     4 per output element (subtract, divide, scale, shift)
+    avgpool         1 per input element
+    gelu            1 per element
+    gateway         its published MAC budget
     relu, maxpool, softmax, layernorm, residual adds,
     attention score and score-value matmuls: 0
 
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 from .graphs import APPROX, ClusterArch, LayerSpec, MoEGroup
+from .multipliers import EXACT_POWER_NW
 
 
 def layer_macs(spec: LayerSpec) -> int:
@@ -29,11 +31,11 @@ def layer_macs(spec: LayerSpec) -> int:
     if spec.kind == "conv2d":
         oh, ow = spec.out_hw
         return spec.out_channels * oh * ow * spec.in_channels * spec.kernel[0] * spec.kernel[1]
-    if spec.kind == "linear":
+    if spec.kind in ("linear", "router"):
         return spec.in_features * spec.out_features * spec.tokens
     if spec.kind == "batchnorm2d":
         return 4 * spec.elements
-    if spec.kind in ("avgpool", "gelu"):
+    if spec.kind in ("avgpool", "gelu", "gateway"):
         return spec.elements
     return 0
 
@@ -43,6 +45,8 @@ def layer_params(spec: LayerSpec) -> int:
         return spec.out_channels * (spec.in_channels * spec.kernel[0] * spec.kernel[1] + 1)
     if spec.kind == "linear":
         return spec.out_features * (spec.in_features + 1)
+    if spec.kind == "router":
+        return spec.out_features * spec.in_features
     if spec.kind in ("batchnorm2d", "layernorm"):
         return 2 * spec.out_channels if spec.kind == "batchnorm2d" else 2 * spec.out_features
     return 0
@@ -83,20 +87,13 @@ def _parts(graph):
     """(copies stored, copies a sample runs through, MACs, approximate MACs,
     params) of every part of a graph.
 
-    A plain layer, a router and a cluster gateway are stored and run once.
-    An expert member is stored n times and runs once per sample under hard
-    routing, n times under soft routing. A cluster replica is stored n times
-    and one of them runs per sample.
+    A plain layer, a router and a cluster gateway's layers are stored and
+    run once. An expert member is stored n times and runs once per sample
+    under hard routing, n times under soft routing. A cluster replica is
+    stored n times and one of them runs per sample.
     """
     if isinstance(graph, ClusterArch):
-        budget = graph.replica.gateway_macs
-        if budget is None and graph.gateway is not None:
-            yield from _parts(graph.gateway)
-        elif budget is None or budget < 0:
-            raise ParameterError("cluster graph needs a gateway spec or a non-negative "
-                                 f"gateway MAC budget, got {budget}")
-        else:
-            yield 1, 1, int(budget), 0, 0  # a budget-only gateway runs exact
+        yield from _parts(graph.gateway)
         for stored, runs, *price in _parts(graph.replica):
             yield graph.n_experts * stored, runs, *price
         return
@@ -140,20 +137,20 @@ def count_macs(graph) -> MacReport:
     )
 
 
-def normalized_power(m_eff: int, m_base: int, f_apx: float, p_apx: float, p_base: float) -> float:
+def normalized_power(m_eff: int, m_base: int, f_apx: float, p_apx: float) -> float:
     """Power of a variant relative to the dense network on the exact design:
 
-        (m_eff / m_base) * (f_apx * p_apx / p_base + (1 - f_apx))
+        (m_eff / m_base) * (f_apx * p_apx / EXACT_POWER_NW + (1 - f_apx))
     """
     if m_base <= 0:
         raise ParameterError(f"m_base must be positive, got {m_base}")
     if m_eff < 0:
         raise ParameterError(f"m_eff must be non-negative, got {m_eff}")
-    if p_base <= 0 or p_apx <= 0:
-        raise ParameterError("multiplier powers must be positive")
+    if p_apx <= 0:
+        raise ParameterError(f"multiplier power must be positive, got {p_apx}")
     if not 0.0 <= f_apx <= 1.0:
         raise ParameterError(f"f_apx {f_apx} outside [0, 1]")
-    return (m_eff / m_base) * (f_apx * (p_apx / p_base) + (1.0 - f_apx))
+    return (m_eff / m_base) * (f_apx * (p_apx / EXACT_POWER_NW) + (1.0 - f_apx))
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +171,8 @@ def dominates(p: SweepPoint, q: SweepPoint) -> bool:
 
 
 def pareto_frontier(points) -> list[SweepPoint]:
-    """Non-dominated subset, sorted by p_norm ascending.
-
-    Exact duplicates do not dominate each other and are all retained.
-    """
-    ordered = sorted(points, key=lambda p: (p.p_norm, -p.top1))
-    frontier: list[SweepPoint] = []
-    best_top1 = float("-inf")
-    best_pnorm = None
-    for p in ordered:
-        if p.top1 > best_top1:
-            frontier.append(p)
-            best_top1, best_pnorm = p.top1, p.p_norm
-        elif p.top1 == best_top1 and p.p_norm == best_pnorm:
-            frontier.append(p)  # duplicate of the current frontier point
-    return frontier
+    """The points no other point dominates, by p_norm ascending, then top1
+    descending. Exact duplicates do not dominate each other and are all kept."""
+    points = list(points)
+    return sorted((p for p in points if not any(dominates(q, p) for q in points)),
+                  key=lambda p: (p.p_norm, -p.top1))

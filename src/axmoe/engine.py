@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ParameterError
+from .graphs import conv_out_hw
 from .multipliers import AxMultiplier, lut_index
 
 INT32_MIN = -(2**31)
@@ -77,16 +78,12 @@ def dequantize(codes: np.ndarray, qp: QuantParams) -> np.ndarray:
 def _check_codes(x: np.ndarray, what: str) -> np.ndarray:
     x = np.asarray(x)
     if x.dtype != np.int8:
-        if not np.issubdtype(x.dtype, np.integer):
-            raise ParameterError(f"{what}: expected integer codes, got {x.dtype}")
-        if x.size and (x.min() < -128 or x.max() > 127):
-            raise ParameterError(f"{what}: codes outside signed 8-bit range")
-        x = x.astype(np.int8)
+        raise ParameterError(f"{what}: expected int8 codes, got {x.dtype}")
     return x
 
 
 def lut_matmul(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
-    """(N, K) x (M, K) -> (N, M) int32 through the multiplier table.
+    """(N, K) x (M, K) int8 codes -> (N, M) int32 through the multiplier table.
 
     Accumulates in int64 and fails loudly if any sum leaves the int32 range,
     mirroring a 32-bit hardware accumulator with overflow detection.
@@ -111,17 +108,6 @@ def lut_matmul(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Shape helpers
 # ---------------------------------------------------------------------------
-
-def conv_out_hw(h: int, w: int, kernel, stride, padding) -> tuple[int, int]:
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (w + 2 * pw - kw) // sw + 1
-    if oh <= 0 or ow <= 0:
-        raise ParameterError(f"conv geometry yields empty output ({oh}, {ow})")
-    return oh, ow
-
 
 def im2col(x: np.ndarray, kernel, stride, padding) -> np.ndarray:
     """(N, C, H, W) -> (N, Ho, Wo, C, kh, kw) patch view (copied)."""

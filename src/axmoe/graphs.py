@@ -42,11 +42,12 @@ class LayerSpec:
     stride: tuple[int, int] = (1, 1)
     padding: tuple[int, int] = (0, 0)
     out_hw: tuple[int, int] = (0, 0)
-    # linear geometry; tokens is the per-sample row multiplicity
+    # linear and router geometry; tokens is the per-sample row multiplicity
     in_features: int = 0
     out_features: int = 0
     tokens: int = 1
-    # batchnorm2d, avgpool, gelu: element count per sample (avgpool counts input elems)
+    # batchnorm2d, avgpool, gelu: element count per sample (avgpool counts input
+    # elems); gateway: the published MAC budget it stands for
     elements: int = 0
     arithmetic: str = EXACT
     moe_unit: str = ""
@@ -78,18 +79,29 @@ class ClusterArch:
     name: str
     replica: ArchSpec
     n_experts: int
-    gateway: ArchSpec | None = None
+    gateway: ArchSpec
+
+
+def conv_out_hw(h: int, w: int, kernel, stride, padding) -> tuple[int, int]:
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (w + 2 * pw - kw) // sw + 1
+    if oh <= 0 or ow <= 0:
+        raise ParameterError(f"conv geometry yields empty output ({oh}, {ow})")
+    return oh, ow
 
 
 def _conv(name, cin, cout, k, hw_in, stride=1, pad=None, unit="", arithmetic=APPROX):
     if pad is None:
         pad = k // 2
-    oh = (hw_in + 2 * pad - k) // stride + 1
+    out_hw = conv_out_hw(hw_in, hw_in, (k, k), (stride, stride), (pad, pad))
     return LayerSpec(
         kind="conv2d", name=name, in_channels=cin, out_channels=cout,
         kernel=(k, k), stride=(stride, stride), padding=(pad, pad),
-        out_hw=(oh, oh), arithmetic=arithmetic, moe_unit=unit,
-    ), oh
+        out_hw=out_hw, arithmetic=arithmetic, moe_unit=unit,
+    ), out_hw[0]
 
 
 def _bn(name, c, hw):
@@ -289,21 +301,29 @@ def _select_units(units: list[str], ratio: float | None) -> set[str]:
 
 
 def _router_for(members: tuple[LayerSpec, ...], unit: str, n_experts: int) -> LayerSpec:
+    """Exact gate with no bias, priced like a linear map for MACs."""
     first = members[0]
-    if first.kind == "conv2d":
-        # per-sample routing on globally pooled feature maps
-        return _linear(f"{unit}.router", first.in_channels, n_experts)
-    return _linear(f"{unit}.router", first.in_features, n_experts, tokens=first.tokens)
+    # conv experts route per sample on globally pooled feature maps
+    fin, tokens = ((first.in_channels, 1) if first.kind == "conv2d"
+                   else (first.in_features, first.tokens))
+    return LayerSpec(kind="router", name=f"{unit}.router", in_features=fin,
+                     out_features=n_experts, tokens=tokens)
 
 
 def default_gateway(arch: ArchSpec, n_experts: int) -> ArchSpec:
-    """Flat linear classifier over raw input pixels, used as the cluster
-    gateway for toy architectures that have no published gateway budget."""
-    fin = math.prod(arch.input_shape)
-    layers = (
-        LayerSpec(kind="flatten", name="gateway.flatten"),
-        _linear("gateway.fc", fin, n_experts),
-    )
+    """The cluster gateway: one exact `gateway` layer carrying the
+    architecture's published MAC budget, or, for the toy architectures that
+    have none, a flat linear classifier over raw input pixels."""
+    if arch.gateway_macs is not None:
+        if arch.gateway_macs < 0:
+            raise ParameterError(f"gateway MAC budget must be non-negative, "
+                                 f"got {arch.gateway_macs}")
+        layers = (LayerSpec(kind="gateway", name="gateway", elements=arch.gateway_macs),)
+    else:
+        layers = (
+            LayerSpec(kind="flatten", name="gateway.flatten"),
+            _linear("gateway.fc", math.prod(arch.input_shape), n_experts),
+        )
     return ArchSpec(f"{arch.name}_gateway", arch.input_shape, layers)
 
 
@@ -312,9 +332,8 @@ def substitute_moe(arch: ArchSpec, variant: str, n_experts: int = 3,
     """Derive a mixture-of-experts graph from a dense spec.
 
     hard/soft replace each selected substitution unit by an n-expert group
-    with its own router; cluster wraps the whole dense spec behind the
-    architecture's published gateway budget, or behind `default_gateway`
-    when it has none. dense returns the spec itself. Only a dense spec is
+    with its own router; cluster wraps the whole dense spec behind
+    `default_gateway`. dense returns the spec itself. Only a dense spec is
     accepted: a substituted spec or a ClusterArch raises ParameterError.
     """
     if variant not in VARIANTS:
@@ -329,8 +348,8 @@ def substitute_moe(arch: ArchSpec, variant: str, n_experts: int = 3,
     if variant == "dense":
         return arch
     if variant == "cluster":
-        gateway = default_gateway(arch, n_experts) if arch.gateway_macs is None else None
-        return ClusterArch(name=arch.name, replica=arch, n_experts=n_experts, gateway=gateway)
+        return ClusterArch(name=arch.name, replica=arch, n_experts=n_experts,
+                           gateway=default_gateway(arch, n_experts))
 
     units = list(dict.fromkeys(layer.moe_unit for layer in arch.layers if layer.moe_unit))
     if not units:

@@ -85,9 +85,6 @@ def build_model(graph, seed: int = 0):
 
 
 def _build_cluster(cluster: ClusterArch, seed: int) -> ClusterModel:
-    if cluster.gateway is None:
-        raise ParameterError(
-            "cluster with a budget-only gateway has no executable gateway network")
     gw_rng = np.random.default_rng([seed, 0xBEEF])
     gateway = Model(cluster.gateway.name,
                     [_layer(s, s.name, _init(gw_rng, s)) for s in cluster.gateway.layers])

@@ -8,6 +8,7 @@ every parameter the model reports as frozen (routers, cluster gateways).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ParameterError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ParameterError(f"lr must be finite and positive, got {self.lr}")
         if self.weight_decay < 0.0:
             raise ParameterError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if self.batch_size < 1:

@@ -109,13 +109,10 @@ def test_c03_table_of_mac_totals_reproduces_from_shapes_alone():
 def test_c04_normalized_power_reproduces_dense_headline_points():
     for name in PUBLISHED_CNN_MACS:
         base = count_macs(substitute_moe(build_arch(name), "dense"))
-        p_kv6 = normalized_power(base.m_eff, base.m_total, base.f_apx,
-                                 EXACT_POWER_NW, EXACT_POWER_NW)
+        p_kv6 = normalized_power(base.m_eff, base.m_total, base.f_apx, EXACT_POWER_NW)
         assert p_kv6 == 1.0  # exact, not approx
-        p_l2j = normalized_power(base.m_eff, base.m_total, base.f_apx, 0.301,
-                                 EXACT_POWER_NW)
-        p_l2l = normalized_power(base.m_eff, base.m_total, base.f_apx, 0.200,
-                                 EXACT_POWER_NW)
+        p_l2j = normalized_power(base.m_eff, base.m_total, base.f_apx, 0.301)
+        p_l2l = normalized_power(base.m_eff, base.m_total, base.f_apx, 0.200)
         assert PNORM_L2J[0] <= p_l2j <= PNORM_L2J[1], (name, p_l2j)
         assert PNORM_L2L[0] <= p_l2l <= PNORM_L2L[1], (name, p_l2l)
 

@@ -109,6 +109,7 @@ def test_validate_catches_bad_fields():
         {"lr": float("inf")},
         {"noise": -0.1},
         {"noise": float("nan")},
+        {"seed": -1},
     ]
     for changes in cases:
         with pytest.raises(ConfigError):
@@ -464,10 +465,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["count", "--config", str(latin1)]) == 2
     # learning rate that is not a number
     assert cli.main(["sweep", "--set", "lr = nan", "--out", str(tmp_path / "nan")]) == 2
+    # negative seed, which numpy's generators refuse
+    assert cli.main(["sweep", "--seed", "-1", "--out", str(tmp_path / "neg")]) == 2
     # malformed sweep CSV header
     bad = tmp_path / "bad.csv"
     bad.write_text("nope,nope\n1,2\n")
     assert cli.main(["pareto", "--csv", str(bad), "--out", str(tmp_path)]) == 4
+    # sweep CSV rows whose p_norm or top1 is not finite
+    for p_norm, top1 in (("nan", "0.5"), ("1.0", "inf")):
+        bad.write_text(",".join(cli.CSV_COLUMNS) + "\n"
+                       f"toy_mlp,dense,exact,1,1,0.5,{p_norm},{top1},false,0\n")
+        assert cli.main(["pareto", "--csv", str(bad), "--out", str(tmp_path)]) == 4
+    # mulinfo reads only --multiplier, so argparse refuses the config flags
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["mulinfo", "--set", "quantum = 9"])
+    assert exit_info.value.code == 2
     # no subcommand prints help and fails
     assert cli.main([]) == 2
     # eval scores a checkpoint, and none is given

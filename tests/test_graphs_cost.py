@@ -9,8 +9,8 @@ from axmoe.cost import (MacReport, SweepPoint, count_macs, dominates, layer_macs
                         normalized_power, pareto_frontier)
 from axmoe.engine import RunContext
 from axmoe.errors import ParameterError
-from axmoe.graphs import (APPROX, ARCHITECTURES, VARIANTS, ArchSpec, ClusterArch, LayerSpec,
-                          MoEGroup, build_arch, default_gateway, substitute_moe)
+from axmoe.graphs import (APPROX, ARCHITECTURES, EXACT, VARIANTS, ArchSpec, ClusterArch,
+                          LayerSpec, MoEGroup, build_arch, default_gateway, substitute_moe)
 from axmoe.models import build_model
 from axmoe.multipliers import build_exact_multiplier
 
@@ -146,8 +146,13 @@ def test_cluster_uses_budget_or_counted_gateway():
     gw = sum(layer_macs(s) for s in counted.gateway.layers)
     assert rep_counted.m_eff == dense_eff + gw
     assert rep_counted.m_total == 3 * count_macs(arch).m_total + gw
+    # a published budget is one exact layer carrying it, priced but not built
+    (layer,) = budget.gateway.layers
+    assert (layer.kind, layer.elements, layer.arithmetic) == ("gateway", 10_000, EXACT)
+    with pytest.raises(ParameterError):
+        build_model(budget)
     with pytest.raises(ParameterError, match="gateway"):
-        count_macs(replace(counted, gateway=None))
+        substitute_moe(replace(arch, gateway_macs=-1), "cluster")
 
 
 def test_default_gateway_shape():
@@ -192,8 +197,10 @@ def test_engine_lookups_equal_batch_times_approximate_macs(arch_name, variant):
     batch = 17
     x = np.random.default_rng(3).normal(size=(batch,) + arch.input_shape).astype(np.float32)
     ctx = RunContext(multiplier=build_exact_multiplier())
-    build_model(graph, seed=7).forward(x, ctx)
+    model = build_model(graph, seed=7)
+    model.forward(x, ctx)
     assert sum(ctx.counters.values()) == batch * count_macs(graph).m_approx
+    assert count_macs(graph).total_params == sum(p.size for p in model.params().values())
 
 
 def test_mac_report_invariants():
@@ -211,13 +218,13 @@ def test_mac_report_invariants():
 
 def test_normalized_power_hand_values():
     # dense on the reference multiplier is the unit by construction
-    assert normalized_power(100, 100, 0.75, 0.425, 0.425) == 1.0
-    got = normalized_power(150, 100, 0.5, 0.2125, 0.425)
+    assert normalized_power(100, 100, 0.75, 0.425) == 1.0
+    got = normalized_power(150, 100, 0.5, 0.2125)
     assert got == pytest.approx(1.5 * (0.5 * 0.5 + 0.5))
-    for bad in (dict(m_eff=-1, m_base=10, f_apx=0.5, p_apx=0.4, p_base=0.4),
-                dict(m_eff=1, m_base=0, f_apx=0.5, p_apx=0.4, p_base=0.4),
-                dict(m_eff=1, m_base=10, f_apx=1.2, p_apx=0.4, p_base=0.4),
-                dict(m_eff=1, m_base=10, f_apx=0.5, p_apx=0.0, p_base=0.4)):
+    for bad in (dict(m_eff=-1, m_base=10, f_apx=0.5, p_apx=0.4),
+                dict(m_eff=1, m_base=0, f_apx=0.5, p_apx=0.4),
+                dict(m_eff=1, m_base=10, f_apx=1.2, p_apx=0.4),
+                dict(m_eff=1, m_base=10, f_apx=0.5, p_apx=0.0)):
         with pytest.raises(ParameterError):
             normalized_power(**bad)
 

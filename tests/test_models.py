@@ -157,10 +157,12 @@ def test_runtime_imports_only_numpy_and_the_standard_library():
 
 def test_every_import_is_used():
     """No module of the package or of the test suite imports a name it never
-    reads."""
-    sources = [path for root in (Path(axmoe.__file__).parent, Path(__file__).parent)
-               for path in sorted(root.glob("*.py"))]
-    assert sources
+    reads, and no module of the package defines a private function, class or
+    constant that no module of the package reads."""
+    package = sorted(Path(axmoe.__file__).parent.glob("*.py"))
+    sources = package + sorted(Path(__file__).parent.glob("*.py"))
+    assert package
+    private, read = {}, set()
     for path in sources:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported, used = set(), set()
@@ -171,7 +173,24 @@ def test_every_import_is_used():
                 imported |= {a.asname or a.name for a in node.names}
             elif isinstance(node, ast.Name):
                 used.add(node.id)
+                if path in package and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+            elif isinstance(node, ast.Attribute) and path in package:
+                read.add(node.attr)
             elif isinstance(node, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
                 used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
         assert not imported - used, (path.name, sorted(imported - used))
+        if path in package:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                private.update({n: path.name for n in names
+                                if n.startswith("_") and not n.startswith("__")})
+    assert private
+    assert not private.keys() - read, sorted((private[n], n) for n in private.keys() - read)

@@ -50,8 +50,9 @@ def test_sgd_step_skips_frozen_and_gradient_free_params():
 
 
 def test_train_config_validation():
-    with pytest.raises(ParameterError):
-        TrainConfig(lr=0.0)
+    for lr in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            TrainConfig(lr=lr)
     with pytest.raises(ParameterError):
         TrainConfig(weight_decay=-1e-3)
     with pytest.raises(ParameterError):
