@@ -8,6 +8,12 @@ Layers run in one of two arithmetic modes:
   accumulated in 32-bit signed integers, and the result is dequantized by
   scale_x * scale_w. Bias is added in float afterwards.
 
+`lut_matmul` is the one LUT kernel. A rank-1 table, lut[a, b] * p ==
+f(a) * g(b) in integers (exact, every truncN, DRUM), runs as one float64
+GEMM of its factors, exact because every partial sum is an integer below
+2^53. Every other table runs through the gather, which also serves as the
+oracle the GEMM is tested against.
+
 The LUT path never skips operand pairs: padded zeros and zero weights are
 looked up like any other pair, because an approximate table may map
 (0, w) to a nonzero product. Per-layer invocation counters therefore equal
@@ -34,8 +40,10 @@ INT32_MAX = 2**31 - 1
 
 QMAX = 127  # symmetric range [-127, 127]; code -128 is never produced
 
-# Rows per LUT gather chunk, bounds peak index-array memory.
-_GATHER_BUDGET = 1 << 24
+# Table indices per LUT gather chunk (1 MiB of int32). Small chunks keep the
+# gather's transient arrays from setting the process's peak memory, whose
+# size would otherwise follow each call's shape.
+_GATHER_BUDGET = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +93,37 @@ def _check_codes(x: np.ndarray, what: str) -> np.ndarray:
 def lut_matmul(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
     """(N, K) x (M, K) int8 codes -> (N, M) int32 through the multiplier table.
 
-    Accumulates in int64 and fails loudly if any sum leaves the int32 range,
-    mirroring a 32-bit hardware accumulator with overflow detection.
+    A rank-1 table (`m.rank1`: exact, every truncN, DRUM) runs as one float64
+    GEMM of its factors, (f[a] @ g[b].T) / p. Every partial sum is an integer
+    below 2^53, so the result equals the table gather bit for bit. Every other
+    table, and a K too long for that bound, runs through `_lut_gather`.
+
+    Fails loudly if any sum leaves the int32 range, mirroring a 32-bit
+    hardware accumulator with overflow detection.
     """
     a = _check_codes(a, "lut_matmul lhs")
     b = _check_codes(b, "lut_matmul rhs")
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ParameterError(f"lut_matmul: incompatible shapes {a.shape} x {b.shape}")
+    factors = m.rank1
+    if factors is not None and _exact_in_float(a.shape[1], *factors[:2]):
+        f, g, p = factors
+        out = (f[a.view(np.uint8)] @ g[b.view(np.uint8)].T) / p
+    else:
+        out = _lut_gather(a, b, m)
+    if out.size and (out.min() < INT32_MIN or out.max() > INT32_MAX):
+        raise NumericError("lut_matmul: 32-bit accumulator overflow")
+    return out.astype(np.int32)
+
+
+def _exact_in_float(k: int, f: np.ndarray, g: np.ndarray) -> bool:
+    """Every partial sum of K products f * g is an integer float64 holds."""
+    return k * np.abs(f).max() * np.abs(g).max() < 2.0**53
+
+
+def _lut_gather(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
+    """(N, M) int64 sums of m.lut over every operand pair: the kernel for any
+    table, and the oracle for the rank-1 GEMM."""
     n, k = a.shape
     mrows = b.shape[0]
     out = np.empty((n, mrows), dtype=np.int64)
@@ -100,9 +132,7 @@ def lut_matmul(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
         stop = min(n, start + chunk)
         idx = lut_index(a[start:stop, None, :], b[None, :, :])
         out[start:stop] = m.lut[idx].sum(axis=2, dtype=np.int64)
-    if out.size and (out.min() < INT32_MIN or out.max() > INT32_MAX):
-        raise NumericError("lut_matmul: 32-bit accumulator overflow")
-    return out.astype(np.int32)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from .errors import ParameterError
 def pool_features(x: np.ndarray) -> np.ndarray:
     """Router input: global average over spatial dims for feature maps."""
     if x.ndim == 4:
-        return x.mean(axis=(2, 3))
+        # mean reduces in memory order: one layout makes the bits layout-free
+        return np.ascontiguousarray(x).mean(axis=(2, 3))
     if x.ndim == 2:
         return x
     raise ParameterError(f"router features need a 2d or 4d input, got shape {x.shape}")

@@ -11,6 +11,7 @@ layout is used on disk (magic "AXM8", see save_lut/load_lut).
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -93,6 +94,34 @@ class AxMultiplier:
         if self.lut.shape != (TABLE_SIZE,) or self.lut.dtype != np.int16:
             raise ParameterError("lut must be a (65536,) int16 array")
         self.lut.setflags(write=False)
+
+    @functools.cached_property
+    def rank1(self) -> tuple[np.ndarray, np.ndarray, int] | None:
+        """Integer factors (f, g, p) with lut[a, b] * p == f[a] * g[b] for
+        every operand pair, or None when the table is not rank 1 (an all-zero
+        table included).
+
+        f is the table column and g the table row through the largest-magnitude
+        entry p, tested exactly in int64. Both are float64 and indexed by the
+        operand's int8 bit pattern read as uint8, `codes.view(np.uint8)`.
+        Computed on first use and kept on this object, so a table never runs
+        on another table's factors; construction stays cheap for callers that
+        never multiply."""
+        table = self.lut.astype(np.int64).reshape(256, 256)
+        a0, b0 = np.unravel_index(np.argmax(np.abs(table)), table.shape)
+        p = int(table[a0, b0])
+        f, g = table[:, b0], table[a0, :]
+        if p == 0 or not np.array_equal(table * p, np.multiply.outer(f, g)):
+            return None
+        return _by_byte(f), _by_byte(g), p
+
+
+def _by_byte(v: np.ndarray) -> np.ndarray:
+    """Reorder a per-operand vector indexed a + 128 so the uint8 view of the
+    int8 code a indexes it, as float64."""
+    out = np.roll(v, 128).astype(np.float64)
+    out.setflags(write=False)
+    return out
 
 
 def _operand_grids():

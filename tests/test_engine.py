@@ -1,13 +1,22 @@
 """Quantized engine: codecs, LUT matmul, layer forward/backward math."""
 
+import gc
+import tracemalloc
+from unittest import mock
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from axmoe import engine
 from axmoe.engine import (AvgPool2d, Conv2d, Linear, Model, QuantParams, ReLU, RunContext,
-                          col2im, dequantize, im2col, lut_matmul, quantize,
+                          _lut_gather, col2im, dequantize, im2col, lut_matmul, quantize,
                           softmax_cross_entropy, stable_softmax)
 from axmoe.errors import NumericError, ParameterError
-from axmoe.multipliers import build_exact_multiplier, build_truncation_multiplier
+from axmoe.multipliers import (AxMultiplier, build_exact_multiplier,
+                               build_truncation_multiplier, builtin_multiplier, lut_index)
 from test_moe import _assert_grad_close, _central_differences
 
 EXACT = build_exact_multiplier()
@@ -96,6 +105,130 @@ def test_lut_matmul_overflow_detection():
     a = np.full((1, k), 127, dtype=np.int8)
     with pytest.raises(NumericError):
         lut_matmul(a, a, EXACT)
+    # The same sums through the gather: one changed entry leaves 127 * 127
+    # in place but makes the table rank 2.
+    lut = EXACT.lut.copy()
+    lut[lut_index(0, 1)] = 1
+    bent = AxMultiplier("bent", 1.0, lut)
+    assert EXACT.rank1 is not None and bent.rank1 is None
+    for m in (EXACT, bent):
+        with pytest.raises(NumericError):
+            lut_matmul(a, -a, m)
+
+
+# Tables built here rather than by the package: one more rank-1 design that
+# is not a truncation, and three that must keep the gather.
+
+def _signed_table(magnitude_product) -> np.ndarray:
+    ops = np.arange(-128, 128)
+    mag = np.abs(ops)
+    sign = np.multiply.outer(np.sign(ops), np.sign(ops))
+    return (sign * magnitude_product(mag[:, None], mag[None, :])).astype(np.int16).ravel()
+
+
+def _drum(mag, k=4):
+    """DRUM-k (Hashemi et al., ICCAD 2015): keep the k bits from the leading
+    one down, with the lowest kept bit forced to 1."""
+    shift = np.maximum(np.floor(np.log2(np.maximum(mag, 1))).astype(int) - k + 1, 0)
+    return np.where(shift > 0, ((mag >> shift) | 1) << shift, mag)
+
+
+def _mitchell(x, y):
+    """Mitchell's (1962) logarithmic product of magnitudes, truncated."""
+    kx = np.floor(np.log2(np.maximum(x, 1)))
+    ky = np.floor(np.log2(np.maximum(y, 1)))
+    s = (x / 2**kx - 1) + (y / 2**ky - 1)
+    prod = np.where(s < 1, 2 ** (kx + ky) * (1 + s), 2 ** (kx + ky + 1) * s)
+    return np.where((x == 0) | (y == 0), 0, np.floor(prod))
+
+
+def _full_rank_table() -> np.ndarray:
+    rng = np.random.default_rng(11)
+    lut = EXACT.lut.astype(np.int32)
+    hit = rng.random(lut.shape) < 0.05
+    return (lut + hit * rng.integers(-8, 9, size=lut.shape)).astype(np.int16)
+
+
+BUILTINS = ("exact", *(f"trunc{k}" for k in range(1, 8)))
+RANK1_TABLES = {name: builtin_multiplier(name) for name in BUILTINS}
+RANK1_TABLES["drum4"] = AxMultiplier("drum4", 1.0, _signed_table(lambda x, y: _drum(x) * _drum(y)))
+GATHER_TABLES = {
+    "mitchell": AxMultiplier("mitchell", 1.0, _signed_table(_mitchell)),
+    "full_rank": AxMultiplier("full_rank", 1.0, _full_rank_table()),
+    "zero": AxMultiplier("zero", 1.0, np.zeros(256 * 256, dtype=np.int16)),
+}
+TABLES = {**RANK1_TABLES, **GATHER_TABLES}
+
+
+def test_factored_tables_reproduce_their_products():
+    for name, m in RANK1_TABLES.items():
+        f, g, p = m.rank1
+        assert p != 0, name
+        table = m.lut.reshape(256, 256).astype(np.int64)
+        by_byte = np.arange(-128, 128).astype(np.int8).view(np.uint8)
+        assert np.array_equal(np.multiply.outer(f[by_byte], g[by_byte]), table * p), name
+    for name, m in GATHER_TABLES.items():
+        assert m.rank1 is None, name
+
+
+@st.composite
+def _operands(draw):
+    n, k, mrows = draw(st.integers(0, 40)), draw(st.integers(0, 60)), draw(st.integers(0, 12))
+    codes = st.integers(-128, 127)
+    return (draw(hnp.arrays(np.int8, (n, k), elements=codes)),
+            draw(hnp.arrays(np.int8, (mrows, k), elements=codes)))
+
+
+def _full_range(n, k, mrows):
+    """Seeded codes over the whole int8 range: long sums that float32 would
+    round."""
+    rng = np.random.default_rng(0)
+    return (rng.integers(-128, 128, size=(n, k)).astype(np.int8),
+            rng.integers(-128, 128, size=(mrows, k)).astype(np.int8))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(TABLES)), operands=_operands())
+@example(name="exact", operands=_full_range(32, 4096, 4))
+@example(name="drum4", operands=_full_range(32, 4096, 4))
+@example(name="exact", operands=(np.zeros((0, 5), np.int8), np.ones((3, 5), np.int8)))
+@example(name="trunc2", operands=(np.ones((4, 0), np.int8), np.ones((3, 0), np.int8)))
+@example(name="mitchell", operands=(np.zeros((0, 5), np.int8), np.ones((3, 5), np.int8)))
+@example(name="full_rank", operands=(np.ones((4, 0), np.int8), np.ones((3, 0), np.int8)))
+def test_lut_matmul_equals_the_gather_bit_for_bit(name, operands):
+    a, b = operands
+    m = TABLES[name]
+    with mock.patch.object(engine, "_lut_gather", wraps=_lut_gather) as gather:
+        got = lut_matmul(a, b, m)
+    assert gather.call_count == (name in GATHER_TABLES)
+    assert got.dtype == np.int32 and got.shape == (a.shape[0], b.shape[0])
+    assert np.array_equal(got, _lut_gather(a, b, m))
+
+
+def test_lut_gather_memory_does_not_follow_the_call_shape():
+    # In one chunk this call would hold 38 MB of table indices and products.
+    a, b = _full_range(256, 784, 32)
+    tracemalloc.start()
+    try:
+        _lut_gather(a, b, TABLES["full_rank"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_lut_matmul_never_runs_on_a_dropped_table():
+    # A factor cache keyed on id(m.lut) runs a new table on the factors of
+    # a collected one whenever the id is reused.
+    rng = np.random.default_rng(5)
+    a = rng.integers(-127, 128, size=(64, 30)).astype(np.int8)
+    b = rng.integers(-127, 128, size=(8, 30)).astype(np.int8)
+    for _ in range(5):
+        for name in BUILTINS:
+            m = builtin_multiplier(name)
+            assert np.array_equal(lut_matmul(a, b, m), _lut_gather(a, b, m)), name
+            del m
+        gc.collect()
 
 
 def test_lut_matmul_routes_through_the_table():

@@ -53,6 +53,18 @@ def test_pool_features_global_average_on_images():
     assert pool_features(flat) is flat
 
 
+def test_router_gates_do_not_depend_on_memory_layout():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(64, 16, 8, 8)).astype(np.float32)
+        nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        router = _router(rng, 3, 16, 1.0)
+        gates, feats = router.gates(x)
+        gates_nhwc, feats_nhwc = router.gates(nhwc)
+        assert np.array_equal(feats, feats_nhwc)
+        assert np.array_equal(gates, gates_nhwc)
+
+
 def test_identical_experts_make_soft_equal_single_expert():
     rng = np.random.default_rng(3)
     for trial in range(10):
