@@ -140,30 +140,36 @@ def _lut_gather(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def im2col(x: np.ndarray, kernel, stride, padding) -> np.ndarray:
-    """(N, C, H, W) -> (N, Ho, Wo, C, kh, kw) patch view (copied)."""
+    """(N, C, H, W) -> C-contiguous (N, Ho, Wo, C, kh, kw) columns: the input
+    is copied once into a zero-padded NHWC buffer, then each kernel offset
+    (i, j) is one strided slice copy into the columns."""
+    n, c, h, w = x.shape
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::sh, ::sw]  # (N, C, Ho, Wo, kh, kw)
-    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
+    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+    xp[:, ph : ph + h, pw : pw + w] = x.transpose(0, 2, 3, 1)
+    oh, ow = conv_out_hw(h, w, kernel, stride, padding)
+    cols = np.empty((n, oh, ow, c, kh, kw), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[..., i, j] = xp[:, i : i + sh * oh : sh, j : j + sw * ow : sw]
+    return cols
 
 
 def col2im(dcols: np.ndarray, x_shape, kernel, stride, padding) -> np.ndarray:
-    """Scatter-add patch gradients back to input layout. Inverse of im2col."""
+    """Scatter-add patch gradients back to C-contiguous NCHW. Adjoint of
+    im2col: each input element sums its (i, j) terms in kernel order."""
     n, c, h, w = x_shape
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
     oh, ow = dcols.shape[1], dcols.shape[2]
-    dxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=dcols.dtype)
-    dw = dcols.transpose(0, 3, 1, 2, 4, 5)  # (N, C, Ho, Wo, kh, kw)
+    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=dcols.dtype)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += dw[:, :, :, :, i, j]
-    return dxp[:, :, ph : ph + h, pw : pw + w]
+            dxp[:, i : i + sh * oh : sh, j : j + sw * ow : sw] += dcols[..., i, j]
+    return np.ascontiguousarray(dxp[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2))
 
 
 def stable_softmax(z: np.ndarray) -> np.ndarray:
@@ -377,9 +383,15 @@ class AvgPool2d(Layer):
         k = self.k
         if h % k or w % k:
             raise ParameterError(f"avgpool window {k} does not tile input {h}x{w}")
-        # mean reduces in memory order: one layout makes the bits layout-free
-        x = np.ascontiguousarray(x)
-        return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
+        # mean reduces in memory order: one layout makes the bits layout-free,
+        # and the pairwise sums below C-contiguous
+        x = np.ascontiguousarray(x).reshape(n, c, h // k, k, w // k, k)
+        if k == 2 and w // k > 1:
+            # mean's own order for a 2x2 window when Wo > 1; at Wo == 1 numpy
+            # folds the window into one axis and sums it in sequence instead
+            return ((x[:, :, :, 0, :, 0] + x[:, :, :, 0, :, 1])
+                    + (x[:, :, :, 1, :, 0] + x[:, :, :, 1, :, 1])) / 4
+        return x.mean(axis=(3, 5))
 
     def backward(self, dy):
         k = self.k

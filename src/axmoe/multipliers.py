@@ -76,9 +76,10 @@ class ErrorStats:
             raise ParameterError("inconsistent error stats: zero probability requires zero errors")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxMultiplier:
-    """A named 8-bit signed multiplier backed by its exhaustive product table."""
+    """A named 8-bit signed multiplier backed by its exhaustive product table.
+    Two multipliers are equal only when they are the same object."""
 
     name: str
     power_nw: float

@@ -260,6 +260,69 @@ def test_im2col_col2im_are_adjoint():
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+def _im2col_oracle(x, kernel, stride, padding):
+    """im2col as a transposed copy of a 6-D sliding-window view."""
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    if ph or pw:
+        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::sh, ::sw]  # (N, C, Ho, Wo, kh, kw)
+    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
+
+
+def _col2im_oracle(dcols, x_shape, kernel, stride, padding):
+    """col2im accumulated in NCHW through a transposed view of the columns."""
+    n, c, h, w = x_shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    oh, ow = dcols.shape[1], dcols.shape[2]
+    dxp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=dcols.dtype)
+    dw = dcols.transpose(0, 3, 1, 2, 4, 5)  # (N, C, Ho, Wo, kh, kw)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += dw[:, :, :, :, i, j]
+    return dxp[:, :, ph : ph + h, pw : pw + w]
+
+
+@st.composite
+def _conv_geometry(draw):
+    kernel = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    padding = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    h = draw(st.integers(max(1, kernel[0] - 2 * padding[0]), 9))
+    w = draw(st.integers(max(1, kernel[1] - 2 * padding[1]), 9))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 5)), h, w)
+    return shape, kernel, stride, padding
+
+
+def _spread(rng, shape, dtype):
+    """Values over many binades, so any change in summation order shows."""
+    if dtype == np.int8:
+        return rng.integers(-128, 128, size=shape).astype(np.int8)
+    return (rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 4, size=shape)).astype(dtype)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(geometry=_conv_geometry(), seed=st.integers(0, 2**32 - 1))
+def test_im2col_and_col2im_equal_the_window_view_oracles(geometry, seed):
+    shape, kernel, stride, padding = geometry
+    rng = np.random.default_rng(seed)
+    for dtype in (np.int8, np.float32, np.float64):
+        x = _spread(rng, shape, dtype)
+        cols, want = im2col(x, kernel, stride, padding), _im2col_oracle(x, kernel, stride, padding)
+        assert cols.dtype == want.dtype and cols.flags.c_contiguous
+        assert np.array_equal(cols, want)
+    for dtype in (np.float32, np.float64):
+        dcols = _spread(rng, want.shape, dtype)
+        dx = col2im(dcols, shape, kernel, stride, padding)
+        want_dx = _col2im_oracle(dcols, shape, kernel, stride, padding)
+        assert dx.dtype == want_dx.dtype and dx.shape == shape and dx.flags.c_contiguous
+        assert dx.tobytes() == want_dx.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # float layer math against naive oracles
 # ---------------------------------------------------------------------------
@@ -378,6 +441,25 @@ def test_avgpool_forward_and_backward():
     assert np.allclose(dx, 0.25)
     with pytest.raises(ParameterError):
         layer.forward(np.zeros((1, 1, 5, 5)), RunContext())
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(shape=st.tuples(st.integers(1, 64), st.integers(1, 32), st.integers(1, 16).map(lambda v: 2 * v),
+                       st.integers(1, 16).map(lambda v: 2 * v)),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+@example(shape=(5, 3, 6, 2), dtype=np.float32, seed=0)  # Wo == 1
+@example(shape=(5, 3, 6, 2), dtype=np.float64, seed=0)
+@example(shape=(6, 16, 2, 2), dtype=np.float32, seed=1)  # toy_cnn at resolution 4: pool2
+@example(shape=(6, 8, 4, 4), dtype=np.float32, seed=1)  # and pool1
+def test_avgpool_equals_numpy_mean_bit_for_bit(shape, dtype, seed):
+    # Pins the pool to numpy's own reduction order; if numpy changes it,
+    # this fails rather than letting results shift.
+    n, c, h, w = shape
+    x = _spread(np.random.default_rng(seed), shape, dtype)
+    y = AvgPool2d("pool", 2).forward(x, RunContext())
+    want = x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    assert y.dtype == want.dtype and y.flags.c_contiguous
+    assert y.tobytes() == want.tobytes()
 
 
 def test_avgpool_bits_do_not_depend_on_memory_layout():

@@ -141,3 +141,13 @@ def test_builtin_multiplier_names():
     for bad in ("", "trunc", "trunc0", "trunc8", "mul8s_1L2J", "nonsense"):
         with pytest.raises(ParameterError):
             builtin_multiplier(bad)
+
+
+def test_multipliers_compare_and_hash_by_identity():
+    # A field-wise eq would compare the tables with ndarray ==, whose truth
+    # value is ambiguous, and leave the class unhashable.
+    m = builtin_multiplier("trunc2")
+    twin = builtin_multiplier(m.name)
+    assert m == m
+    assert m != twin
+    assert {m} == {m, m} and len({m, twin}) == 2
