@@ -8,11 +8,16 @@ Layers run in one of two arithmetic modes:
   accumulated in 32-bit signed integers, and the result is dequantized by
   scale_x * scale_w. Bias is added in float afterwards.
 
-`lut_matmul` is the one LUT kernel. A rank-1 table, lut[a, b] * p ==
-f(a) * g(b) in integers (exact, every truncN, DRUM), runs as one float64
-GEMM of its factors, exact because every partial sum is an integer below
-2^53. Every other table runs through the gather, which also serves as the
-oracle the GEMM is tested against.
+`lut_matmul` is the one LUT entry point, with three kernels that agree bit
+for bit. A rank-1 table, lut[a, b] * p == f(a) * g(b) in integers (exact,
+every truncN, DRUM), runs as one float64 GEMM of its factors, exact because
+every partial sum is an integer below 2^53. Any other table runs through a
+code table when the call has N >= 2 * 256 rows: the products of all 256
+activation codes with each weight code, built once per call, from which
+each row gathers and sums K table rows. Shorter calls look every operand
+pair up directly in the table. The rule rests on N alone because the code
+table costs 256 * K * M products to build and the direct gather N * K * M
+lookups.
 
 The LUT path never skips operand pairs: padded zeros and zero weights are
 looked up like any other pair, because an approximate table may map
@@ -40,10 +45,16 @@ INT32_MAX = 2**31 - 1
 
 QMAX = 127  # symmetric range [-127, 127]; code -128 is never produced
 
-# Table indices per LUT gather chunk (1 MiB of int32). Small chunks keep the
-# gather's transient arrays from setting the process's peak memory, whose
-# size would otherwise follow each call's shape.
-_GATHER_BUDGET = 1 << 18
+# Entries per LUT kernel chunk: table indices (1 MiB of intp), code-table
+# products and gathered products alike. Small chunks keep the kernels'
+# transient arrays from setting the process's peak memory, whose size would
+# otherwise follow each call's shape.
+_GATHER_BUDGET = 1 << 17
+
+# Rows from which a call builds a code table: twice the 256 codes, so the
+# table's 256 * K * M products are at most half the direct gather's lookups.
+_CODE_TABLE_ROWS = 2 * 256
+_CODES = np.arange(-128, 128)  # every int8 code, in table order
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +104,18 @@ def _check_codes(x: np.ndarray, what: str) -> np.ndarray:
 def lut_matmul(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
     """(N, K) x (M, K) int8 codes -> (N, M) int32 through the multiplier table.
 
-    A rank-1 table (`m.rank1`: exact, every truncN, DRUM) runs as one float64
-    GEMM of its factors, (f[a] @ g[b].T) / p. Every partial sum is an integer
-    below 2^53, so the result equals the table gather bit for bit. Every other
-    table, and a K too long for that bound, runs through `_lut_gather`.
+    One of three kernels runs, each equal to the table gather bit for bit:
+
+    * a rank-1 table (`m.rank1`: exact, every truncN, DRUM) runs as one
+      float64 GEMM of its factors, (f[a] @ g[b].T) / p, exact because every
+      partial sum is an integer below 2^53 (`_rank1_gemm`);
+    * any other table, or a K too long for that bound, runs through the
+      code table when N >= 2 * 256 (`_lut_code_table`);
+    * and otherwise through one lookup per operand pair (`_lut_gather`).
+
+    The code table costs 256 * K * M products to build whatever N is, and
+    the direct gather N * K * M lookups, so the table pays once a call has
+    at least twice as many rows as there are codes.
 
     Fails loudly if any sum leaves the int32 range, mirroring a 32-bit
     hardware accumulator with overflow detection.
@@ -107,8 +126,9 @@ def lut_matmul(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
         raise ParameterError(f"lut_matmul: incompatible shapes {a.shape} x {b.shape}")
     factors = m.rank1
     if factors is not None and _exact_in_float(a.shape[1], *factors[:2]):
-        f, g, p = factors
-        out = (f[a.view(np.uint8)] @ g[b.view(np.uint8)].T) / p
+        out = _rank1_gemm(a, b, *factors)
+    elif a.shape[0] >= _CODE_TABLE_ROWS:
+        out = _lut_code_table(a, b, m)
     else:
         out = _lut_gather(a, b, m)
     if out.size and (out.min() < INT32_MIN or out.max() > INT32_MAX):
@@ -121,17 +141,54 @@ def _exact_in_float(k: int, f: np.ndarray, g: np.ndarray) -> bool:
     return k * np.abs(f).max() * np.abs(g).max() < 2.0**53
 
 
+def _rank1_gemm(a: np.ndarray, b: np.ndarray, f: np.ndarray, g: np.ndarray,
+                p: int) -> np.ndarray:
+    """(N, M) float64 sums of f[a] * g[b] / p: the table's products as one GEMM."""
+    return (f[a.view(np.uint8)] @ g[b.view(np.uint8)].T) / p
+
+
 def _lut_gather(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
     """(N, M) int64 sums of m.lut over every operand pair: the kernel for any
-    table, and the oracle for the rank-1 GEMM."""
+    table, one lookup per pair."""
     n, k = a.shape
     mrows = b.shape[0]
     out = np.empty((n, mrows), dtype=np.int64)
     chunk = max(1, _GATHER_BUDGET // max(1, mrows * k))
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
-        idx = lut_index(a[start:stop, None, :], b[None, :, :])
-        out[start:stop] = m.lut[idx].sum(axis=2, dtype=np.int64)
+        idx = lut_index(a[start:stop, None, :], b[None])
+        out[start:stop] = np.take(m.lut, idx).sum(axis=2, dtype=np.int64)
+    return out
+
+
+def _lut_code_table(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
+    """(N, M) int64 sums of m.lut over every operand pair, through a table of
+    the products of every activation code with each weight code.
+
+    For a block of weight positions k, table row k * 256 + c + 128 holds the
+    products of code c with every weight row's k-th code, made through
+    `lut_index`. Each output row then gathers one contiguous table row per
+    position, the one of its code a[n, k], and sums them over K in int64.
+    Blocks of positions (and of output columns past 512) keep the table
+    inside the gather budget, and blocks of output rows keep the gathered
+    rows there too."""
+    n, k = a.shape
+    mrows = b.shape[0]
+    out = np.zeros((n, mrows), dtype=np.int64)
+    cols = max(1, _GATHER_BUDGET // 256)
+    for c0 in range(0, mrows, cols):
+        bt = np.ascontiguousarray(b[c0 : c0 + cols].T)  # (K, cols), so the table is C-ordered
+        step = max(1, _GATHER_BUDGET // (256 * bt.shape[1]))
+        for k0 in range(0, k, step):
+            bk = bt[k0 : k0 + step]
+            table = np.take(m.lut, lut_index(_CODES[:, None], bk[:, None, :]))
+            table = table.reshape(-1, bk.shape[1])
+            row_of_code = (np.arange(len(bk), dtype=np.intp) * 256 + 128)[:, None]
+            chunk = max(1, _GATHER_BUDGET // bk.size)
+            for start in range(0, n, chunk):
+                rows = a[start : start + chunk, k0 : k0 + step].T + row_of_code  # intp
+                out[start : start + chunk, c0 : c0 + cols] += np.take(table, rows, axis=0).sum(
+                    axis=0, dtype=np.int64)
     return out
 
 
@@ -185,24 +242,38 @@ def stable_softmax(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RunContext:
-    """Per-forward execution state.
+    """Execution state of one pass: a training step's forward, or every
+    batch of one evaluation.
 
     multiplier None means pure float; a multiplier routes every layer whose
     `approximate` flag is set through the quantize + LUT path. `counters`
     accumulates LUT invocations per layer name, `routed` accumulates routed
     units per expert for MoE layers.
+
+    A layer's weights are quantized once per context and reused by every
+    later forward through it, so no parameter may change while a context is
+    live: make a new one after each update.
     """
 
     multiplier: AxMultiplier | None = None
     train: bool = False
     counters: dict = field(default_factory=dict)
     routed: dict = field(default_factory=dict)
+    weight_codes: dict = field(default_factory=dict, init=False, repr=False)
 
     def count(self, name: str, n: int) -> None:
         self.counters[name] = self.counters.get(name, 0) + int(n)
 
     def count_routed(self, name: str, n: int) -> None:
         self.routed[name] = self.routed.get(name, 0) + int(n)
+
+    def quantized_weights(self, layer: "_Affine") -> tuple[np.ndarray, QuantParams]:
+        """`quantize` of the layer's weights as (out, fan_in) rows, made on the
+        layer's first forward and kept under the layer object itself (never
+        its id, which a collected layer can hand on)."""
+        if layer not in self.weight_codes:
+            self.weight_codes[layer] = quantize(layer.w.reshape(layer.w.shape[0], -1))
+        return self.weight_codes[layer]
 
 
 class Layer:
@@ -297,10 +368,9 @@ class _Affine(Layer):
         operands the product saw (dequantized on the LUT path) for the
         straight-through backward."""
         lead = self._lead(x.shape)  # rejects bad geometry before any im2col
-        w2d = self.w.reshape(self.w.shape[0], -1)
         if ctx.multiplier is not None and self.approximate:
             qx, sx = quantize(x)
-            qw, sw = quantize(w2d)
+            qw, sw = ctx.quantized_weights(self)
             acc = lut_matmul(self._rows(qx), qw, ctx.multiplier)
             ctx.count(self.name, acc.size * qw.shape[1])
             y = acc.astype(np.float64) * (sx.scale * sw.scale)
@@ -308,6 +378,7 @@ class _Affine(Layer):
                 self._cache = (dequantize(qx, sx).astype(x.dtype),
                                dequantize(qw, sw).astype(self.w.dtype))
         else:
+            w2d = self.w.reshape(self.w.shape[0], -1)
             y = self._rows(x) @ w2d.T
             if ctx.train:
                 self._cache = (x, w2d)

@@ -58,8 +58,10 @@ EXACT_POWER_NW = REFERENCE_MULTIPLIERS[EXACT_NAME].power_nw
 
 
 def lut_index(a, b):
-    """Table index for operand pair (a, b); accepts scalars or arrays."""
-    return (np.asarray(a, dtype=np.int32) + 128) * 256 + (np.asarray(b, dtype=np.int32) + 128)
+    """Table index for operand pair (a, b); accepts scalars or arrays. The
+    index is np.intp, numpy's own index type, so a gather reads it without
+    a converted copy."""
+    return (np.asarray(a, dtype=np.intp) + 128) * 256 + (np.asarray(b, dtype=np.intp) + 128)
 
 
 @dataclass(frozen=True)

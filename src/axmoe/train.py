@@ -94,12 +94,18 @@ def train_epoch(model, x, y, cfg: TrainConfig, rng, multiplier: AxMultiplier | N
 
 
 def evaluate(model, x, y, multiplier: AxMultiplier | None = None, batch_size: int = 256) -> float:
-    """Top-1 accuracy over a labelled set, batched to bound memory."""
+    """Top-1 accuracy over a labelled set, batched to bound memory. One
+    RunContext serves the whole pass, so each layer's weights are quantized
+    once."""
+    if batch_size < 1:
+        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
+    if len(y) != len(x):
+        raise ParameterError(f"{len(x)} images but {len(y)} labels")
     if not len(x):
         raise ParameterError("cannot evaluate on an empty set")
+    ctx = RunContext(multiplier=multiplier, train=False)
     correct = 0
     for start in range(0, len(x), batch_size):
-        ctx = RunContext(multiplier=multiplier, train=False)
         logits = model.forward(x[start : start + batch_size], ctx)
         correct += int((np.argmax(logits, axis=1) == y[start : start + batch_size]).sum())
     return correct / len(x)

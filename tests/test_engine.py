@@ -4,7 +4,6 @@ import gc
 import tracemalloc
 from unittest import mock
 
-import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,8 +11,8 @@ from hypothesis import strategies as st
 
 from axmoe import engine
 from axmoe.engine import (AvgPool2d, Conv2d, Linear, Model, QuantParams, ReLU, RunContext,
-                          _lut_gather, col2im, dequantize, im2col, lut_matmul, quantize,
-                          softmax_cross_entropy, stable_softmax)
+                          _lut_code_table, _lut_gather, _rank1_gemm, col2im, dequantize, im2col,
+                          lut_matmul, quantize, softmax_cross_entropy, stable_softmax)
 from axmoe.errors import NumericError, ParameterError
 from axmoe.multipliers import (AxMultiplier, build_exact_multiplier,
                                build_truncation_multiplier, builtin_multiplier, lut_index)
@@ -159,6 +158,24 @@ GATHER_TABLES = {
 }
 TABLES = {**RANK1_TABLES, **GATHER_TABLES}
 
+# The engine's first gather kernel, kept as the oracle every kernel is held
+# to: table indices in chunks of 2^18, summed over K in int64.
+_ORACLE_BUDGET = 1 << 18
+
+
+def _oracle_gather(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
+    """(N, M) int64 sums of m.lut over every operand pair: the kernel for any
+    table, and the oracle for the rank-1 GEMM."""
+    n, k = a.shape
+    mrows = b.shape[0]
+    out = np.empty((n, mrows), dtype=np.int64)
+    chunk = max(1, _ORACLE_BUDGET // max(1, mrows * k))
+    for start in range(0, n, chunk):
+        stop = min(n, start + chunk)
+        idx = lut_index(a[start:stop, None, :], b[None, :, :])
+        out[start:stop] = m.lut[idx].sum(axis=2, dtype=np.int64)
+    return out
+
 
 def test_factored_tables_reproduce_their_products():
     for name, m in RANK1_TABLES.items():
@@ -173,10 +190,14 @@ def test_factored_tables_reproduce_their_products():
 
 @st.composite
 def _operands(draw):
-    n, k, mrows = draw(st.integers(0, 40)), draw(st.integers(0, 60)), draw(st.integers(0, 12))
-    codes = st.integers(-128, 127)
-    return (draw(hnp.arrays(np.int8, (n, k), elements=codes)),
-            draw(hnp.arrays(np.int8, (mrows, k), elements=codes)))
+    """Codes of every shape on both sides of the code-table row threshold,
+    with K * M past the chunk budget, drawn uniformly or from the extremes."""
+    n = draw(st.one_of(st.integers(0, 40), st.integers(500, 530)))
+    k, mrows = draw(st.integers(0, 60)), draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.arange(-128, 128) if draw(st.booleans()) else np.array([-128, -127, -1, 0, 1, 127])
+    return (rng.choice(pool, size=(n, k)).astype(np.int8),
+            rng.choice(pool, size=(mrows, k)).astype(np.int8))
 
 
 def _full_range(n, k, mrows):
@@ -187,6 +208,15 @@ def _full_range(n, k, mrows):
             rng.integers(-128, 128, size=(mrows, k)).astype(np.int8))
 
 
+KERNELS = {"gemm": _rank1_gemm, "code_table": _lut_code_table, "gather": _lut_gather}
+
+
+def _expected_kernel(name, n):
+    if name in RANK1_TABLES:
+        return "gemm"
+    return "code_table" if n >= 512 else "gather"
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(name=st.sampled_from(sorted(TABLES)), operands=_operands())
 @example(name="exact", operands=_full_range(32, 4096, 4))
@@ -195,26 +225,51 @@ def _full_range(n, k, mrows):
 @example(name="trunc2", operands=(np.ones((4, 0), np.int8), np.ones((3, 0), np.int8)))
 @example(name="mitchell", operands=(np.zeros((0, 5), np.int8), np.ones((3, 5), np.int8)))
 @example(name="full_rank", operands=(np.ones((4, 0), np.int8), np.ones((3, 0), np.int8)))
+@example(name="full_rank", operands=(np.ones((512, 0), np.int8), np.ones((3, 0), np.int8)))
+@example(name="zero", operands=(np.ones((600, 7), np.int8), np.ones((0, 7), np.int8)))
+@example(name="mitchell", operands=_full_range(511, 60, 12))
+@example(name="full_rank", operands=_full_range(512, 60, 12))  # 256 * K * M > budget
+@example(name="trunc5", operands=_full_range(530, 60, 12))
+@example(name="full_rank", operands=_full_range(512, 3, 600))  # more columns than one block
 def test_lut_matmul_equals_the_gather_bit_for_bit(name, operands):
     a, b = operands
     m = TABLES[name]
-    with mock.patch.object(engine, "_lut_gather", wraps=_lut_gather) as gather:
+    with mock.patch.multiple(engine, **{f.__name__: mock.DEFAULT for f in KERNELS.values()}) as ran:
+        for f in KERNELS.values():
+            ran[f.__name__].side_effect = f
         got = lut_matmul(a, b, m)
-    assert gather.call_count == (name in GATHER_TABLES)
+    took = {kernel for kernel, f in KERNELS.items() if ran[f.__name__].called}
+    assert took == {_expected_kernel(name, a.shape[0])}
     assert got.dtype == np.int32 and got.shape == (a.shape[0], b.shape[0])
-    assert np.array_equal(got, _lut_gather(a, b, m))
+    assert np.array_equal(got, _oracle_gather(a, b, m))
 
 
-def test_lut_gather_memory_does_not_follow_the_call_shape():
-    # In one chunk this call would hold 38 MB of table indices and products.
-    a, b = _full_range(256, 784, 32)
+def _traced_peak(kernel, *args):
+    """The most bytes a call held at once, and what it returned."""
     tracemalloc.start()
     try:
-        _lut_gather(a, b, TABLES["full_rank"])
+        out = kernel(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak, out
+
+
+def test_lut_gather_memory_does_not_follow_the_call_shape():
+    # In one chunk this call would hold 64 MB of table indices and products.
+    a, b = _full_range(256, 784, 32)
+    peak, _ = _traced_peak(_lut_gather, a, b, TABLES["full_rank"])
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("shape", [
+    (16384, 72, 16),  # in one chunk: 9.4 MB of row indices, 38 MB of gathered products
+    (1024, 784, 32),  # in one block: a 51 MB table index
+])
+def test_lut_code_table_memory_does_not_follow_the_call_shape(shape):
+    # Measured above the (N, M) int64 output, which follows the shape by design.
+    peak, out = _traced_peak(_lut_code_table, *_full_range(*shape), TABLES["full_rank"])
+    assert peak - out.nbytes < 4 * 2**20
 
 
 def test_lut_matmul_never_runs_on_a_dropped_table():
@@ -226,7 +281,7 @@ def test_lut_matmul_never_runs_on_a_dropped_table():
     for _ in range(5):
         for name in BUILTINS:
             m = builtin_multiplier(name)
-            assert np.array_equal(lut_matmul(a, b, m), _lut_gather(a, b, m)), name
+            assert np.array_equal(lut_matmul(a, b, m), _oracle_gather(a, b, m)), name
             del m
         gc.collect()
 

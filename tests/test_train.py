@@ -1,11 +1,20 @@
 """SGD mechanics and the pretrain/retrain split."""
 
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from axmoe.engine import Linear, Model, softmax_cross_entropy
+from axmoe import engine, train
+from axmoe.engine import Linear, Model, RunContext, softmax_cross_entropy
 from axmoe.errors import ParameterError
+from axmoe.graphs import VARIANTS, substitute_moe, toy_cnn
+from axmoe.models import build_model
 from axmoe.train import History, Split, TrainConfig, evaluate, fit, retrain, sgd_step
+from test_engine import TABLES
+
+FULL_RANK = TABLES["full_rank"]
 
 
 class _Stub:
@@ -123,6 +132,103 @@ def test_evaluate_matches_manual_argmax():
     logits = model.forward(x, __import__("axmoe").RunContext())
     want = float((np.argmax(logits, axis=1) == y).mean())
     assert evaluate(model, x, y, batch_size=10) == pytest.approx(want)
+
+
+@pytest.mark.parametrize("labels, batch_size", [(16, -4), (16, 0), (1, 256)])
+def test_evaluate_rejects_bad_arguments(labels, batch_size):
+    model = Model("m", [Linear("m.fc", np.ones((3, 4)), np.zeros(3))])
+    x = np.ones((16, 4), dtype=np.float32)
+    with pytest.raises(ParameterError):
+        evaluate(model, x, np.zeros(labels, dtype=np.int64), batch_size=batch_size)
+
+
+def _toy_model(variant):
+    graph = substitute_moe(toy_cnn(num_classes=4, resolution=8, channels=1), variant,
+                           n_experts=3)
+    return build_model(graph, seed=7)
+
+
+def _toy_set(n=44, seed=16):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(n, 1, 8, 8)).astype(np.float32),
+            rng.integers(0, 4, size=n).astype(np.int64))
+
+
+def _approximate_layers(layer):
+    out = [layer] if getattr(layer, "approximate", False) else []
+    for child in layer.children():
+        out += _approximate_layers(child)
+    return out
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_context_per_pass_matches_one_per_batch(variant):
+    model = _toy_model(variant)
+    x, y = _toy_set()
+    # the loop evaluate ran before: a fresh context per batch of 8
+    correct, counters, routed = 0, Counter(), Counter()
+    for start in range(0, len(x), 8):
+        ctx = RunContext(multiplier=FULL_RANK)
+        logits = model.forward(x[start : start + 8], ctx)
+        correct += int((np.argmax(logits, axis=1) == y[start : start + 8]).sum())
+        counters.update(ctx.counters)
+        routed.update(ctx.routed)
+    made = []
+
+    def context(**kwargs):
+        made.append(RunContext(**kwargs))
+        return made[-1]
+
+    with mock.patch.object(train, "RunContext", side_effect=context):
+        top1 = evaluate(model, x, y, FULL_RANK, batch_size=8)
+    assert len(made) == 1
+    assert top1 == correct / len(x)
+    assert made[0].counters == counters and made[0].routed == routed
+
+
+@pytest.mark.parametrize("variant", ["dense", "hard"])
+def test_evaluate_quantizes_each_layers_weights_once_per_pass(variant):
+    model = _toy_model(variant)
+    layers = _approximate_layers(model)
+    quantized = Counter()
+    real = engine.quantize
+
+    def spy(t):
+        quantized.update(layer.name for layer in layers if np.shares_memory(t, layer.w))
+        return real(t)
+
+    with mock.patch.object(engine, "quantize", side_effect=spy):
+        evaluate(model, *_toy_set(), FULL_RANK, batch_size=8)
+    assert quantized and set(quantized.values()) == {1}
+    if variant == "dense":
+        assert set(quantized) == {layer.name for layer in layers}
+
+
+def _evaluated_logits(model, x, y):
+    """The logits evaluate computes under the full-rank table, in order."""
+    seen = []
+    forward = model.forward
+
+    def record(xb, ctx):
+        seen.append(forward(xb, ctx))
+        return seen[-1]
+
+    with mock.patch.object(model, "forward", side_effect=record):
+        evaluate(model, x, y, FULL_RANK, batch_size=8)
+    return np.concatenate(seen)
+
+
+def test_evaluate_sees_the_weights_fit_leaves():
+    model = _toy_model("hard")
+    x, y = _toy_set()
+    before = _evaluated_logits(model, x, y)
+    fit(model, Split(x, y, x[:8], y[:8]), TrainConfig(lr=0.1, batch_size=8, epochs=1),
+        FULL_RANK)
+    after = _evaluated_logits(model, x, y)
+    fresh = _toy_model("hard")
+    fresh.load_params(model.params())
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, _evaluated_logits(fresh, x, y))
 
 
 def test_fit_is_deterministic_under_a_fixed_seed():
