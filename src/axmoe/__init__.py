@@ -21,7 +21,6 @@ from .multipliers import (REFERENCE_MULTIPLIERS, AxMultiplier, ErrorStats,
                           build_exact_multiplier, build_truncation_multiplier,
                           builtin_multiplier, error_stats, load_lut, per_op_saving,
                           save_lut)
-from .tensor_io import load_checkpoint, load_tensor, save_checkpoint, save_tensor
 from .train import History, Split, TrainConfig, evaluate, fit, retrain
 
 __version__ = "0.1.0"
@@ -36,10 +35,10 @@ __all__ = [
     "build_truncation_multiplier", "builtin_multiplier", "config_hash",
     "count_macs", "dequantize", "dominates",
     "error_stats", "evaluate", "fit", "layer_macs", "layer_params",
-    "load_checkpoint", "load_cifar100_bin", "load_config",
-    "load_dataset", "load_lut", "load_model", "load_tensor", "lut_matmul",
+    "load_cifar100_bin", "load_config",
+    "load_dataset", "load_lut", "load_model", "lut_matmul",
     "model_from_spec", "normalized_power", "pareto_frontier", "per_op_saving",
     "quantize", "retrain",
-    "save_checkpoint", "save_lut", "save_model", "save_tensor", "softmax_cross_entropy",
+    "save_lut", "save_model", "softmax_cross_entropy",
     "substitute_moe", "synthetic_blobs",
 ]

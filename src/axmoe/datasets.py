@@ -1,6 +1,6 @@
 """Dataset loading.
 
-Three sources: CIFAR-100 binary splits, pairs of saved tensors, and a
+Three sources: CIFAR-100 binary splits, numpy `.npz` splits, and a
 self-contained synthetic task for the desk-scale experiments. Paths fall
 back to the AXMOE_DATA_DIR environment variable when not given explicitly.
 """
@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, ParameterError
-from .tensor_io import load_tensor
+from .models import _read_npz
 from .train import Split
 
 DATA_DIR_ENV = "AXMOE_DATA_DIR"
@@ -22,7 +22,7 @@ DATA_DIR_ENV = "AXMOE_DATA_DIR"
 # channel-planar 3x32x32 image.
 CIFAR_RECORD_BYTES = 3074
 
-DATASETS = ("synthetic", "cifar100", "axt")
+DATASETS = ("synthetic", "cifar100", "npz")
 
 
 def data_dir(explicit=None) -> Path:
@@ -46,14 +46,19 @@ def load_cifar100_bin(path) -> tuple[np.ndarray, np.ndarray]:
     return images, labels
 
 
-def load_axt_pair(x_path, y_path) -> tuple[np.ndarray, np.ndarray]:
-    x = load_tensor(x_path).astype(np.float32)
-    y = load_tensor(y_path)
-    if y.ndim != 1:
-        raise FormatError(f"{y_path}: labels must be rank 1, got rank {y.ndim}")
-    if len(y) != len(x):
-        raise FormatError(f"{x_path} has {len(x)} samples but {y_path} has {len(y)} labels")
-    return x, np.rint(y).astype(np.int64)
+def load_npz_split(path) -> tuple[np.ndarray, np.ndarray]:
+    """One `.npz` split file holding `x` (samples first) and `y` (one integer
+    label per sample) to (float32 x, int64 y)."""
+    arrays = _read_npz(path)
+    x, y = arrays.get("x"), arrays.get("y")
+    if x is None or y is None:
+        raise FormatError(f"{path}: needs arrays x and y, has {sorted(arrays)}")
+    if x.dtype.kind not in "fiu" or y.dtype.kind not in "iu" or y.ndim != 1:
+        raise FormatError(f"{path}: x must be numbers and y rank-1 integers, got x {x.dtype} "
+                          f"and y {y.dtype} of rank {y.ndim}")
+    if x.shape[:1] != y.shape:
+        raise FormatError(f"{path}: x has shape {x.shape} but y has {len(y)} labels")
+    return x.astype(np.float32), y.astype(np.int64)
 
 
 # Contrast levels for the fine half of the synthetic label. Close enough
@@ -108,14 +113,10 @@ def load_dataset(kind: str, path=None, *, samples: int, eval_samples: int,
         x_te, y_te = synthetic_blobs(eval_samples, classes, channels, resolution, noise,
                                      seed + 1)
         return Split(x_tr, y_tr, x_te, y_te)
-    if kind == "cifar100":
+    if kind in ("cifar100", "npz"):
         root = data_dir(path)
-        x_tr, y_tr = load_cifar100_bin(root / "train.bin")
-        x_te, y_te = load_cifar100_bin(root / "test.bin")
-        return Split(x_tr[:samples], y_tr[:samples], x_te[:eval_samples], y_te[:eval_samples])
-    if kind == "axt":
-        root = data_dir(path)
-        x_tr, y_tr = load_axt_pair(root / "x_train.axt", root / "y_train.axt")
-        x_te, y_te = load_axt_pair(root / "x_test.axt", root / "y_test.axt")
+        read, ext = (load_cifar100_bin, "bin") if kind == "cifar100" else (load_npz_split, "npz")
+        x_tr, y_tr = read(root / f"train.{ext}")
+        x_te, y_te = read(root / f"test.{ext}")
         return Split(x_tr[:samples], y_tr[:samples], x_te[:eval_samples], y_te[:eval_samples])
     raise ConfigError(f"unknown dataset kind {kind!r}, expected one of {DATASETS}")

@@ -11,9 +11,12 @@ expert receive identical gradients, which would pin them together forever.
 
 from __future__ import annotations
 
+import json
+import zipfile
+from pathlib import Path
+
 import numpy as np
 
-from . import tensor_io
 from .engine import AvgPool2d, Conv2d, Flatten, Layer, Linear, Model, ReLU
 from .errors import FormatError, ParameterError
 from .graphs import APPROX, ClusterArch, MoEGroup, build_arch, substitute_moe
@@ -24,6 +27,7 @@ EXPERT_JITTER = 0.02
 DTYPE = np.float32  # parameter dtype of every executable model
 # What a checkpoint's meta must hold for `model_from_spec` to rebuild it.
 META_KEYS = ("arch", "arch_kwargs", "variant", "n_experts", "moe_ratio", "seed")
+CHECKPOINT_FILE = "checkpoint.npz"
 
 
 def _init(rng, spec) -> tuple:
@@ -101,7 +105,32 @@ def _build_cluster(cluster: ClusterArch, seed: int) -> ClusterModel:
 # ---------------------------------------------------------------------------
 
 def save_model(model, directory, meta: dict) -> None:
-    tensor_io.save_checkpoint(directory, model.params(), model.frozen_names(), meta)
+    """Write `directory`/checkpoint.npz: every parameter under its qualified
+    name, which always holds a ".", plus `meta` as one JSON string entry."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    # through a handle, because np.savez appends ".npz" to a bare path
+    with open(directory / CHECKPOINT_FILE, "wb") as fh:
+        np.savez(fh, meta=json.dumps(meta, sort_keys=True), **model.params())
+
+
+def _read_npz(path) -> dict[str, np.ndarray]:
+    """Every array of the `.npz` archive at `path`, read without pickle.
+    Anything else at `path` raises FormatError; a missing file stays an
+    OSError."""
+    # np.load leaks the handle it opens when the archive is corrupt
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            if isinstance(archive, np.lib.npyio.NpzFile):
+                with archive:
+                    arrays = {name: archive[name] for name in archive.files}
+                # a zip member that is not an .npy file reads as raw bytes
+                if all(isinstance(a, np.ndarray) for a in arrays.values()):
+                    return arrays
+        except (zipfile.BadZipFile, ValueError, KeyError, EOFError) as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+    raise FormatError(f"{path}: not an .npz archive of arrays")
 
 
 def model_from_spec(meta: dict):
@@ -113,7 +142,21 @@ def model_from_spec(meta: dict):
 
 
 def load_model(directory):
-    params, frozen, meta = tensor_io.load_checkpoint(directory)
+    """The model and meta that `save_model` wrote to `directory`; anything
+    else there raises FormatError."""
+    path = Path(directory) / CHECKPOINT_FILE
+    if not path.is_file():
+        raise FormatError(f"{directory}: no {CHECKPOINT_FILE}")
+    params = _read_npz(path)
+    meta = params.pop("meta", None)
+    if meta is None or meta.ndim != 0 or meta.dtype.kind != "U":
+        raise FormatError(f"{path}: meta must be one JSON string entry")
+    try:
+        meta = json.loads(meta.item())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: meta: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: meta must be a JSON object")
     missing = [k for k in META_KEYS if k not in meta]
     if missing:
         raise FormatError(f"{directory}: checkpoint meta lacks {missing}")
@@ -122,7 +165,7 @@ def load_model(directory):
         model.load_params(params)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{directory}: checkpoint meta does not rebuild a model: {exc}") from exc
-    unknown = frozen - model.frozen_names()
-    if unknown:
-        raise FormatError(f"{directory}: checkpoint freezes unknown parameters: {sorted(unknown)}")
+    non_finite = sorted(k for k, v in model.params().items() if not np.isfinite(v).all())
+    if non_finite:
+        raise FormatError(f"{directory}: non-finite values in {non_finite}")
     return model, meta

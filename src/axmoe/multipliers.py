@@ -92,8 +92,8 @@ class AxMultiplier:
             raise ParameterError("multiplier name must be non-empty")
         if len(self.name.encode("utf-8")) > NAME_BYTES:
             raise ParameterError(f"multiplier name exceeds {NAME_BYTES} bytes: {self.name!r}")
-        if not (self.power_nw > 0):
-            raise ParameterError(f"power must be positive, got {self.power_nw}")
+        if not 0 < self.power_nw < np.inf:
+            raise ParameterError(f"power must be finite and positive, got {self.power_nw}")
         if self.lut.shape != (TABLE_SIZE,) or self.lut.dtype != np.int16:
             raise ParameterError("lut must be a (65536,) int16 array")
         self.lut.setflags(write=False)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -17,8 +18,7 @@ from axmoe.engine import RunContext
 from axmoe.errors import ConfigError, FormatError
 from axmoe.graphs import build_arch, substitute_moe
 from axmoe.models import build_model, load_model, model_from_spec, save_model
-from axmoe.tensor_io import load_checkpoint, save_tensor
-from axmoe.multipliers import builtin_multiplier, save_lut
+from axmoe.multipliers import NAME_BYTES, builtin_multiplier, save_lut
 
 
 def test_parse_config_text_types_and_comments():
@@ -234,6 +234,13 @@ def test_cli_retrain_flags_rows_and_improves_reload(tmp_path, capsys):
     assert rows[1][8] == "true"
 
 
+def _read_checkpoint(ckpt):
+    """The parameters and the decoded meta in a checkpoint directory."""
+    with np.load(ckpt / "checkpoint.npz", allow_pickle=False) as npz:
+        params = {k: npz[k] for k in npz.files if k != "meta"}
+        return params, json.loads(npz["meta"].item())
+
+
 def test_cli_retrain_cluster_checkpoint_reloads_and_evaluates(tmp_path, capsys):
     rc = cli.main(["retrain", *_base_args(tmp_path), "--variant", "dense",
                    "--variant", "cluster", "--multiplier", "float", "--multiplier", "trunc2"])
@@ -244,7 +251,7 @@ def test_cli_retrain_cluster_checkpoint_reloads_and_evaluates(tmp_path, capsys):
     assert rows[("cluster", "trunc2")][8] == "true"
 
     ckpt = tmp_path / "ckpt_cluster"
-    saved, saved_frozen, meta = load_checkpoint(ckpt)
+    saved, meta = _read_checkpoint(ckpt)
     model, _ = load_model(ckpt)
     params = model.params()
     assert set(params) == set(saved)
@@ -255,7 +262,7 @@ def test_cli_retrain_cluster_checkpoint_reloads_and_evaluates(tmp_path, capsys):
     assert any(not np.array_equal(fresh[k], v) for k, v in saved.items())
     gateway = set(model.gateway.params())
     assert gateway and all(k.startswith("gateway.") for k in gateway)
-    assert model.frozen_names() == gateway == saved_frozen
+    assert model.frozen_names() == gateway
 
     capsys.readouterr()
     rc = cli.main(["eval", *_base_args(tmp_path), "--multiplier", "float",
@@ -272,7 +279,7 @@ def test_sweep_checkpoints_rebuild_every_variant(tmp_path, capsys, arch, resolut
                    "--multiplier", "float", *(a for v in variants for a in ("--variant", v))])
     assert rc == 0
     for variant in variants:
-        saved, _, meta = load_checkpoint(tmp_path / f"ckpt_{variant}")
+        saved, meta = _read_checkpoint(tmp_path / f"ckpt_{variant}")
         assert set(meta) == {"arch", "arch_kwargs", "variant", "n_experts", "moe_ratio", "seed"}
         assert (meta["arch"], meta["variant"]) == (arch, variant)
         rebuilt = model_from_spec(meta).params()
@@ -357,64 +364,87 @@ def test_cli_eval_reloads_checkpoints(tmp_path, capsys):
     assert f"toy_mlp dense exact: top1 {want:.4f}" in capsys.readouterr().out
 
 
-def _drop_tensors(manifest):
-    del manifest["tensors"]
-    return manifest
+_TOY_MLP_KWARGS = {"num_classes": 3, "resolution": 6, "channels": 1}
+_TOY_MLP_GRAPH = substitute_moe(build_arch("toy_mlp", **_TOY_MLP_KWARGS), "dense")
 
 
-def _drop_arch(manifest):
-    del manifest["meta"]["arch"]
-    return manifest
+def _save_toy_mlp(model, ckpt):
+    save_model(model, ckpt, {"arch": "toy_mlp", "arch_kwargs": _TOY_MLP_KWARGS,
+                             "variant": "dense", "n_experts": 1, "moe_ratio": None, "seed": 0})
 
 
-def _drop_file(manifest):
-    del manifest["tensors"][0]["file"]
-    return manifest
-
-
-def _drop_entry(name):
-    def corrupt(manifest):
-        manifest["tensors"] = [e for e in manifest["tensors"] if e["name"] != name]
-        return manifest
+def _rewrite(edit):
+    """Corruption that rewrites checkpoint.npz as the entries that
+    edit(params, meta) returns, given its parameters and its decoded meta; a
+    str entry is saved as a 0-d string."""
+    def corrupt(path):
+        params, meta = _read_checkpoint(path.parent)
+        with open(path, "wb") as fh:
+            np.savez(fh, **edit(params, meta))
     return corrupt
-
-
-def _not_utf8(manifest):
-    return json.dumps(manifest).encode() + b"\xff\xfe"
 
 
 def _set_meta(**values):
-    def corrupt(manifest):
-        manifest["meta"].update(values)
-        return manifest
-    return corrupt
+    return _rewrite(lambda params, meta: {**params, "meta": json.dumps({**meta, **values})})
+
+
+def _bare_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3, dtype=np.float32))
 
 
 @pytest.mark.parametrize("corrupt", [
-    _drop_tensors, lambda m: [m], _drop_arch, _drop_file,
+    _rewrite(lambda p, m: {"meta": json.dumps(m)}),
+    _rewrite(lambda p, m: {**p, "meta": json.dumps([m])}),
+    _rewrite(lambda p, m: {**p, "meta": json.dumps({k: v for k, v in m.items() if k != "arch"})}),
+    _rewrite(lambda p, m: p),
     _set_meta(arch_kwargs={"classes": 3}), _set_meta(arch_kwargs=[1]),
     _set_meta(n_experts="x"), _set_meta(arch="alexnet"), _set_meta(variant="fuzzy"),
-    _drop_entry("fc1.w"), _not_utf8,
+    _rewrite(lambda p, m: {**{k: v for k, v in p.items() if k != "fc1.w"},
+                           "meta": json.dumps(m)}),
+    _rewrite(lambda p, m: {**p, "meta": json.dumps(m)[:-1]}),
+    _rewrite(lambda p, m: {**p, "meta": 1.0}),
+    lambda path: path.write_bytes(b""),
+    lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+    _bare_npy,
+    lambda path: path.unlink(),
 ], ids=["no_tensors", "json_list", "meta_without_arch", "entry_without_file",
         "unknown_arch_kwarg", "arch_kwargs_list", "n_experts_not_int", "unknown_arch",
-        "unknown_variant", "missing_tensor", "not_utf8"])
+        "unknown_variant", "missing_tensor", "not_utf8", "numeric_meta", "empty_file",
+        "truncated_file", "bare_npy", "no_checkpoint_file"])
 def test_malformed_checkpoint_is_a_format_error(tmp_path, capsys, corrupt):
-    graph = substitute_moe(build_arch("toy_mlp", num_classes=3, resolution=6, channels=1),
-                           "dense")
     ckpt = tmp_path / "ckpt"
-    save_model(build_model(graph), ckpt,
-               {"arch": "toy_mlp", "arch_kwargs": {"num_classes": 3, "resolution": 6,
-                                                   "channels": 1},
-                "variant": "dense", "n_experts": 1, "moe_ratio": None, "seed": 0})
-    manifest = ckpt / "manifest.json"
-    corrupted = corrupt(json.loads(manifest.read_text()))
-    manifest.write_bytes(corrupted if isinstance(corrupted, bytes)
-                         else json.dumps(corrupted).encode())
+    _save_toy_mlp(build_model(_TOY_MLP_GRAPH), ckpt)
+    corrupt(ckpt / "checkpoint.npz")
     with pytest.raises(FormatError):
         load_model(ckpt)
     assert cli.main(["eval", "--set", f"checkpoint = {ckpt}"]) == 4
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_checkpoint_parameter_is_a_format_error(tmp_path, capsys, value):
+    model = build_model(_TOY_MLP_GRAPH)
+    model.params()["fc1.b"][1] = value
+    _save_toy_mlp(model, tmp_path / "ckpt")
+    with pytest.raises(FormatError, match="fc1.b"):
+        load_model(tmp_path / "ckpt")
+    # the float path multiplies no quantized code, so only the load can refuse it
+    assert cli.main(["eval", "--multiplier", "float",
+                     "--set", f"checkpoint = {tmp_path / 'ckpt'}"]) == 4
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
+
+
+def test_checkpoint_saves_are_byte_identical(tmp_path):
+    model = build_model(_TOY_MLP_GRAPH)
+    for name in ("a", "b"):
+        _save_toy_mlp(model, tmp_path / name)
+    first = (tmp_path / "a" / "checkpoint.npz").read_bytes()
+    assert first == (tmp_path / "b" / "checkpoint.npz").read_bytes()
+    loaded, _ = load_model(tmp_path / "a")
+    assert all(np.array_equal(v, model.params()[k]) for k, v in loaded.params().items())
 
 
 def test_data_that_does_not_match_the_config_exits_2(tmp_path, capsys):
@@ -441,10 +471,9 @@ def test_non_finite_input_exits_5(tmp_path, capsys):
         x = rng.normal(size=(n, 3, 6, 6)).astype(np.float32)
         if split == "train":
             x[5, 0, 2, 3] = np.nan
-        save_tensor(x, tmp_path / f"x_{split}.axt")
-        save_tensor(rng.integers(0, 3, size=n).astype(np.float32), tmp_path / f"y_{split}.axt")
+        np.savez(tmp_path / f"{split}.npz", x=x, y=rng.integers(0, 3, size=n))
     # float only: no LUT quantizer stands between the pixel and the network
-    argv = ["sweep", *_base_args(tmp_path / "out", ["--set", "dataset = axt",
+    argv = ["sweep", *_base_args(tmp_path / "out", ["--set", "dataset = npz",
                                                     "--set", f"data_path = {tmp_path}",
                                                     "--multiplier", "float"])]
     assert cli.main(argv) == 5
@@ -476,6 +505,13 @@ def test_cli_exit_codes(tmp_path, capsys):
         bad.write_text(",".join(cli.CSV_COLUMNS) + "\n"
                        f"toy_mlp,dense,exact,1,1,0.5,{p_norm},{top1},false,0\n")
         assert cli.main(["pareto", "--csv", str(bad), "--out", str(tmp_path)]) == 4
+    # an .axm8 table whose power field is infinite
+    table = tmp_path / "inf.axm8"
+    save_lut(builtin_multiplier("exact"), table)
+    raw = bytearray(table.read_bytes())
+    raw[5 + NAME_BYTES : 13 + NAME_BYTES] = struct.pack("<d", float("inf"))
+    table.write_bytes(raw)
+    assert cli.main(["count", "--multiplier", str(table)]) == 4
     # mulinfo reads only --multiplier, so argparse refuses the config flags
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["mulinfo", "--set", "quantum = 9"])

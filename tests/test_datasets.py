@@ -7,13 +7,12 @@ from axmoe.datasets import (
     CIFAR_RECORD_BYTES,
     DATA_DIR_ENV,
     data_dir,
-    load_axt_pair,
     load_cifar100_bin,
     load_dataset,
+    load_npz_split,
     synthetic_blobs,
 )
 from axmoe.errors import ConfigError, FormatError, ParameterError
-from axmoe.tensor_io import save_tensor
 
 
 def test_synthetic_shapes_balance_and_range():
@@ -88,27 +87,33 @@ def test_cifar_bin_rejects_partial_records(tmp_path):
         load_cifar100_bin(p)
 
 
-def test_axt_pair_round_trip(tmp_path):
+def test_npz_split_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     x = rng.normal(size=(6, 3, 4, 4)).astype(np.float32)
     y = np.array([0, 1, 2, 0, 1, 2], dtype=np.int64)
-    save_tensor(x, tmp_path / "x.axt")
-    save_tensor(y.astype(np.float32), tmp_path / "y.axt")
-    gx, gy = load_axt_pair(tmp_path / "x.axt", tmp_path / "y.axt")
-    assert np.array_equal(gx, x)
-    assert np.array_equal(gy, y)
-    assert gy.dtype == np.int64
+    np.savez(tmp_path / "split.npz", x=x, y=y)
+    gx, gy = load_npz_split(tmp_path / "split.npz")
+    assert np.array_equal(gx, x) and gx.dtype == np.float32
+    assert np.array_equal(gy, y) and gy.dtype == np.int64
 
 
-def test_axt_pair_validation(tmp_path):
+@pytest.mark.parametrize("entries", [
+    {"y": np.zeros((6, 1), dtype=np.int64)},
+    {"y": np.zeros(5, dtype=np.int64)},
+    {"y": np.zeros(6, dtype=np.float32)},
+    {"y": np.array(["a"] * 6)},
+    {"x": np.array(["a"] * 6)},
+    {"x": np.float32(1.0), "y": np.zeros(1, dtype=np.int64)},
+    {"y": None},
+], ids=["labels_2d", "labels_short", "labels_float", "labels_str", "images_str",
+        "images_0d", "no_labels"])
+def test_npz_split_validation(tmp_path, entries):
     rng = np.random.default_rng(4)
-    save_tensor(rng.normal(size=(6, 2)).astype(np.float32), tmp_path / "x.axt")
-    save_tensor(np.zeros((6, 1), dtype=np.float32), tmp_path / "y2d.axt")
-    save_tensor(np.zeros(5, dtype=np.float32), tmp_path / "yshort.axt")
+    arrays = {"x": rng.normal(size=(6, 2)).astype(np.float32), "y": np.zeros(6, dtype=np.int64),
+              **entries}
+    np.savez(tmp_path / "split.npz", **{k: v for k, v in arrays.items() if v is not None})
     with pytest.raises(FormatError):
-        load_axt_pair(tmp_path / "x.axt", tmp_path / "y2d.axt")
-    with pytest.raises(FormatError):
-        load_axt_pair(tmp_path / "x.axt", tmp_path / "yshort.axt")
+        load_npz_split(tmp_path / "split.npz")
 
 
 def test_data_dir_resolution(monkeypatch, tmp_path):
@@ -135,14 +140,12 @@ def test_load_dataset_truncates_file_sources(tmp_path, monkeypatch):
     assert len(split.x_train) == 5 and len(split.x_test) == 3
 
 
-def test_load_dataset_axt_roundtrip(tmp_path):
+def test_load_dataset_npz_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
-    for stem, n in (("x_train", 10), ("x_test", 4)):
-        save_tensor(rng.normal(size=(n, 1, 4, 4)).astype(np.float32),
-                    tmp_path / f"{stem}.axt")
-        save_tensor(rng.integers(0, 3, size=n).astype(np.float32),
-                    tmp_path / f"{stem.replace('x_', 'y_')}.axt")
-    split = load_dataset("axt", tmp_path, samples=10, eval_samples=4, classes=3)
+    for split, n in (("train", 10), ("test", 4)):
+        np.savez(tmp_path / f"{split}.npz", x=rng.normal(size=(n, 1, 4, 4)).astype(np.float32),
+                 y=rng.integers(0, 3, size=n))
+    split = load_dataset("npz", tmp_path, samples=10, eval_samples=4, classes=3)
     assert split.x_train.shape == (10, 1, 4, 4)
     assert split.y_test.dtype == np.int64
 

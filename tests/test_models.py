@@ -1,6 +1,7 @@
 """Executable models: parameter traversal, pooling, and the package surface."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -153,6 +154,14 @@ def test_runtime_imports_only_numpy_and_the_standard_library():
             for name in names:
                 top = name.partition(".")[0]
                 assert top == "numpy" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def test_readme_layout_names_every_module():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Layout", 1)[1].split("```")[1]
+    listed = re.findall(r"^  (\w+\.py) ", block, flags=re.MULTILINE)
+    modules = {p.name for p in Path(axmoe.__file__).parent.glob("*.py")} - {"__init__.py"}
+    assert sorted(listed) == sorted(modules)
 
 
 def test_every_import_is_used():

@@ -88,8 +88,9 @@ def test_multiplier_validation():
     lut = _independent_exact_table()
     with pytest.raises(ParameterError):
         AxMultiplier(name="", power_nw=0.4, lut=lut)
-    with pytest.raises(ParameterError):
-        AxMultiplier(name="x", power_nw=0.0, lut=lut)
+    for power_nw in (0.0, np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            AxMultiplier(name="x", power_nw=power_nw, lut=lut)
     with pytest.raises(ParameterError):
         AxMultiplier(name="x", power_nw=0.4, lut=lut[:100])
     with pytest.raises(ParameterError):
