@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from .config import ExperimentConfig, config_hash, load_config, parse_config_tex
 from .cost import MacReport, SweepPoint, count_macs, normalized_power, pareto_frontier
 from .datasets import DATA_DIR_ENV, load_dataset
 from .errors import ConfigError, FormatError, NumericError, ParameterError
+from .files import replace_file
 from .graphs import ArchSpec, build_arch, substitute_moe
 from .models import build_model, load_model, save_model
 from .multipliers import (EXACT_POWER_NW, REFERENCE_MULTIPLIERS, AxMultiplier,
@@ -180,17 +182,25 @@ def cmd_mulinfo(args) -> int:
 # eval / sweep / retrain
 # ---------------------------------------------------------------------------
 
+def _multipliers(cfg: ExperimentConfig) -> list[tuple[str, AxMultiplier | None]]:
+    """Each configured multiplier name and its multiplier, resolved once
+    before any data or weights load, so a bad name or table fails first and
+    every variant runs the same table objects."""
+    return [(name, resolve_multiplier(name)) for name in cfg.multipliers]
+
+
 def cmd_eval(args) -> int:
     cfg = _config(args)
     if not cfg.checkpoint:
         raise ConfigError('eval needs a trained model: --set "checkpoint = <dir>"')
+    muls = _multipliers(cfg)
     model, meta = load_model(cfg.checkpoint)
     # the checkpoint fixes the architecture and the data shape; the config
     # only picks the draw
     cfg = replace(cfg, arch=meta["arch"], **meta["arch_kwargs"])
     data = _dataset(cfg)
-    for name in cfg.multipliers:
-        top1 = evaluate(model, data.x_test, data.y_test, resolve_multiplier(name))
+    for name, mul in muls:
+        top1 = evaluate(model, data.x_test, data.y_test, mul)
         print(f"{cfg.arch} {meta['variant']} {name}: top1 {top1:.4f}")
     return 0
 
@@ -203,6 +213,7 @@ def cmd_sweep(args) -> int:
     """sweep, and with `args.do_retrain` set, retrain."""
     cfg = _config(args)
     started = time.perf_counter()
+    muls = _multipliers(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     data = _dataset(cfg)
@@ -217,8 +228,7 @@ def cmd_sweep(args) -> int:
         fit(model, data, _train_cfg(cfg, cfg.pretrain_epochs, cfg.seed))
         save_model(model, out / f"ckpt_{variant}", _checkpoint_meta(cfg, variant))
         pretrained = {k: v.copy() for k, v in model.params().items()}
-        for name in cfg.multipliers:
-            mul = resolve_multiplier(name)
+        for name, mul in muls:
             model.load_params(pretrained)
             retrained = False
             if args.do_retrain and cfg.retrain_epochs > 0 and mul is not None:
@@ -232,18 +242,24 @@ def cmd_sweep(args) -> int:
             print(f"{cfg.arch} {variant} {name}: top1 {top1:.4f} p_norm {p_norm:.4f}"
                   f"{' (retrained)' if retrained else ''}")
     csv_path = out / "sweep.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)  # default dialect terminates lines with CRLF
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
+    replace_file(csv_path, _csv_bytes(CSV_COLUMNS, rows))
     record = {"version": __version__, "config_hash": config_hash(cfg), "config": asdict(cfg),
               "rows": [dict(zip(CSV_COLUMNS, row)) for row in rows],
               "reports": reports, "wall_clock_s": round(time.perf_counter() - started, 3)}
-    with open(out / "run.json", "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    replace_file(out / "run.json",
+                 (json.dumps(record, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     print(f"wrote {csv_path}")
     return 0
+
+
+def _csv_bytes(header, rows) -> bytes:
+    """`header` and `rows` as UTF-8 CSV in the default dialect, which ends
+    every line with CRLF."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +304,12 @@ def cmd_pareto(args) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     flagged = out / "pareto.csv"
-    with open(flagged, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS + ("pareto",))
-        writer.writerows(row + ["true" if point in front else "false"]
-                         for row, point in zip(rows, points))
+    replace_file(flagged, _csv_bytes(CSV_COLUMNS + ("pareto",),
+                                     (row + ["true" if point in front else "false"]
+                                      for row, point in zip(rows, points))))
     plot = out / "pareto.dat"
-    with open(plot, "w", encoding="utf-8") as fh:
-        fh.write("# p_norm top1\n")
-        for p in front:
-            fh.write(f"{p.p_norm:.6f} {p.top1:.6f}\n")
+    lines = ["# p_norm top1\n"] + [f"{p.p_norm:.6f} {p.top1:.6f}\n" for p in front]
+    replace_file(plot, "".join(lines).encode("utf-8"))
     for p in front:
         print(f"frontier: p_norm {p.p_norm:.4f} top1 {p.top1:.4f} ({p.label})")
     print(f"wrote {flagged} and {plot}")

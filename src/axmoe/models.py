@@ -11,6 +11,7 @@ expert receive identical gradients, which would pin them together forever.
 
 from __future__ import annotations
 
+import io
 import json
 import zipfile
 from pathlib import Path
@@ -19,6 +20,7 @@ import numpy as np
 
 from .engine import AvgPool2d, Conv2d, Flatten, Layer, Linear, Model, ReLU
 from .errors import FormatError, ParameterError
+from .files import replace_file
 from .graphs import APPROX, ClusterArch, MoEGroup, build_arch, substitute_moe
 from .moe import ClusterModel, MoELayer, Router
 
@@ -109,9 +111,9 @@ def save_model(model, directory, meta: dict) -> None:
     name, which always holds a ".", plus `meta` as one JSON string entry."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    # through a handle, because np.savez appends ".npz" to a bare path
-    with open(directory / CHECKPOINT_FILE, "wb") as fh:
-        np.savez(fh, meta=json.dumps(meta, sort_keys=True), **model.params())
+    buf = io.BytesIO()
+    np.savez(buf, meta=json.dumps(meta, sort_keys=True), **model.params())
+    replace_file(directory / CHECKPOINT_FILE, buf.getbuffer())
 
 
 def _read_npz(path) -> dict[str, np.ndarray]:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ParameterError
+from .files import replace_file
 
 INT8_MIN, INT8_MAX = -128, 127
 TABLE_SIZE = 256 * 256
@@ -181,13 +182,9 @@ def per_op_saving(design) -> float:
 
 
 def save_lut(m: AxMultiplier, path) -> None:
-    name = m.name.encode("utf-8").ljust(NAME_BYTES, b"\x00")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<B", VERSION))
-        fh.write(name)
-        fh.write(struct.pack("<d", m.power_nw))
-        fh.write(m.lut.astype("<i2").tobytes())
+    # the name field is zero-padded to NAME_BYTES
+    header = struct.pack(f"<B{NAME_BYTES}sd", VERSION, m.name.encode("utf-8"), m.power_nw)
+    replace_file(path, MAGIC + header + m.lut.astype("<i2").tobytes())
 
 
 def load_lut(path) -> AxMultiplier:

@@ -481,6 +481,25 @@ def test_non_finite_input_exits_5(tmp_path, capsys):
     assert "non-finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("multiplier,code", [("bogus_mul", 2), ("missing.axm8", 3),
+                                              ("bad.axm8", 4)],
+                         ids=["unknown", "missing_table", "malformed_table"])
+def test_a_bad_multiplier_fails_before_any_training_or_load(tmp_path, capsys, multiplier,
+                                                            code):
+    (tmp_path / "bad.axm8").write_bytes(b"AXM8 but not a table")
+    multiplier = str(tmp_path / multiplier) if multiplier.endswith(".axm8") else multiplier
+    out = tmp_path / "out"
+    for command in ("sweep", "retrain"):
+        assert cli.main([command, *_base_args(out), "--multiplier", "float",
+                         "--multiplier", multiplier]) == code
+        assert not out.exists()
+    # the checkpoint is missing too, which would exit 4; the multiplier fails first
+    assert cli.main(["eval", "--set", f"checkpoint = {tmp_path / 'none'}",
+                     "--multiplier", "float", "--multiplier", multiplier]) == code
+    err = capsys.readouterr().err
+    assert err.count("error:") == 3 and "Traceback" not in err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # unknown config key
     assert cli.main(["count", "--set", "quantum = 9"]) == 2

@@ -1,0 +1,120 @@
+"""The one output writer: outputs are replaced whole, never rewritten in
+place, and a failed write leaves no temporary file behind."""
+
+import errno
+import io
+import json
+import os
+
+import pytest
+
+from axmoe import cli, files
+from axmoe.files import replace_file
+from axmoe.multipliers import builtin_multiplier, save_lut
+from test_config_cli import _base_args
+
+
+class _FullDisk(io.FileIO):
+    """A file whose every write fails as on a full disk."""
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _fail_rename(src, dst):
+    raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+def test_a_symlinked_output_is_replaced_not_written_through(tmp_path):
+    target, path = tmp_path / "target.bin", tmp_path / "out.bin"
+    target.write_bytes(b"kept")
+    path.symlink_to(target)
+    replace_file(path, b"new")
+    assert not path.is_symlink() and path.read_bytes() == b"new"
+    assert target.read_bytes() == b"kept"
+
+
+def test_save_lut_twice_to_one_path_replaces_the_table(tmp_path):
+    path, link, fresh = tmp_path / "t.axm8", tmp_path / "link.axm8", tmp_path / "fresh.axm8"
+    save_lut(builtin_multiplier("trunc2"), path)
+    first = path.read_bytes()
+    os.link(path, link)
+    save_lut(builtin_multiplier("trunc4"), path)
+    save_lut(builtin_multiplier("trunc4"), fresh)
+    assert path.read_bytes() == fresh.read_bytes() != first
+    assert link.read_bytes() == first and not os.path.samefile(link, path)
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def _tree(root):
+    """Every file under `root` by its relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _comparable(tree):
+    """`tree` with run.json's echoed output directory and wall clock left out."""
+    record = json.loads(tree["run.json"])
+    del record["config"]["out"], record["wall_clock_s"]
+    return {**tree, "run.json": record}
+
+
+def _sweep_argv(command, out, seed):
+    return [command, *_base_args(out), "--variant", "dense", "--variant", "hard",
+            "--multiplier", "float", "--multiplier", "trunc2", "--seed", str(seed)]
+
+
+@pytest.mark.parametrize("command", ["sweep", "retrain"])
+def test_a_rerun_into_the_same_out_replaces_every_output(tmp_path, capsys, command):
+    out, links = tmp_path / "out", tmp_path / "links"
+    links.mkdir()
+
+    def run(dest, seed):
+        assert cli.main(_sweep_argv(command, dest, seed)) == 0
+        assert cli.main(["pareto", "--out", str(dest)]) == 0
+
+    run(out, 0)
+    first = _tree(out)
+    assert {"sweep.csv", "run.json", "pareto.csv", "pareto.dat",
+            "ckpt_dense/checkpoint.npz", "ckpt_hard/checkpoint.npz"} == first.keys()
+    for seed in (0, 1):
+        before = _tree(out)
+        for name in before:
+            os.link(out / name, links / f"{seed}_{name.replace('/', '_')}")
+        run(out, seed)
+        run(tmp_path / f"fresh{seed}", seed)
+        assert _comparable(_tree(out)) == _comparable(_tree(tmp_path / f"fresh{seed}"))
+        # the rerun put new files in place: every link still holds the old bytes
+        for name, blob in before.items():
+            link = links / f"{seed}_{name.replace('/', '_')}"
+            assert link.read_bytes() == blob, name
+            assert not os.path.samefile(link, out / name), name
+        assert not list(out.rglob("*.tmp"))
+    # seed 1 wrote other bytes, so the links above tell a rewrite from a replacement
+    assert all(_tree(out)[name] != first[name] for name in first if name != "pareto.dat")
+
+
+def test_sweep_exits_3_when_a_write_fails_and_keeps_the_previous_outputs(tmp_path, capsys,
+                                                                         monkeypatch):
+    out = tmp_path / "out"
+    assert cli.main(_sweep_argv("sweep", out, 0)) == 0
+    before = _tree(out)
+    with monkeypatch.context() as patch:
+        patch.setattr(files, "open", _FullDisk, raising=False)
+        assert cli.main(_sweep_argv("sweep", out, 1)) == 3
+    assert _tree(out) == before
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "rename", _fail_rename)
+        assert cli.main(_sweep_argv("sweep", out, 1)) == 3
+    assert not list(out.rglob("*.tmp"))
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "Traceback" not in err
+
+
+def test_pareto_exits_3_when_an_output_is_a_directory(tmp_path, capsys):
+    assert cli.main(_sweep_argv("sweep", tmp_path, 0)) == 0
+    (tmp_path / "pareto.dat").mkdir()
+    assert cli.main(["pareto", "--out", str(tmp_path)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / "pareto.dat").is_dir() and not any((tmp_path / "pareto.dat").iterdir())
+    assert not list(tmp_path.rglob("*.tmp"))

@@ -203,3 +203,59 @@ def test_every_import_is_used():
                                 if n.startswith("_") and not n.startswith("__")})
     assert private
     assert not private.keys() - read, sorted((private[n], n) for n in private.keys() - read)
+
+
+WRITER = "files.py"  # the one module that writes files
+
+
+def _callee(call) -> str:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def _file_writes(tree) -> list[int]:
+    """Lines of `tree` that write a file by path: `open` with a w, x, a or +
+    mode (or a mode that is not a string literal), `write_text`,
+    `write_bytes`, and `np.save*` on anything but a name bound to an
+    in-memory buffer."""
+    buffers = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Call)
+               and _callee(node.value) in ("BytesIO", "StringIO")
+               for t in node.targets if isinstance(t, ast.Name)}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _callee(node)
+        if name == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            writes = mode is not None and not (isinstance(mode, ast.Constant)
+                                               and not set(str(mode.value)) & set("wxa+"))
+        elif name in ("write_text", "write_bytes"):
+            writes = True
+        elif name.startswith("save") and isinstance(node.func, ast.Attribute):
+            owner, target = node.func.value, node.args[0] if node.args else None
+            writes = (isinstance(owner, ast.Name) and owner.id in ("np", "numpy")
+                      and not (isinstance(target, ast.Name) and target.id in buffers))
+        else:
+            writes = False
+        if writes:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_writer_writes_files():
+    """Every output goes through `files.replace_file`: no other module of the
+    package opens, saves or writes a file by path."""
+    package = sorted(Path(axmoe.__file__).parent.glob("*.py"))
+    assert WRITER in {p.name for p in package}
+    for path in package:
+        lines = _file_writes(ast.parse(path.read_text(encoding="utf-8")))
+        assert bool(lines) == (path.name == WRITER), (path.name, lines)
+    for snippet in ('open(p, "w")', 'open(p, mode="ab")', 'open(p, "r+b")', "open(p, m)",
+                    'p.write_text("x")', 'p.write_bytes(b"")', "np.savez(p, a=a)",
+                    "buf = io.BytesIO()\nnp.save(p, buf)", "os.open(p, os.O_WRONLY)"):
+        assert _file_writes(ast.parse(snippet)) == [snippet.count("\n") + 1], snippet
+    assert not _file_writes(ast.parse('buf = io.BytesIO()\nnp.savez(buf, a=a)\n'
+                                      'open(p)\nopen(p, "rb")\nnp.load(p)'))
