@@ -9,15 +9,19 @@ Layers run in one of two arithmetic modes:
   scale_x * scale_w. Bias is added in float afterwards.
 
 `lut_matmul` is the one LUT entry point, with three kernels that agree bit
-for bit. A rank-1 table, lut[a, b] * p == f(a) * g(b) in integers (exact,
-every truncN, DRUM), runs as one float64 GEMM of its factors, exact because
-every partial sum is an integer below 2^53. Any other table runs through a
-code table when the call has N >= 2 * 256 rows: the products of all 256
-activation codes with each weight code, built once per call, from which
-each row gathers and sums K table rows. Shorter calls look every operand
-pair up directly in the table. The rule rests on N alone because the code
-table costs 256 * K * M products to build and the direct gather N * K * M
-lookups.
+for bit. A rank-1 table, lut[a, b] == q * f(a) * g(b) with reduced integer
+factors (exact, every truncN, DRUM), runs as one GEMM of its factors. Any
+other table runs through a code table when the call has N >= 2 * 256 rows:
+the products of all 256 activation codes with each weight code, built once
+per call, from which each row gathers and sums K table rows. Shorter calls
+look every operand pair up directly in the table. The rule rests on N alone
+because the code table costs 256 * K * M products to build and the direct
+gather N * K * M lookups.
+
+Every kernel sums integers in floating point, which is exact in any order
+while every partial sum is an integer the type holds: float32 when K times
+the largest product magnitude stays below 2^24, float64 (2^53) otherwise.
+The bound comes from the table and K alone.
 
 The LUT path never skips operand pairs: padded zeros and zero weights are
 looked up like any other pair, because an approximate table may map
@@ -45,16 +49,19 @@ INT32_MAX = 2**31 - 1
 
 QMAX = 127  # symmetric range [-127, 127]; code -128 is never produced
 
-# Entries per LUT kernel chunk: table indices (1 MiB of intp), code-table
-# products and gathered products alike. Small chunks keep the kernels'
-# transient arrays from setting the process's peak memory, whose size would
-# otherwise follow each call's shape.
-_GATHER_BUDGET = 1 << 17
+# Entries per LUT kernel chunk: table indices and gathered products in the
+# gather, table products and gathered rows in the code table. Small chunks
+# keep the kernels' transient arrays from setting the process's peak memory,
+# whose size would otherwise follow each call's shape. A gather chunk of 2^15
+# (256 KiB of indices) also stays small enough that glibc keeps its pages
+# between calls: at 2^17, a fresh process took ~450 minor page faults per
+# (8, 784) x (32, 784) call.
+_GATHER_BUDGET = 1 << 15
+_CODE_TABLE_BUDGET = 1 << 16
 
 # Rows from which a call builds a code table: twice the 256 codes, so the
 # table's 256 * K * M products are at most half the direct gather's lookups.
 _CODE_TABLE_ROWS = 2 * 256
-_CODES = np.arange(-128, 128)  # every int8 code, in table order
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +85,9 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
 def quantize(t: np.ndarray) -> tuple[np.ndarray, QuantParams]:
     """Symmetric per-tensor int8: scale = max|t| / 127, 1.0 for all-zero input."""
     t = np.asarray(t)
-    if t.size and not np.all(np.isfinite(t)):
-        raise NumericError("quantize: input contains non-finite values")
     amax = float(np.max(np.abs(t))) if t.size else 0.0
+    if not np.isfinite(amax):  # a NaN or an infinity carries through abs and max
+        raise NumericError("quantize: input contains non-finite values")
     scale = amax / QMAX if amax > 0 else 1.0
     codes = np.clip(_round_half_away(t / scale), -QMAX, QMAX).astype(np.int8)
     return codes, QuantParams(scale)
@@ -106,89 +113,109 @@ def lut_matmul(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
 
     One of three kernels runs, each equal to the table gather bit for bit:
 
-    * a rank-1 table (`m.rank1`: exact, every truncN, DRUM) runs as one
-      float64 GEMM of its factors, (f[a] @ g[b].T) / p, exact because every
-      partial sum is an integer below 2^53 (`_rank1_gemm`);
-    * any other table, or a K too long for that bound, runs through the
-      code table when N >= 2 * 256 (`_lut_code_table`);
+    * a rank-1 table (`m.rank1`: exact, every truncN, DRUM) runs as one GEMM
+      of its reduced factors, q * (f[a] @ g[b].T) (`_rank1_gemm`);
+    * any other table runs through the code table when N >= 2 * 256
+      (`_lut_code_table`);
     * and otherwise through one lookup per operand pair (`_lut_gather`).
 
     The code table costs 256 * K * M products to build whatever N is, and
     the direct gather N * K * M lookups, so the table pays once a call has
     at least twice as many rows as there are codes.
 
+    Every kernel sums integers, in float32 when no partial sum can reach
+    2^24 and in float64 otherwise (`_accumulator`), so every partial sum is
+    exact whatever the order of the additions.
+
     Fails loudly if any sum leaves the int32 range, mirroring a 32-bit
-    hardware accumulator with overflow detection.
+    hardware accumulator with overflow detection. Only a call whose K
+    products could reach that range is scanned.
     """
     a = _check_codes(a, "lut_matmul lhs")
     b = _check_codes(b, "lut_matmul rhs")
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ParameterError(f"lut_matmul: incompatible shapes {a.shape} x {b.shape}")
-    factors = m.rank1
-    if factors is not None and _exact_in_float(a.shape[1], *factors[:2]):
-        out = _rank1_gemm(a, b, *factors)
+    if m.rank1 is not None:
+        out = _rank1_gemm(a, b, m)
     elif a.shape[0] >= _CODE_TABLE_ROWS:
         out = _lut_code_table(a, b, m)
     else:
         out = _lut_gather(a, b, m)
-    if out.size and (out.min() < INT32_MIN or out.max() > INT32_MAX):
-        raise NumericError("lut_matmul: 32-bit accumulator overflow")
+    # no sum of K products leaves int32 unless K * max|L| does
+    if a.shape[1] * m.max_abs > INT32_MAX and out.size:
+        if out.min() < INT32_MIN or out.max() > INT32_MAX:
+            raise NumericError("lut_matmul: 32-bit accumulator overflow")
     return out.astype(np.int32)
 
 
-def _exact_in_float(k: int, f: np.ndarray, g: np.ndarray) -> bool:
-    """Every partial sum of K products f * g is an integer float64 holds."""
-    return k * np.abs(f).max() * np.abs(g).max() < 2.0**53
+def _accumulator(k: int, bound: int) -> type:
+    """The float type that sums K integers of magnitude at most `bound`
+    exactly in any order: float32 when every partial sum stays below 2^24,
+    float64 (exact to 2^53, which no K that fits in memory reaches) else."""
+    return np.float32 if k * bound < 2**24 else np.float64
 
 
-def _rank1_gemm(a: np.ndarray, b: np.ndarray, f: np.ndarray, g: np.ndarray,
-                p: int) -> np.ndarray:
-    """(N, M) float64 sums of f[a] * g[b] / p: the table's products as one GEMM."""
-    return (f[a.view(np.uint8)] @ g[b.view(np.uint8)].T) / p
+def _rank1_gemm(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
+    """(N, M) float64 sums q * (f[a] @ g[b].T) of a rank-1 table's products:
+    one GEMM of the reduced factors, whose products are bounded by
+    max|L| / |q|, then a float64 scaling by q."""
+    f, g, q = m.rank1
+    acc = _accumulator(a.shape[1], m.max_abs // abs(q))
+    fa = np.take(f.astype(acc, copy=False), a.view(np.uint8))
+    gb = np.take(g.astype(acc, copy=False), b.view(np.uint8))
+    return np.multiply(fa @ gb.T, q, dtype=np.float64)
 
 
 def _lut_gather(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
-    """(N, M) int64 sums of m.lut over every operand pair: the kernel for any
-    table, one lookup per pair."""
+    """(N, M) float sums of m.lut over every operand pair: the kernel for any
+    table, one lookup per pair in the float32 table, summed over K as a GEMV
+    against ones."""
     n, k = a.shape
     mrows = b.shape[0]
-    out = np.empty((n, mrows), dtype=np.int64)
+    acc = _accumulator(k, m.max_abs)
+    ones = np.ones(k, dtype=acc)
+    out = np.empty((n, mrows), dtype=acc)
+    # a pair's index is its row's, lut_index(a, -128), plus its column's
+    cols = lut_index(-128, b)
     chunk = max(1, _GATHER_BUDGET // max(1, mrows * k))
     for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        idx = lut_index(a[start:stop, None, :], b[None])
-        out[start:stop] = np.take(m.lut, idx).sum(axis=2, dtype=np.int64)
+        rows = lut_index(a[start : start + chunk, None, :], -128)
+        out[start : start + chunk] = np.take(m.lut_f32, rows + cols) @ ones
     return out
 
 
 def _lut_code_table(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
-    """(N, M) int64 sums of m.lut over every operand pair, through a table of
+    """(N, M) float sums of m.lut over every operand pair, through a table of
     the products of every activation code with each weight code.
 
-    For a block of weight positions k, table row k * 256 + c + 128 holds the
-    products of code c with every weight row's k-th code, made through
-    `lut_index`. Each output row then gathers one contiguous table row per
-    position, the one of its code a[n, k], and sums them over K in int64.
-    Blocks of positions (and of output columns past 512) keep the table
-    inside the gather budget, and blocks of output rows keep the gathered
-    rows there too."""
+    For a block of S weight positions, table row (c + 128) * S + k holds the
+    products of code c with every weight row's k-th code: the table columns
+    of those codes, taken from the 256 x 256 table. Each output row then
+    gathers one contiguous table row per position, the one of its code
+    a[n, k], and sums them over K. Blocks of positions (and of output
+    columns past 512) keep the table inside the code-table budget, and
+    blocks of output rows keep the gathered rows there too."""
     n, k = a.shape
     mrows = b.shape[0]
-    out = np.zeros((n, mrows), dtype=np.int64)
-    cols = max(1, _GATHER_BUDGET // 256)
+    acc = _accumulator(k, m.max_abs)
+    by_code = m.lut_f32.reshape(256, 256)
+    out = np.zeros((n, mrows), dtype=acc)
+    cols = max(1, _CODE_TABLE_BUDGET // 256)
     for c0 in range(0, mrows, cols):
-        bt = np.ascontiguousarray(b[c0 : c0 + cols].T)  # (K, cols), so the table is C-ordered
-        step = max(1, _GATHER_BUDGET // (256 * bt.shape[1]))
+        bt = b[c0 : c0 + cols].T.astype(np.intp) + 128  # (K, cols) table columns
+        step = max(1, _CODE_TABLE_BUDGET // (256 * bt.shape[1]))
         for k0 in range(0, k, step):
             bk = bt[k0 : k0 + step]
-            table = np.take(m.lut, lut_index(_CODES[:, None], bk[:, None, :]))
-            table = table.reshape(-1, bk.shape[1])
-            row_of_code = (np.arange(len(bk), dtype=np.intp) * 256 + 128)[:, None]
-            chunk = max(1, _GATHER_BUDGET // bk.size)
+            s = np.intp(len(bk))
+            table = np.take(by_code, bk, axis=1).reshape(-1, bk.shape[1])
+            row_of_code = (128 * s + np.arange(s, dtype=np.intp))[:, None]
+            chunk = max(1, _CODE_TABLE_BUDGET // bk.size)
             for start in range(0, n, chunk):
-                rows = a[start : start + chunk, k0 : k0 + step].T + row_of_code  # intp
+                # widened before the multiply: int8 codes times s wrap in int8
+                rows = np.multiply(a[start : start + chunk, k0 : k0 + step].T, s, dtype=np.intp)
+                rows += row_of_code
                 out[start : start + chunk, c0 : c0 + cols] += np.take(table, rows, axis=0).sum(
-                    axis=0, dtype=np.int64)
+                    axis=0, dtype=acc)
     return out
 
 
@@ -383,7 +410,9 @@ class _Affine(Layer):
             if ctx.train:
                 self._cache = (x, w2d)
         y = (y + self.b).reshape(*lead, self.w.shape[0])
-        return np.moveaxis(y, -1, self._out_axis).astype(x.dtype, copy=False)
+        if self._out_axis != -1:  # moveaxis normalises its axes even with nothing to move
+            y = np.moveaxis(y, -1, self._out_axis)
+        return y.astype(x.dtype, copy=False)
 
     def backward(self, dy):
         x_eff, w_eff = self._cache

@@ -99,33 +99,56 @@ class AxMultiplier:
             raise ParameterError("lut must be a (65536,) int16 array")
         self.lut.setflags(write=False)
 
+    # Values derived from the table for the LUT kernels. Each is computed on
+    # first use and kept on this object, so a table never runs on another
+    # table's values, and construction stays cheap for callers that never
+    # multiply.
+
+    @functools.cached_property
+    def max_abs(self) -> int:
+        """The largest product magnitude, max |lut|."""
+        return int(np.abs(self.lut.astype(np.int32)).max())
+
+    @functools.cached_property
+    def lut_f32(self) -> np.ndarray:
+        """The table as float32, which holds every int16 product exactly."""
+        return _frozen(self.lut.astype(np.float32))
+
     @functools.cached_property
     def rank1(self) -> tuple[np.ndarray, np.ndarray, int] | None:
-        """Integer factors (f, g, p) with lut[a, b] * p == f[a] * g[b] for
-        every operand pair, or None when the table is not rank 1 (an all-zero
-        table included).
+        """Reduced integer factors (f, g, q) with lut[a, b] == q * f[a] * g[b]
+        for every operand pair, or None when the table is not rank 1 (an
+        all-zero table included).
 
-        f is the table column and g the table row through the largest-magnitude
-        entry p, tested exactly in int64. Both are float64 and indexed by the
-        operand's int8 bit pattern read as uint8, `codes.view(np.uint8)`.
-        Computed on first use and kept on this object, so a table never runs
-        on another table's factors; construction stays cheap for callers that
-        never multiply."""
+        The column and row through the largest-magnitude entry p give
+        lut * p == col * row, tested exactly in int64. f and g are col and
+        row divided by their gcds, so gcd(f) == gcd(g) == 1, and
+        q = gcd(col) * gcd(row) / p. q is an integer: the entries of f * g
+        have gcd 1, and every entry of q * f * g is an integer. For the exact
+        table f(a) = -a, g(b) = -b and q = 1.
+
+        f and g are float32, which holds them exactly (|f|, |g| <= 2^15),
+        and indexed by the operand's int8 bit pattern read as uint8,
+        `codes.view(np.uint8)`."""
         table = self.lut.astype(np.int64).reshape(256, 256)
         a0, b0 = np.unravel_index(np.argmax(np.abs(table)), table.shape)
         p = int(table[a0, b0])
-        f, g = table[:, b0], table[a0, :]
-        if p == 0 or not np.array_equal(table * p, np.multiply.outer(f, g)):
+        col, row = table[:, b0], table[a0, :]
+        if p == 0 or not np.array_equal(table * p, np.multiply.outer(col, row)):
             return None
-        return _by_byte(f), _by_byte(g), p
+        gcol, grow = int(np.gcd.reduce(col)), int(np.gcd.reduce(row))
+        return _by_byte(col // gcol), _by_byte(row // grow), gcol * grow // p
+
+
+def _frozen(v: np.ndarray) -> np.ndarray:
+    v.setflags(write=False)
+    return v
 
 
 def _by_byte(v: np.ndarray) -> np.ndarray:
     """Reorder a per-operand vector indexed a + 128 so the uint8 view of the
-    int8 code a indexes it, as float64."""
-    out = np.roll(v, 128).astype(np.float64)
-    out.setflags(write=False)
-    return out
+    int8 code a indexes it, as float32."""
+    return _frozen(np.roll(v, 128).astype(np.float32))
 
 
 def _operand_grids():

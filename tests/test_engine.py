@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axmoe import engine
-from axmoe.engine import (AvgPool2d, Conv2d, Linear, Model, QuantParams, ReLU, RunContext,
-                          _lut_code_table, _lut_gather, _rank1_gemm, col2im, dequantize, im2col,
-                          lut_matmul, quantize, softmax_cross_entropy, stable_softmax)
+from axmoe.engine import (INT32_MAX, AvgPool2d, Conv2d, Linear, Model, QuantParams, ReLU,
+                          RunContext, _accumulator, _lut_code_table, _lut_gather, _rank1_gemm,
+                          col2im, dequantize, im2col, lut_matmul, quantize, softmax_cross_entropy,
+                          stable_softmax)
 from axmoe.errors import NumericError, ParameterError
 from axmoe.multipliers import (AxMultiplier, build_exact_multiplier,
                                build_truncation_multiplier, builtin_multiplier, lut_index)
@@ -53,8 +54,13 @@ def test_quantize_ties_round_away_from_zero():
 
 
 def test_quantize_rejects_non_finite():
-    with pytest.raises(NumericError):
-        quantize(np.array([1.0, np.nan]))
+    for dtype in (np.float32, np.float64):
+        for value in (np.nan, np.inf, -np.inf):
+            for at in (0, 3, -1):  # first, middle and last
+                t = np.linspace(-2.0, 3.0, 7).astype(dtype)
+                t[at] = value
+                with pytest.raises(NumericError):
+                    quantize(t)
 
 
 def test_dequantize_round_trip_error_is_at_most_half_step():
@@ -99,20 +105,36 @@ def test_lut_matmul_shape_and_dtype_errors():
         lut_matmul(wide, a, EXACT)
 
 
+def _bent(m: AxMultiplier) -> AxMultiplier:
+    """`m` with one changed entry, (0, 1), which the tests' operands never
+    use: the same sums, but through a rank-2 table."""
+    lut = m.lut.copy()
+    lut[lut_index(0, 1)] = 0 if lut[lut_index(0, 1)] else 1
+    return AxMultiplier(f"bent_{m.name}", 1.0, lut)
+
+
 def test_lut_matmul_overflow_detection():
     k = 140_000  # 140000 * 127 * 127 > 2^31 - 1
     a = np.full((1, k), 127, dtype=np.int8)
     with pytest.raises(NumericError):
         lut_matmul(a, a, EXACT)
-    # The same sums through the gather: one changed entry leaves 127 * 127
-    # in place but makes the table rank 2.
-    lut = EXACT.lut.copy()
-    lut[lut_index(0, 1)] = 1
-    bent = AxMultiplier("bent", 1.0, lut)
+    bent = _bent(EXACT)
     assert EXACT.rank1 is not None and bent.rank1 is None
     for m in (EXACT, bent):
         with pytest.raises(NumericError):
             lut_matmul(a, -a, m)
+    # Every product of a constant table is max|L|, so each sum is K * max|L|:
+    # the last K that fits int32 must give exact sums, one more must raise.
+    flat = AxMultiplier("flat", 1.0, np.full(256 * 256, 32767, dtype=np.int16))
+    k = INT32_MAX // flat.max_abs
+    assert flat.rank1 is not None and _bent(flat).rank1 is None
+    for m, n in ((flat, 1), (_bent(flat), 1), (_bent(flat), 512)):  # GEMM, gather, code table
+        b = np.full((2, k + 1), 5, dtype=np.int8)
+        a = np.full((n, k + 1), 5, dtype=np.int8)
+        got = lut_matmul(a[:, :k], b[:, :k], m)
+        assert got.dtype == np.int32 and (got == k * flat.max_abs).all(), m.name
+        with pytest.raises(NumericError):
+            lut_matmul(a, b, m)
 
 
 # Tables built here rather than by the package: one more rank-1 design that
@@ -178,12 +200,20 @@ def _oracle_gather(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
 
 
 def test_factored_tables_reproduce_their_products():
+    by_byte = np.arange(-128, 128).astype(np.int8).view(np.uint8)
     for name, m in RANK1_TABLES.items():
-        f, g, p = m.rank1
-        assert p != 0, name
+        f, g, q = m.rank1
+        assert isinstance(q, int) and q != 0, name
+        fi, gi = f.astype(np.int64), g.astype(np.int64)
+        assert np.array_equal(fi, f) and np.array_equal(gi, g), name  # integers
+        assert np.gcd.reduce(fi) == 1 and np.gcd.reduce(gi) == 1, name
         table = m.lut.reshape(256, 256).astype(np.int64)
-        by_byte = np.arange(-128, 128).astype(np.int8).view(np.uint8)
-        assert np.array_equal(np.multiply.outer(f[by_byte], g[by_byte]), table * p), name
+        assert np.array_equal(q * np.multiply.outer(fi[by_byte], gi[by_byte]), table), name
+        assert m.max_abs == abs(q) * np.abs(fi).max() * np.abs(gi).max(), name
+    codes = np.arange(-128, 128)
+    f, g, q = EXACT.rank1
+    assert abs(q) == 1 and np.array_equal(np.abs(f[by_byte]), np.abs(codes))
+    assert np.array_equal(np.abs(g[by_byte]), np.abs(codes))
     for name, m in GATHER_TABLES.items():
         assert m.rank1 is None, name
 
@@ -201,11 +231,19 @@ def _operands(draw):
 
 
 def _full_range(n, k, mrows):
-    """Seeded codes over the whole int8 range: long sums that float32 would
-    round."""
+    """Seeded codes over the whole int8 range."""
     rng = np.random.default_rng(0)
     return (rng.integers(-128, 128, size=(n, k)).astype(np.int8),
             rng.integers(-128, 128, size=(mrows, k)).astype(np.int8))
+
+
+def _near_the_bound(n, k, mrows):
+    """Seeded codes in {-128, -127}: every product is near max|L| and of one
+    sign, so the sums approach K * max|L| and, past 2^24, hold odd parts
+    that float32 would round."""
+    rng = np.random.default_rng(1)
+    codes = np.array([-128, -127], dtype=np.int8)
+    return rng.choice(codes, size=(n, k)), rng.choice(codes, size=(mrows, k))
 
 
 KERNELS = {"gemm": _rank1_gemm, "code_table": _lut_code_table, "gather": _lut_gather}
@@ -215,6 +253,17 @@ def _expected_kernel(name, n):
     if name in RANK1_TABLES:
         return "gemm"
     return "code_table" if n >= 512 else "gather"
+
+
+def _expected_accumulator(m, k):
+    """float32 exactly when K times the largest product a kernel sums stays
+    below 2^24: max|f| * max|g| for a factored table, max|L| otherwise."""
+    if m.rank1 is not None:
+        f, g, _ = m.rank1
+        bound = int(np.abs(f).max()) * int(np.abs(g).max())
+    else:
+        bound = int(np.abs(m.lut.astype(np.int64)).max())
+    return np.float32 if k * bound < 2**24 else np.float64
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -231,15 +280,35 @@ def _expected_kernel(name, n):
 @example(name="full_rank", operands=_full_range(512, 60, 12))  # 256 * K * M > budget
 @example(name="trunc5", operands=_full_range(530, 60, 12))
 @example(name="full_rank", operands=_full_range(512, 3, 600))  # more columns than one block
+# Both sides of the float32 bound, K * max|f| * max|g| < 2^24 for the GEMM and
+# K * max|L| < 2^24 for the gather and the code table (K < 1024 for these
+# tables), and K = 2048, where float32 sums would round.
+@example(name="exact", operands=_near_the_bound(8, 1023, 3))
+@example(name="exact", operands=_near_the_bound(8, 1024, 3))
+@example(name="exact", operands=_near_the_bound(8, 2048, 3))
+@example(name="full_rank", operands=_near_the_bound(8, 1023, 3))
+@example(name="full_rank", operands=_near_the_bound(8, 1024, 3))
+@example(name="full_rank", operands=_near_the_bound(8, 2048, 3))
+@example(name="mitchell", operands=_near_the_bound(512, 1023, 2))
+@example(name="mitchell", operands=_near_the_bound(512, 1024, 2))
+@example(name="mitchell", operands=_near_the_bound(512, 2048, 2))
 def test_lut_matmul_equals_the_gather_bit_for_bit(name, operands):
     a, b = operands
     m = TABLES[name]
+    picked = []
+
+    def accumulator(k, bound):
+        picked.append(_accumulator(k, bound))
+        return picked[-1]
+
     with mock.patch.multiple(engine, **{f.__name__: mock.DEFAULT for f in KERNELS.values()}) as ran:
         for f in KERNELS.values():
             ran[f.__name__].side_effect = f
-        got = lut_matmul(a, b, m)
+        with mock.patch.object(engine, "_accumulator", accumulator):
+            got = lut_matmul(a, b, m)
     took = {kernel for kernel, f in KERNELS.items() if ran[f.__name__].called}
     assert took == {_expected_kernel(name, a.shape[0])}
+    assert picked == [_expected_accumulator(m, a.shape[1])]
     assert got.dtype == np.int32 and got.shape == (a.shape[0], b.shape[0])
     assert np.array_equal(got, _oracle_gather(a, b, m))
 

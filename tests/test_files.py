@@ -34,6 +34,42 @@ def test_a_symlinked_output_is_replaced_not_written_through(tmp_path):
     assert target.read_bytes() == b"kept"
 
 
+@pytest.mark.parametrize("had_output", [True, False])
+def test_a_failed_rename_in_keeps_the_old_file(tmp_path, monkeypatch, had_output):
+    path = tmp_path / "out.bin"
+    if had_output:
+        path.write_bytes(b"old")
+    rename = os.rename
+
+    def fail_the_rename_in(src, dst):
+        if str(src).endswith(".tmp"):
+            _fail_rename(src, dst)
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", fail_the_rename_in)
+    with pytest.raises(OSError):
+        replace_file(path, b"new")
+    assert [p.name for p in tmp_path.iterdir()] == (["out.bin"] if had_output else [])
+    if had_output:
+        assert path.read_bytes() == b"old"
+
+
+def test_a_failed_removal_of_the_old_file_still_counts_as_written(tmp_path, monkeypatch):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+    unlink = type(path).unlink
+
+    def fail_on_the_aside(self, *args, **kwargs):
+        if self.name.endswith(".old"):
+            _fail_rename(self, None)
+        unlink(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(path), "unlink", fail_on_the_aside)
+    replace_file(path, b"new")
+    assert path.read_bytes() == b"new"
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")) == []
+
+
 def test_save_lut_twice_to_one_path_replaces_the_table(tmp_path):
     path, link, fresh = tmp_path / "t.axm8", tmp_path / "link.axm8", tmp_path / "fresh.axm8"
     save_lut(builtin_multiplier("trunc2"), path)
