@@ -10,7 +10,7 @@ Layers run in one of two arithmetic modes:
 
 `lut_matmul` is the one LUT entry point, with three kernels that agree bit
 for bit. A rank-1 table, lut[a, b] == q * f(a) * g(b) with reduced integer
-factors (exact, every truncN, DRUM), runs as one GEMM of its factors. Any
+factors (exact, every truncN, DRUM), runs as GEMMs of its factors. Any
 other table runs through a code table when the call has N >= 2 * 256 rows:
 the products of all 256 activation codes with each weight code, built once
 per call, from which each row gathers and sums K table rows. Shorter calls
@@ -21,7 +21,9 @@ gather N * K * M lookups.
 Every kernel sums integers in floating point, which is exact in any order
 while every partial sum is an integer the type holds: float32 when K times
 the largest product magnitude stays below 2^24, float64 (2^53) otherwise.
-The bound comes from the table and K alone.
+The bound comes from the table and K alone. So each kernel can work in
+bounded blocks of rows (and of columns) and write every block straight into
+the one int32 result: splitting the sums cannot change a bit.
 
 The LUT path never skips operand pairs: padded zeros and zero weights are
 looked up like any other pair, because an approximate table may map
@@ -49,15 +51,19 @@ INT32_MAX = 2**31 - 1
 
 QMAX = 127  # symmetric range [-127, 127]; code -128 is never produced
 
-# Entries per LUT kernel chunk: table indices and gathered products in the
-# gather, table products and gathered rows in the code table. Small chunks
-# keep the kernels' transient arrays from setting the process's peak memory,
-# whose size would otherwise follow each call's shape. A gather chunk of 2^15
-# (256 KiB of indices) also stays small enough that glibc keeps its pages
-# between calls: at 2^17, a fresh process took ~450 minor page faults per
-# (8, 784) x (32, 784) call.
+# Entries per LUT kernel chunk: codes and their sums in a rank-1 block, table
+# indices and gathered products in the gather, table products and gathered
+# rows in the code table. Small chunks keep the kernels' transient arrays
+# from setting the process's peak memory, whose size would otherwise follow
+# each call's shape. A gather chunk of 2^15 (256 KiB of indices) also stays
+# small enough that glibc keeps its pages between calls: at 2^17, a fresh
+# process took ~450 minor page faults per (8, 784) x (32, 784) call.
 _GATHER_BUDGET = 1 << 15
 _CODE_TABLE_BUDGET = 1 << 16
+
+# Every index a kernel looks up is in range by construction, so each
+# np.take runs with mode="wrap": the same values, and numpy's cheapest
+# index check (~20% faster than the default "raise").
 
 # Rows from which a call builds a code table: twice the 256 codes, so the
 # table's 256 * K * M products are at most half the direct gather's lookups.
@@ -89,12 +95,21 @@ def quantize(t: np.ndarray) -> tuple[np.ndarray, QuantParams]:
     if not np.isfinite(amax):  # a NaN or an infinity carries through abs and max
         raise NumericError("quantize: input contains non-finite values")
     scale = amax / QMAX if amax > 0 else 1.0
-    codes = np.clip(_round_half_away(t / scale), -QMAX, QMAX).astype(np.int8)
+    if scale == 0:
+        raise NumericError(f"quantize: max|t| = {amax!r} has no float64 scale max|t| / {QMAX}")
+    if scale < np.finfo(np.result_type(t, scale)).tiny:
+        # t / scale would round the scale to a subnormal of t's type and lose
+        # its digits; lifting by a power of two moves every value exactly
+        lift = -np.frexp(amax)[1]
+        x = np.ldexp(t.astype(np.float64), lift) / (np.ldexp(amax, lift) / QMAX)
+    else:
+        x = t / scale
+    codes = np.clip(_round_half_away(x), -QMAX, QMAX).astype(np.int8)
     return codes, QuantParams(scale)
 
 
 def dequantize(codes: np.ndarray, qp: QuantParams) -> np.ndarray:
-    return codes.astype(np.float64) * qp.scale
+    return np.multiply(codes, qp.scale, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +128,8 @@ def lut_matmul(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
 
     One of three kernels runs, each equal to the table gather bit for bit:
 
-    * a rank-1 table (`m.rank1`: exact, every truncN, DRUM) runs as one GEMM
-      of its reduced factors, q * (f[a] @ g[b].T) (`_rank1_gemm`);
+    * a rank-1 table (`m.rank1`: exact, every truncN, DRUM) runs as GEMMs of
+      its reduced factors, q * (f[a] @ g[b].T) (`_rank1_gemm`);
     * any other table runs through the code table when N >= 2 * 256
       (`_lut_code_table`);
     * and otherwise through one lookup per operand pair (`_lut_gather`).
@@ -125,27 +140,23 @@ def lut_matmul(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
 
     Every kernel sums integers, in float32 when no partial sum can reach
     2^24 and in float64 otherwise (`_accumulator`), so every partial sum is
-    exact whatever the order of the additions.
+    exact whatever the order of the additions. Each works in blocks of
+    rows (and of columns) and writes every block into the one int32 array
+    it returns.
 
     Fails loudly if any sum leaves the int32 range, mirroring a 32-bit
     hardware accumulator with overflow detection. Only a call whose K
-    products could reach that range is scanned.
+    products could reach that range is scanned, block by block.
     """
     a = _check_codes(a, "lut_matmul lhs")
     b = _check_codes(b, "lut_matmul rhs")
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ParameterError(f"lut_matmul: incompatible shapes {a.shape} x {b.shape}")
     if m.rank1 is not None:
-        out = _rank1_gemm(a, b, m)
-    elif a.shape[0] >= _CODE_TABLE_ROWS:
-        out = _lut_code_table(a, b, m)
-    else:
-        out = _lut_gather(a, b, m)
-    # no sum of K products leaves int32 unless K * max|L| does
-    if a.shape[1] * m.max_abs > INT32_MAX and out.size:
-        if out.min() < INT32_MIN or out.max() > INT32_MAX:
-            raise NumericError("lut_matmul: 32-bit accumulator overflow")
-    return out.astype(np.int32)
+        return _rank1_gemm(a, b, m)
+    if a.shape[0] >= _CODE_TABLE_ROWS:
+        return _lut_code_table(a, b, m)
+    return _lut_gather(a, b, m)
 
 
 def _accumulator(k: int, bound: int) -> type:
@@ -155,37 +166,64 @@ def _accumulator(k: int, bound: int) -> type:
     return np.float32 if k * bound < 2**24 else np.float64
 
 
+def _int32_result(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> tuple[np.ndarray, bool]:
+    """The (N, M) int32 array a kernel writes its sums into, and whether
+    its blocks must be scanned: no sum of K products leaves int32 unless
+    K * max|L| does."""
+    return np.empty((a.shape[0], b.shape[0]), np.int32), a.shape[1] * m.max_abs > INT32_MAX
+
+
+def _store(out: np.ndarray, at, sums: np.ndarray, scan: bool) -> None:
+    """Write a block of integer-valued float sums into the int32 result,
+    after checking, when `scan` is set, that each one fits."""
+    if scan and sums.size and (sums.min() < INT32_MIN or sums.max() > INT32_MAX):
+        raise NumericError("lut_matmul: 32-bit accumulator overflow")
+    out[at] = sums
+
+
 def _rank1_gemm(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
-    """(N, M) float64 sums q * (f[a] @ g[b].T) of a rank-1 table's products:
-    one GEMM of the reduced factors, whose products are bounded by
-    max|L| / |q|, then a float64 scaling by q."""
+    """(N, M) int32 sums q * (f[a] @ g[b].T) of a rank-1 table's products:
+    per block of rows, one GEMM of the reduced factors, whose products are
+    bounded by max|L| / |q|, then a float64 scaling by q. g[b] is looked up
+    once per call, f[a] once per block."""
     f, g, q = m.rank1
-    acc = _accumulator(a.shape[1], m.max_abs // abs(q))
-    fa = np.take(f.astype(acc, copy=False), a.view(np.uint8))
-    gb = np.take(g.astype(acc, copy=False), b.view(np.uint8))
-    return np.multiply(fa @ gb.T, q, dtype=np.float64)
+    k = a.shape[1]
+    acc = _accumulator(k, m.max_abs // abs(q))
+    out, scan = _int32_result(a, b, m)
+    f = f.astype(acc, copy=False)
+    gbt = np.take(g.astype(acc, copy=False), b.view(np.uint8), mode="wrap").T
+    codes = a.view(np.uint8)
+    rows = max(1, _GATHER_BUDGET // max(1, k, len(b)))
+    for start in range(0, len(a), rows):
+        block = np.take(f, codes[start : start + rows], mode="wrap") @ gbt
+        _store(out, slice(start, start + rows), np.multiply(block, q, dtype=np.float64), scan)
+    return out
 
 
 def _lut_gather(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
-    """(N, M) float sums of m.lut over every operand pair: the kernel for any
+    """(N, M) int32 sums of m.lut over every operand pair: the kernel for any
     table, one lookup per pair in the float32 table, summed over K as a GEMV
-    against ones."""
+    against ones. Blocks of output columns, each with its own column index,
+    and of rows keep every block's indices and products inside the budget."""
     n, k = a.shape
     mrows = b.shape[0]
     acc = _accumulator(k, m.max_abs)
+    out, scan = _int32_result(a, b, m)
     ones = np.ones(k, dtype=acc)
-    out = np.empty((n, mrows), dtype=acc)
-    # a pair's index is its row's, lut_index(a, -128), plus its column's
-    cols = lut_index(-128, b)
-    chunk = max(1, _GATHER_BUDGET // max(1, mrows * k))
-    for start in range(0, n, chunk):
-        rows = lut_index(a[start : start + chunk, None, :], -128)
-        out[start : start + chunk] = np.take(m.lut_f32, rows + cols) @ ones
+    width = max(1, min(mrows, _GATHER_BUDGET // max(1, k)))
+    chunk = max(1, _GATHER_BUDGET // max(1, width * k))
+    for c0 in range(0, mrows, width):
+        # a pair's index is its row's, lut_index(a, -128), plus its column's
+        cols = lut_index(-128, b[c0 : c0 + width])
+        for start in range(0, n, chunk):
+            rows = lut_index(a[start : start + chunk, None, :], -128)
+            _store(out, (slice(start, start + chunk), slice(c0, c0 + width)),
+                   np.take(m.lut_f32, rows + cols, mode="wrap") @ ones, scan)
     return out
 
 
 def _lut_code_table(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
-    """(N, M) float sums of m.lut over every operand pair, through a table of
+    """(N, M) int32 sums of m.lut over every operand pair, through a table of
     the products of every activation code with each weight code.
 
     For a block of S weight positions, table row (c + 128) * S + k holds the
@@ -193,29 +231,32 @@ def _lut_code_table(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray
     of those codes, taken from the 256 x 256 table. Each output row then
     gathers one contiguous table row per position, the one of its code
     a[n, k], and sums them over K. Blocks of positions (and of output
-    columns past 512) keep the table inside the code-table budget, and
-    blocks of output rows keep the gathered rows there too."""
+    columns past 256) keep the table inside the code-table budget, and
+    blocks of output rows keep the gathered rows there too. Each column
+    block is written into the result after its last block of positions."""
     n, k = a.shape
     mrows = b.shape[0]
     acc = _accumulator(k, m.max_abs)
+    out, scan = _int32_result(a, b, m)
     by_code = m.lut_f32.reshape(256, 256)
-    out = np.zeros((n, mrows), dtype=acc)
     cols = max(1, _CODE_TABLE_BUDGET // 256)
     for c0 in range(0, mrows, cols):
         bt = b[c0 : c0 + cols].T.astype(np.intp) + 128  # (K, cols) table columns
+        sums = np.zeros((n, bt.shape[1]), dtype=acc)
         step = max(1, _CODE_TABLE_BUDGET // (256 * bt.shape[1]))
         for k0 in range(0, k, step):
             bk = bt[k0 : k0 + step]
             s = np.intp(len(bk))
-            table = np.take(by_code, bk, axis=1).reshape(-1, bk.shape[1])
+            table = np.take(by_code, bk, axis=1, mode="wrap").reshape(-1, bk.shape[1])
             row_of_code = (128 * s + np.arange(s, dtype=np.intp))[:, None]
             chunk = max(1, _CODE_TABLE_BUDGET // bk.size)
             for start in range(0, n, chunk):
                 # widened before the multiply: int8 codes times s wrap in int8
                 rows = np.multiply(a[start : start + chunk, k0 : k0 + step].T, s, dtype=np.intp)
                 rows += row_of_code
-                out[start : start + chunk, c0 : c0 + cols] += np.take(table, rows, axis=0).sum(
+                sums[start : start + chunk] += np.take(table, rows, axis=0, mode="wrap").sum(
                     axis=0, dtype=acc)
+        _store(out, (slice(None), slice(c0, c0 + cols)), sums, scan)
     return out
 
 
@@ -400,16 +441,17 @@ class _Affine(Layer):
             qw, sw = ctx.quantized_weights(self)
             acc = lut_matmul(self._rows(qx), qw, ctx.multiplier)
             ctx.count(self.name, acc.size * qw.shape[1])
-            y = acc.astype(np.float64) * (sx.scale * sw.scale)
+            y = np.multiply(acc, sx.scale * sw.scale, dtype=np.float64)
+            y += self.b  # float64 whatever b's type, as y + b would be
             if ctx.train:
                 self._cache = (dequantize(qx, sx).astype(x.dtype),
                                dequantize(qw, sw).astype(self.w.dtype))
         else:
             w2d = self.w.reshape(self.w.shape[0], -1)
-            y = self._rows(x) @ w2d.T
+            y = self._rows(x) @ w2d.T + self.b
             if ctx.train:
                 self._cache = (x, w2d)
-        y = (y + self.b).reshape(*lead, self.w.shape[0])
+        y = y.reshape(*lead, self.w.shape[0])
         if self._out_axis != -1:  # moveaxis normalises its axes even with nothing to move
             y = np.moveaxis(y, -1, self._out_axis)
         return y.astype(x.dtype, copy=False)
@@ -464,7 +506,8 @@ class Linear(_Affine):
 class ReLU(Layer):
     def forward(self, x, ctx):
         if ctx.train:
-            self._mask = x > 0
+            # C order whatever x's layout: the gradient it meets is C-contiguous
+            self._mask = np.greater(x, 0, order="C")
         return np.maximum(x, 0)
 
     def backward(self, dy):

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,10 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axmoe import engine
-from axmoe.engine import (INT32_MAX, AvgPool2d, Conv2d, Linear, Model, QuantParams, ReLU,
+from axmoe.engine import (INT32_MAX, QMAX, AvgPool2d, Conv2d, Linear, Model, QuantParams, ReLU,
                           RunContext, _accumulator, _lut_code_table, _lut_gather, _rank1_gemm,
-                          col2im, dequantize, im2col, lut_matmul, quantize, softmax_cross_entropy,
-                          stable_softmax)
+                          _round_half_away, col2im, dequantize, im2col, lut_matmul, quantize,
+                          softmax_cross_entropy, stable_softmax)
 from axmoe.errors import NumericError, ParameterError
 from axmoe.multipliers import (AxMultiplier, build_exact_multiplier,
                                build_truncation_multiplier, builtin_multiplier, lut_index)
@@ -61,6 +62,49 @@ def test_quantize_rejects_non_finite():
                 t[at] = value
                 with pytest.raises(NumericError):
                     quantize(t)
+
+
+@pytest.mark.parametrize("dtype, values", [
+    (dtype, values) for dtype in (np.float32, np.float64) for values in (
+        [1e-43, -5e-44, 0.0],  # float32 max code was 71
+        [1e-45],  # the float32 scale was 0: a division by zero, then NaN codes
+        [0.0, -1e-45],
+        [2e-38, -1e-39, 3e-41],  # just below 127 times float32's smallest normal
+    )] + [
+    (np.float64, [1e-310, -3e-311]),  # a subnormal float64 scale
+    (np.float64, [1e-321, 2e-322]),
+])
+def test_quantize_reaches_the_full_range_on_tiny_tensors(dtype, values):
+    t = np.array(values, dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes, qp = quantize(t)
+    at = np.argmax(np.abs(t))
+    assert codes[at] == np.sign(t[at]) * QMAX
+    assert qp.scale == float(np.abs(t).max()) / QMAX
+    # half a step, plus the rounding of a subnormal float64 scale, times 127
+    err = np.abs(dequantize(codes, qp) - t.astype(np.float64))
+    assert (err <= qp.scale * (0.5 + 1e-9) + QMAX * np.spacing(qp.scale)).all()
+
+
+def test_quantize_codes_of_normal_scales_keep_their_bits():
+    for dtype in (np.float32, np.float64):
+        tiny = float(np.finfo(dtype).tiny)
+        for amax in (tiny * QMAX, np.nextafter(tiny * QMAX, 1.0), 1e-30, 0.37, 3e4):
+            # values on every half step, where a division in another type
+            # rounds to the other code
+            t = ((np.arange(-QMAX, QMAX) + 0.5) * (amax / QMAX)).astype(dtype)
+            t[0] = amax
+            scale = float(np.abs(t).max()) / QMAX
+            assert scale >= tiny  # the smallest normal scales, and common ones
+            want = np.clip(_round_half_away(t / scale), -QMAX, QMAX).astype(np.int8)
+            assert quantize(t)[0].tobytes() == want.tobytes()
+
+
+def test_quantize_rejects_a_tensor_too_small_for_any_scale():
+    # max|t| / 127 rounds to 0 in float64 below 64 * 2^-1074
+    with pytest.raises(NumericError):
+        quantize(np.array([5e-324, 0.0]))
 
 
 def test_dequantize_round_trip_error_is_at_most_half_step():
@@ -325,10 +369,80 @@ def _traced_peak(kernel, *args):
 
 
 def test_lut_gather_memory_does_not_follow_the_call_shape():
-    # In one chunk this call would hold 64 MB of table indices and products.
-    a, b = _full_range(256, 784, 32)
-    peak, _ = _traced_peak(_lut_gather, a, b, TABLES["full_rank"])
-    assert peak < 4 * 2**20
+    for shape in (
+        (256, 784, 32),  # in one chunk: 64 MB of table indices and products
+        (8, 4608, 512),  # VGG-sized, K * M past the budget: 28 MB in one output row
+    ):
+        peak, _ = _traced_peak(_lut_gather, *_full_range(*shape), TABLES["full_rank"])
+        assert peak < 4 * 2**20, shape
+
+
+def test_rank1_gemm_memory_does_not_follow_the_call_shape():
+    # toy_cnn's conv2 at an evaluation batch of 200. Whole, the call held an
+    # intp copy of the codes, their float32 factors and a float64 result.
+    a, b = _full_range(12800, 72, 16)
+    peak, out = _traced_peak(lut_matmul, a, b, RANK1_TABLES["trunc2"])
+    assert out.dtype == np.int32 and peak < 2 * 2**20
+
+
+# Budgets small enough that every kernel runs many blocks, the last of each
+# run short: gather and GEMM blocks of a few rows (and gather blocks of a few
+# columns), code-table blocks of up to 7 columns, a few weight positions and
+# a few hundred rows.
+_SMALL_BUDGETS = {"_GATHER_BUDGET": 100, "_CODE_TABLE_BUDGET": 256 * 7}
+
+
+def _recording_stores():
+    """A patch of engine._store that records where each block was written."""
+    blocks = []
+
+    def store(out, at, sums, scan):
+        blocks.append(at)
+        return _store(out, at, sums, scan)
+
+    _store = engine._store
+    return blocks, mock.patch.object(engine, "_store", store)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize("shape", [(37, 5, 10), (601, 5, 10), (13, 23, 9), (5, 40, 15)])
+def test_kernels_in_many_ragged_blocks_equal_the_gather(kernel, shape):
+    names = sorted(RANK1_TABLES) if kernel == "gemm" else ["mitchell", "full_rank", "trunc3"]
+    a, b = _full_range(*shape)
+    for name in names:
+        m = TABLES[name]
+        blocks, recording = _recording_stores()
+        with mock.patch.multiple(engine, **_SMALL_BUDGETS), recording:
+            got = KERNELS[kernel](a, b, m)
+        assert got.dtype == np.int32 and np.array_equal(got, _oracle_gather(a, b, m)), name
+        # every output entry written by exactly one of several blocks
+        written = np.zeros(got.shape, dtype=int)
+        for at in blocks:
+            written[at] += 1
+        assert (written == 1).all() and len(blocks) > 1, name
+        assert len({written[at].size for at in blocks}) > 1, name  # some block is short
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_an_overflow_in_a_middle_block_raises(kernel):
+    # Only out[4, 4] overflows: a narrower accumulator (|sum| <= 30000) makes
+    # 4 * 100 * 100 too large, and small budgets put that entry in a block
+    # that is neither the first nor the last: the GEMM writes rows one at a
+    # time, the gather a row of two columns, the code table three columns.
+    a = np.zeros((9, 4), np.int8)
+    b = np.zeros((9, 4), np.int8)
+    a[4], b[4] = 100, 100
+    m = EXACT if kernel == "gemm" else _bent(EXACT)
+    blocks, recording = _recording_stores()
+    with mock.patch.multiple(engine, INT32_MAX=30_000, INT32_MIN=-30_001, _GATHER_BUDGET=9,
+                             _CODE_TABLE_BUDGET=256 * 3):
+        KERNELS[kernel](a // 2, b, m)  # every sum at most 4 * 50 * 100: no overflow
+        blocks.clear()
+        with recording, pytest.raises(NumericError):
+            KERNELS[kernel](a, b, m)
+    hit = np.zeros((9, 9), dtype=bool)
+    hit[blocks[-1]] = True
+    assert hit[4, 4] and not hit[0, 0] and not hit[8, 8] and len(blocks) > 1
 
 
 @pytest.mark.parametrize("shape", [
@@ -592,6 +706,21 @@ def test_avgpool_bits_do_not_depend_on_memory_layout():
         x = np.random.default_rng(seed).normal(size=(8, 16, 8, 8)).astype(np.float32)
         nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
         assert np.array_equal(layer.forward(x, RunContext()), layer.forward(nhwc, RunContext()))
+
+
+def test_relu_mask_is_c_order_whatever_the_input_layout():
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(4, 8, 6, 6)).astype(np.float32)
+    x[:, :, 0] = 0.0
+    nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)  # a conv's output
+    dy = rng.normal(size=x.shape).astype(np.float32)
+    grads = []
+    for xin in (x, nhwc):
+        layer = ReLU("act")
+        layer.forward(xin, RunContext(train=True))
+        assert layer._mask.flags.c_contiguous
+        grads.append(layer.backward(dy))
+    assert grads[0].tobytes() == grads[1].tobytes()
 
 
 def test_softmax_cross_entropy_uniform_logits():
