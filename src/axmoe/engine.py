@@ -11,12 +11,12 @@ Layers run in one of two arithmetic modes:
 `lut_matmul` is the one LUT entry point, with three kernels that agree bit
 for bit. A rank-1 table, lut[a, b] == q * f(a) * g(b) with reduced integer
 factors (exact, every truncN, DRUM), runs as GEMMs of its factors. Any
-other table runs through a code table when the call has N >= 2 * 256 rows:
-the products of all 256 activation codes with each weight code, built once
-per call, from which each row gathers and sums K table rows. Shorter calls
-look every operand pair up directly in the table. The rule rests on N alone
-because the code table costs 256 * K * M products to build and the direct
-gather N * K * M lookups.
+other table runs through a code table when the call has N >= 256 rows, as
+many as there are codes: the products of all 256 activation codes with each
+weight code, built once per call, from which each row gathers and sums K
+table rows. Shorter calls look every operand pair up directly in the table.
+The rule rests on N alone because the code table costs 256 * K * M products
+to build and the direct gather N * K * M lookups.
 
 Every kernel sums integers in floating point, which is exact in any order
 while every partial sum is an integer the type holds: float32 when K times
@@ -33,11 +33,14 @@ the shape-level MAC formulas exactly.
 Training uses the straight-through estimator: the forward pass is the
 quantized/LUT pass, the backward pass computes float gradients as if the
 layer had run exact float arithmetic over the quantized-dequantized
-operand values.
+operand values. The model input gets no gradient: a training step's
+backward stops at the first parameterized layer, which computes only its
+parameter gradients (`Model.backward(dy, input_grad=False)`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,9 +68,12 @@ _CODE_TABLE_BUDGET = 1 << 16
 # np.take runs with mode="wrap": the same values, and numpy's cheapest
 # index check (~20% faster than the default "raise").
 
-# Rows from which a call builds a code table: twice the 256 codes, so the
-# table's 256 * K * M products are at most half the direct gather's lookups.
-_CODE_TABLE_ROWS = 2 * 256
+# Rows from which a call builds a code table: as many as there are codes,
+# where the table's 256 * K * M products equal the direct gather's lookups.
+# Summing whole table rows already wins there: at N = 256 the code table
+# took 19 us against the gather's 39 us on (256, 9) x (8, 9), and 3.7 ms
+# against 5.3 ms on (256, 784) x (32, 784) (1 BLAS thread, 2-core AMD EPYC).
+_CODE_TABLE_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +136,13 @@ def lut_matmul(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
 
     * a rank-1 table (`m.rank1`: exact, every truncN, DRUM) runs as GEMMs of
       its reduced factors, q * (f[a] @ g[b].T) (`_rank1_gemm`);
-    * any other table runs through the code table when N >= 2 * 256
+    * any other table runs through the code table when N >= 256
       (`_lut_code_table`);
     * and otherwise through one lookup per operand pair (`_lut_gather`).
 
     The code table costs 256 * K * M products to build whatever N is, and
     the direct gather N * K * M lookups, so the table pays once a call has
-    at least twice as many rows as there are codes.
+    as many rows as there are codes.
 
     Every kernel sums integers, in float32 when no partial sum can reach
     2^24 and in float64 otherwise (`_accumulator`), so every partial sum is
@@ -297,6 +303,34 @@ def col2im(dcols: np.ndarray, x_shape, kernel, stride, padding) -> np.ndarray:
     return np.ascontiguousarray(dxp[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2))
 
 
+def _add_bias(y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """y + b for (rows, Cout) y, written into y when y holds the sum's type.
+
+    The add runs over a (rows / r, r * Cout) view with r = gcd(rows, 64),
+    against b repeated r times: numpy's inner loop then spans r * Cout
+    elements instead of Cout, and every element still gets its one add.
+    On conv1's (51200, 8) float64 output that takes 71 us against y += b's
+    204 us (1 BLAS thread, 2-core AMD EPYC)."""
+    if np.result_type(y, b) != y.dtype:
+        return y + b
+    r = math.gcd(len(y), 64)
+    wide = y.reshape(-1, r * y.shape[1])
+    # not np.tile, whose Python overhead (~1.4 us more) is a small layer's whole add
+    wide += b[None].repeat(r, 0).ravel()
+    return wide.reshape(y.shape)
+
+
+def _sum_rows(drows: np.ndarray) -> np.ndarray:
+    """drows.sum(axis=0), bit for bit. On C-contiguous rows wider than one
+    column, einsum adds the rows in the same sequence, ~4x faster at
+    (16384, 8). Any other layout keeps sum's own order: a one-image conv
+    batch gives a view whose rows axis is the contiguous one, which sum
+    adds pairwise, and so does a single column."""
+    if drows.flags.c_contiguous and drows.shape[1] > 1:
+        return np.einsum("ij->j", drows)
+    return drows.sum(axis=0)
+
+
 def stable_softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis."""
     z = z - z.max(axis=-1, keepdims=True)
@@ -401,7 +435,10 @@ class Layer:
     def forward(self, x: np.ndarray, ctx: RunContext) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Gradients of the parameters into `grads`, and the gradient of the
+        input. A parameterized layer called with input_grad=False computes
+        only its `grads` and returns None."""
         raise NotImplementedError(f"{type(self).__name__} has no backward pass")
 
 
@@ -441,14 +478,13 @@ class _Affine(Layer):
             qw, sw = ctx.quantized_weights(self)
             acc = lut_matmul(self._rows(qx), qw, ctx.multiplier)
             ctx.count(self.name, acc.size * qw.shape[1])
-            y = np.multiply(acc, sx.scale * sw.scale, dtype=np.float64)
-            y += self.b  # float64 whatever b's type, as y + b would be
+            y = _add_bias(np.multiply(acc, sx.scale * sw.scale, dtype=np.float64), self.b)
             if ctx.train:
                 self._cache = (dequantize(qx, sx).astype(x.dtype),
                                dequantize(qw, sw).astype(self.w.dtype))
         else:
             w2d = self.w.reshape(self.w.shape[0], -1)
-            y = self._rows(x) @ w2d.T + self.b
+            y = _add_bias(self._rows(x) @ w2d.T, self.b)
             if ctx.train:
                 self._cache = (x, w2d)
         y = y.reshape(*lead, self.w.shape[0])
@@ -456,11 +492,13 @@ class _Affine(Layer):
             y = np.moveaxis(y, -1, self._out_axis)
         return y.astype(x.dtype, copy=False)
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         x_eff, w_eff = self._cache
         drows = np.moveaxis(dy, self._out_axis, -1).reshape(-1, self.w.shape[0])
         self.grads = {"w": (drows.T @ self._rows(x_eff)).reshape(self.w.shape),
-                      "b": drows.sum(axis=0)}
+                      "b": _sum_rows(drows)}
+        if not input_grad:
+            return None
         dcols = (drows @ w_eff).reshape(*self._lead(x_eff.shape), *self.w.shape[1:])
         return self._uncols(dcols, x_eff.shape)
 
@@ -526,15 +564,16 @@ class AvgPool2d(Layer):
         k = self.k
         if h % k or w % k:
             raise ParameterError(f"avgpool window {k} does not tile input {h}x{w}")
-        # mean reduces in memory order: one layout makes the bits layout-free,
-        # and the pairwise sums below C-contiguous
-        x = np.ascontiguousarray(x).reshape(n, c, h // k, k, w // k, k)
         if k == 2 and w // k > 1:
             # mean's own order for a 2x2 window when Wo > 1; at Wo == 1 numpy
-            # folds the window into one axis and sums it in sequence instead
+            # folds the window into one axis and sums it in sequence instead.
+            # The adds are elementwise, so they run on x's own layout (a
+            # conv's NHWC memory) through a view.
+            x = x.reshape(n, c, h // k, k, w // k, k)
             return ((x[:, :, :, 0, :, 0] + x[:, :, :, 0, :, 1])
                     + (x[:, :, :, 1, :, 0] + x[:, :, :, 1, :, 1])) / 4
-        return x.mean(axis=(3, 5))
+        # mean reduces in memory order: one layout makes the bits layout-free
+        return np.ascontiguousarray(x).reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
 
     def backward(self, dy):
         k = self.k
@@ -571,10 +610,19 @@ class Model(Layer):
             x = layer.forward(x, ctx)
         return x
 
-    def backward(self, dy):
-        for layer in reversed(self.layers):
-            dy = layer.backward(dy)
-        return dy
+    def backward(self, dy, input_grad=True):
+        """With input_grad=False, layers below the first parameterized one
+        get no backward, and that layer computes only its `grads`."""
+        if input_grad:
+            for layer in reversed(self.layers):
+                dy = layer.backward(dy)
+            return dy
+        first = next((i for i, layer in enumerate(self.layers) if layer.params()), None)
+        if first is not None:
+            for layer in reversed(self.layers[first + 1 :]):
+                dy = layer.backward(dy)
+            self.layers[first].backward(dy, input_grad=False)
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -61,16 +61,20 @@ def _scatter(n: int, picks, parts) -> np.ndarray:
     return y
 
 
-def _units_backward(dy, dx, units, picks, outs, gate=None) -> np.ndarray:
-    """Add each unit's input gradient into dx at its picks. With `gate`, unit
-    i's output was scaled by gate[:, i] in the forward pass."""
+def _units_backward(dy, dx, units, picks, outs, gate=None) -> np.ndarray | None:
+    """Add each unit's input gradient into dx at its picks; with dx None,
+    each unit computes only its parameter gradients. With `gate`, unit i's
+    output was scaled by gate[:, i] in the forward pass."""
     for i, (unit, pick, out) in enumerate(zip(units, picks, outs)):
         if out is None:
             continue
         d = dy[pick]
         if gate is not None:
             d = _bcast(gate[pick, i], d) * d
-        dx[pick] += unit.backward(d)
+        if dx is None:
+            unit.backward(d, input_grad=False)
+        else:
+            dx[pick] += unit.backward(d)
     return dx
 
 
@@ -127,7 +131,7 @@ class MoELayer(Layer):
             self._cache = (x, feats, g, picks, outs)
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         x, feats, g, picks, outs = self._cache
         sum_axes = tuple(range(1, dy.ndim))
         dg = np.zeros_like(g)
@@ -138,7 +142,7 @@ class MoELayer(Layer):
         self.grads = {"router.w": dz.T @ feats.astype(dz.dtype)}
         # dx starts from the router term: soft then sums router + e0 + e1 + ...
         # in that order, and the float rounding of existing runs is kept
-        dx = _spread_to(dz @ self.router.w.astype(dz.dtype), x)
+        dx = _spread_to(dz @ self.router.w.astype(dz.dtype), x) if input_grad else None
         return _units_backward(dy, dx, self.experts, picks, outs, gate=g)
 
 
@@ -170,7 +174,8 @@ class ClusterModel(Layer):
             self._cache = (x, picks, outs)
         return _scatter(len(x), picks, outs)
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         x, picks, outs = self._cache
         # selection is a hard argmax: gradients reach the chosen replica only
-        return _units_backward(dy, np.zeros_like(x), self.replicas, picks, outs)
+        dx = np.zeros_like(x) if input_grad else None
+        return _units_backward(dy, dx, self.replicas, picks, outs)

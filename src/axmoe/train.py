@@ -87,7 +87,7 @@ def train_epoch(model, x, y, cfg: TrainConfig, rng, multiplier: AxMultiplier | N
         logits = model.forward(x[idx], ctx)
         loss, dlogits = softmax_cross_entropy(logits, y[idx])
         model.zero_grads()
-        model.backward(dlogits)
+        model.backward(dlogits, input_grad=False)
         sgd_step(model, cfg, frozen)
         total += loss * len(idx)
     return total / max(len(order), 1)

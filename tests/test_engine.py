@@ -1,5 +1,6 @@
 """Quantized engine: codecs, LUT matmul, layer forward/backward math."""
 
+import functools
 import gc
 import tracemalloc
 import warnings
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 
 from axmoe import engine
 from axmoe.engine import (INT32_MAX, QMAX, AvgPool2d, Conv2d, Linear, Model, QuantParams, ReLU,
-                          RunContext, _accumulator, _lut_code_table, _lut_gather, _rank1_gemm,
-                          _round_half_away, col2im, dequantize, im2col, lut_matmul, quantize,
-                          softmax_cross_entropy, stable_softmax)
+                          RunContext, _accumulator, _add_bias, _lut_code_table, _lut_gather,
+                          _rank1_gemm, _round_half_away, col2im, dequantize, im2col, lut_matmul,
+                          quantize, softmax_cross_entropy, stable_softmax)
 from axmoe.errors import NumericError, ParameterError
 from axmoe.multipliers import (AxMultiplier, build_exact_multiplier,
                                build_truncation_multiplier, builtin_multiplier, lut_index)
@@ -296,7 +297,7 @@ KERNELS = {"gemm": _rank1_gemm, "code_table": _lut_code_table, "gather": _lut_ga
 def _expected_kernel(name, n):
     if name in RANK1_TABLES:
         return "gemm"
-    return "code_table" if n >= 512 else "gather"
+    return "code_table" if n >= 256 else "gather"
 
 
 def _expected_accumulator(m, k):
@@ -320,8 +321,8 @@ def _expected_accumulator(m, k):
 @example(name="full_rank", operands=(np.ones((4, 0), np.int8), np.ones((3, 0), np.int8)))
 @example(name="full_rank", operands=(np.ones((512, 0), np.int8), np.ones((3, 0), np.int8)))
 @example(name="zero", operands=(np.ones((600, 7), np.int8), np.ones((0, 7), np.int8)))
-@example(name="mitchell", operands=_full_range(511, 60, 12))
-@example(name="full_rank", operands=_full_range(512, 60, 12))  # 256 * K * M > budget
+@example(name="mitchell", operands=_full_range(255, 60, 12))
+@example(name="full_rank", operands=_full_range(256, 60, 12))  # 256 * K * M > budget
 @example(name="trunc5", operands=_full_range(530, 60, 12))
 @example(name="full_rank", operands=_full_range(512, 3, 600))  # more columns than one block
 # Both sides of the float32 bound, K * max|f| * max|g| < 2^24 for the GEMM and
@@ -636,6 +637,44 @@ def test_affine_backward_matches_central_differences(kind):
         _assert_grad_close(name, layer.grads[name], _central_differences(loss, param))
 
 
+@pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float64),
+                                    (np.float64, np.float32), (np.float32, np.float64)])
+def test_bias_add_over_wide_rows_equals_y_plus_b(dtypes):
+    rng = np.random.default_rng(9)
+    for rows in (1, 7, 63, 64, 100, 192, 51200):  # 51200: toy_cnn's conv1 at batch 200
+        for cout in (1, 3, 8, 16):
+            y = _spread(rng, (rows, cout), dtypes[0])
+            b = _spread(rng, (cout,), dtypes[1])
+            want = y + b
+            got = _add_bias(y.copy(), b)
+            assert got.dtype == want.dtype and got.shape == want.shape, (rows, cout)
+            assert got.tobytes() == want.tobytes(), (rows, cout)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cout", [1, 8, 16])
+def test_bias_gradient_keeps_the_order_of_each_row_layout(cout, dtype):
+    # A one-image conv batch hands backward a drows view whose rows axis is
+    # the contiguous one (so is any single column), which sum(axis=0) adds
+    # pairwise; every other batch's drows is a C-contiguous copy, added row
+    # after row. The two orders give different bits on these values, and
+    # each layout must keep its own.
+    rng = np.random.default_rng(cout)
+    for n in (1, 3):
+        conv = Conv2d("conv", rng.normal(size=(cout, 2, 3, 3)).astype(dtype),
+                      np.zeros(cout, dtype), padding=(1, 1))
+        x = rng.normal(size=(n, 2, 16, 16)).astype(dtype)
+        dy = _spread(rng, conv.forward(x, RunContext(train=True)).shape, dtype)
+        conv.backward(dy)
+        drows = np.moveaxis(dy, 1, -1).reshape(-1, cout)
+        in_sequence = functools.reduce(np.add, drows)
+        pairwise = np.ascontiguousarray(drows.T).sum(axis=1)
+        assert in_sequence.tobytes() != pairwise.tobytes()
+        want = pairwise if n == 1 or cout == 1 else in_sequence
+        assert conv.grads["b"].dtype == dtype
+        assert conv.grads["b"].tobytes() == want.tobytes() == drows.sum(axis=0).tobytes()
+
+
 def test_conv2d_counter_formula():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(3, 4, 8, 8))
@@ -706,6 +745,17 @@ def test_avgpool_bits_do_not_depend_on_memory_layout():
         x = np.random.default_rng(seed).normal(size=(8, 16, 8, 8)).astype(np.float32)
         nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
         assert np.array_equal(layer.forward(x, RunContext()), layer.forward(nhwc, RunContext()))
+
+
+def test_avgpool_pools_a_conv_output_on_its_own_layout():
+    # The pairwise 2x2 path adds through a view of the input: it holds no
+    # contiguous copy of it, and its output keeps the conv's NHWC memory.
+    x = np.random.default_rng(3).normal(size=(64, 8, 16, 16)).astype(np.float32)  # toy_cnn's pool1
+    nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    peak, y = _traced_peak(AvgPool2d("pool", 2).forward, nhwc, RunContext())
+    assert peak < nhwc.nbytes
+    assert y.transpose(0, 2, 3, 1).flags.c_contiguous
+    assert y.tobytes(order="C") == AvgPool2d("pool", 2).forward(x, RunContext()).tobytes()
 
 
 def test_relu_mask_is_c_order_whatever_the_input_layout():

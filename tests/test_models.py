@@ -4,11 +4,13 @@ import ast
 import re
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import axmoe
+from axmoe import engine
 from axmoe.engine import AvgPool2d, Flatten, RunContext, softmax_cross_entropy
 from axmoe.graphs import VARIANTS, ClusterArch, MoEGroup, substitute_moe, toy_cnn, toy_mlp
 from axmoe.errors import NumericError, ParameterError
@@ -16,6 +18,7 @@ from axmoe.models import EXPERT_JITTER, build_model
 from axmoe.moe import MoELayer
 from axmoe.multipliers import builtin_multiplier
 from axmoe.train import TrainConfig, evaluate, sgd_step
+from test_engine import EXACT, _bent
 
 ARCHS = {
     "toy_cnn": lambda: toy_cnn(num_classes=3, resolution=8, channels=1),
@@ -66,6 +69,35 @@ def test_traversal_invariants_after_one_train_step(arch, variant):
 
     model.zero_grads()
     assert model.qualified_grads() == {}
+
+
+@pytest.mark.parametrize("mul", [None, builtin_multiplier("trunc2"), _bent(EXACT)],
+                         ids=["float", "trunc2", "non_separable"])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("arch", sorted(ARCHS))
+def test_backward_without_the_input_gradient_leaves_every_gradient(arch, variant, mul):
+    spec = ARCHS[arch]()
+    model = build_model(substitute_moe(spec, variant, n_experts=2), seed=3)
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(12, *spec.input_shape)).astype(np.float32)
+    y = rng.integers(0, 3, size=12)
+    grads, col2im_calls = [], []
+    for input_grad in (True, False):
+        _, dlogits = softmax_cross_entropy(model.forward(x, RunContext(mul, train=True)), y)
+        model.zero_grads()
+        with mock.patch.object(engine, "col2im", wraps=engine.col2im) as col2im:
+            dx = model.backward(dlogits, input_grad=input_grad)
+        col2im_calls.append(col2im.call_count)
+        grads.append(model.qualified_grads())
+        assert dx.shape == x.shape if input_grad else dx is None
+    full, params_only = grads
+    assert full and full.keys() == params_only.keys()
+    for name, g in full.items():
+        other = params_only[name]
+        assert g.dtype == other.dtype and g.tobytes() == other.tobytes(), name
+    # toy_cnn's first conv (one per cluster replica that got a sample)
+    # scatters no input gradient; toy_mlp has no conv
+    assert (col2im_calls[1] < col2im_calls[0]) == (arch == "toy_cnn")
 
 
 @pytest.mark.parametrize("mul", [None, "trunc2"], ids=["float", "trunc2"])
