@@ -9,7 +9,7 @@ architectures and their expert-routed variants.
 from .config import ExperimentConfig, config_hash, load_config
 from .cost import (MacReport, SweepPoint, count_macs, dominates, layer_macs, layer_params,
                    normalized_power, pareto_frontier)
-from .datasets import load_cifar100_bin, load_dataset, synthetic_blobs
+from .datasets import Split, load_cifar100_bin, load_dataset, synthetic_blobs
 from .engine import (Model, QuantParams, RunContext, dequantize, lut_matmul, quantize,
                      softmax_cross_entropy)
 from .errors import ConfigError, FormatError, NumericError, ParameterError
@@ -21,7 +21,7 @@ from .multipliers import (REFERENCE_MULTIPLIERS, AxMultiplier, ErrorStats,
                           build_exact_multiplier, build_truncation_multiplier,
                           builtin_multiplier, error_stats, load_lut, per_op_saving,
                           save_lut)
-from .train import History, Split, TrainConfig, evaluate, fit, retrain
+from .train import History, TrainConfig, evaluate, fit, retrain
 
 __version__ = "0.1.0"
 

@@ -8,13 +8,13 @@ back to the AXMOE_DATA_DIR environment variable when not given explicitly.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, FormatError, ParameterError
-from .models import _read_npz
-from .train import Split
+from .files import read_npz
 
 DATA_DIR_ENV = "AXMOE_DATA_DIR"
 
@@ -23,6 +23,24 @@ DATA_DIR_ENV = "AXMOE_DATA_DIR"
 CIFAR_RECORD_BYTES = 3074
 
 DATASETS = ("synthetic", "cifar100", "npz")
+
+
+@dataclass
+class Split:
+    """Train/test arrays. Images are float32 NCHW, labels int64 class ids."""
+
+    x_train: np.ndarray
+    y_train: np.ndarray
+    x_test: np.ndarray
+    y_test: np.ndarray
+
+    def __post_init__(self):
+        if len(self.x_train) != len(self.y_train):
+            raise ParameterError("train images and labels disagree on length")
+        if len(self.x_test) != len(self.y_test):
+            raise ParameterError("test images and labels disagree on length")
+        if not len(self.x_train) or not len(self.x_test):
+            raise ParameterError("train and test splits must not be empty")
 
 
 def data_dir(explicit=None) -> Path:
@@ -49,7 +67,7 @@ def load_cifar100_bin(path) -> tuple[np.ndarray, np.ndarray]:
 def load_npz_split(path) -> tuple[np.ndarray, np.ndarray]:
     """One `.npz` split file holding `x` (samples first) and `y` (one integer
     label per sample) to (float32 x, int64 y)."""
-    arrays = _read_npz(path)
+    arrays = read_npz(path)
     x, y = arrays.get("x"), arrays.get("y")
     if x is None or y is None:
         raise FormatError(f"{path}: needs arrays x and y, has {sorted(arrays)}")

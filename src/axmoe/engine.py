@@ -40,6 +40,7 @@ parameter gradients (`Model.backward(dy, input_grad=False)`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -304,31 +305,18 @@ def col2im(dcols: np.ndarray, x_shape, kernel, stride, padding) -> np.ndarray:
 
 
 def _add_bias(y: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """y + b for (rows, Cout) y, written into y when y holds the sum's type.
+    """y + b for (rows, Cout) y, written into y: (y + b).astype(y.dtype).
 
     The add runs over a (rows / r, r * Cout) view with r = gcd(rows, 64),
     against b repeated r times: numpy's inner loop then spans r * Cout
     elements instead of Cout, and every element still gets its one add.
     On conv1's (51200, 8) float64 output that takes 71 us against y += b's
     204 us (1 BLAS thread, 2-core AMD EPYC)."""
-    if np.result_type(y, b) != y.dtype:
-        return y + b
     r = math.gcd(len(y), 64)
     wide = y.reshape(-1, r * y.shape[1])
     # not np.tile, whose Python overhead (~1.4 us more) is a small layer's whole add
     wide += b[None].repeat(r, 0).ravel()
     return wide.reshape(y.shape)
-
-
-def _sum_rows(drows: np.ndarray) -> np.ndarray:
-    """drows.sum(axis=0), bit for bit. On C-contiguous rows wider than one
-    column, einsum adds the rows in the same sequence, ~4x faster at
-    (16384, 8). Any other layout keeps sum's own order: a one-image conv
-    batch gives a view whose rows axis is the contiguous one, which sum
-    adds pairwise, and so does a single column."""
-    if drows.flags.c_contiguous and drows.shape[1] > 1:
-        return np.einsum("ij->j", drows)
-    return drows.sum(axis=0)
 
 
 def stable_softmax(z: np.ndarray) -> np.ndarray:
@@ -494,9 +482,13 @@ class _Affine(Layer):
 
     def backward(self, dy, input_grad=True):
         x_eff, w_eff = self._cache
-        drows = np.moveaxis(dy, self._out_axis, -1).reshape(-1, self.w.shape[0])
+        # C-contiguous rows whatever the batch or dy's memory (conv rows were
+        # copied anyway, by the reshape, except for one image), so the bias
+        # gradient adds them in one sequence
+        drows = np.ascontiguousarray(np.moveaxis(dy, self._out_axis, -1)).reshape(
+            -1, self.w.shape[0])
         self.grads = {"w": (drows.T @ self._rows(x_eff)).reshape(self.w.shape),
-                      "b": _sum_rows(drows)}
+                      "b": np.einsum("ij->j", drows)}
         if not input_grad:
             return None
         dcols = (drows @ w_eff).reshape(*self._lead(x_eff.shape), *self.w.shape[1:])
@@ -564,16 +556,15 @@ class AvgPool2d(Layer):
         k = self.k
         if h % k or w % k:
             raise ParameterError(f"avgpool window {k} does not tile input {h}x{w}")
-        if k == 2 and w // k > 1:
-            # mean's own order for a 2x2 window when Wo > 1; at Wo == 1 numpy
-            # folds the window into one axis and sums it in sequence instead.
-            # The adds are elementwise, so they run on x's own layout (a
-            # conv's NHWC memory) through a view.
-            x = x.reshape(n, c, h // k, k, w // k, k)
-            return ((x[:, :, :, 0, :, 0] + x[:, :, :, 0, :, 1])
-                    + (x[:, :, :, 1, :, 0] + x[:, :, :, 1, :, 1])) / 4
-        # mean reduces in memory order: one layout makes the bits layout-free
-        return np.ascontiguousarray(x).reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
+        # Each window row left to right, then the rows top to bottom, so the
+        # bits do not depend on x's memory layout; for k = 2 that is
+        # ((a + b) + (c + d)) / 4, numpy mean's order when Wo > 1. The adds
+        # run through views of x (a conv's NHWC memory is not copied); a
+        # generator, not a list, frees each row sum once it is added.
+        x = x.reshape(n, c, h // k, k, w // k, k)
+        rows = (functools.reduce(np.add, (x[:, :, :, i, :, j] for j in range(k)))
+                for i in range(k))
+        return functools.reduce(np.add, rows) / (k * k)
 
     def backward(self, dy):
         k = self.k

@@ -1,4 +1,5 @@
-"""The one writer of every output file.
+"""The one writer of every output file, and the one reader of the
+package's `.npz` archives (checkpoints and `.npz` dataset splits).
 
 Callers build an output's bytes in memory and hand them to `replace_file`,
 which never opens an existing output for writing. It writes a sibling
@@ -22,7 +23,12 @@ from __future__ import annotations
 import contextlib
 import errno
 import os
+import zipfile
 from pathlib import Path
+
+import numpy as np
+
+from .errors import FormatError
 
 
 def replace_file(path, data) -> None:
@@ -56,3 +62,22 @@ def replace_file(path, data) -> None:
         # the new output is in place: a stale aside copy is not a failed write
         with contextlib.suppress(OSError):
             aside.unlink()
+
+
+def read_npz(path) -> dict[str, np.ndarray]:
+    """Every array of the `.npz` archive at `path`, read without pickle.
+    Anything else at `path` raises FormatError; a missing file stays an
+    OSError."""
+    # np.load leaks the handle it opens when the archive is corrupt
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            if isinstance(archive, np.lib.npyio.NpzFile):
+                with archive:
+                    arrays = {name: archive[name] for name in archive.files}
+                # a zip member that is not an .npy file reads as raw bytes
+                if all(isinstance(a, np.ndarray) for a in arrays.values()):
+                    return arrays
+        except (zipfile.BadZipFile, ValueError, KeyError, EOFError) as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+    raise FormatError(f"{path}: not an .npz archive of arrays")

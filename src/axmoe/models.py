@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import io
 import json
-import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from .engine import AvgPool2d, Conv2d, Flatten, Layer, Linear, Model, ReLU
 from .errors import FormatError, ParameterError
-from .files import replace_file
+from .files import read_npz, replace_file
 from .graphs import APPROX, ClusterArch, MoEGroup, build_arch, substitute_moe
 from .moe import ClusterModel, MoELayer, Router
 
@@ -116,25 +115,6 @@ def save_model(model, directory, meta: dict) -> None:
     replace_file(directory / CHECKPOINT_FILE, buf.getbuffer())
 
 
-def _read_npz(path) -> dict[str, np.ndarray]:
-    """Every array of the `.npz` archive at `path`, read without pickle.
-    Anything else at `path` raises FormatError; a missing file stays an
-    OSError."""
-    # np.load leaks the handle it opens when the archive is corrupt
-    with open(path, "rb") as fh:
-        try:
-            archive = np.load(fh, allow_pickle=False)
-            if isinstance(archive, np.lib.npyio.NpzFile):
-                with archive:
-                    arrays = {name: archive[name] for name in archive.files}
-                # a zip member that is not an .npy file reads as raw bytes
-                if all(isinstance(a, np.ndarray) for a in arrays.values()):
-                    return arrays
-        except (zipfile.BadZipFile, ValueError, KeyError, EOFError) as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-    raise FormatError(f"{path}: not an .npz archive of arrays")
-
-
 def model_from_spec(meta: dict):
     """Rebuild the graph a checkpoint was trained as, without its weights."""
     arch = build_arch(meta["arch"], **meta["arch_kwargs"])
@@ -149,7 +129,7 @@ def load_model(directory):
     path = Path(directory) / CHECKPOINT_FILE
     if not path.is_file():
         raise FormatError(f"{directory}: no {CHECKPOINT_FILE}")
-    params = _read_npz(path)
+    params = read_npz(path)
     meta = params.pop("meta", None)
     if meta is None or meta.ndim != 0 or meta.dtype.kind != "U":
         raise FormatError(f"{path}: meta must be one JSON string entry")

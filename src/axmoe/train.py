@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datasets import Split
 from .engine import RunContext, softmax_cross_entropy
 from .errors import ParameterError
 from .multipliers import AxMultiplier
@@ -35,24 +36,6 @@ class TrainConfig:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
-
-
-@dataclass
-class Split:
-    """Train/test arrays. Images are float32 NCHW, labels int64 class ids."""
-
-    x_train: np.ndarray
-    y_train: np.ndarray
-    x_test: np.ndarray
-    y_test: np.ndarray
-
-    def __post_init__(self):
-        if len(self.x_train) != len(self.y_train):
-            raise ParameterError("train images and labels disagree on length")
-        if len(self.x_test) != len(self.y_test):
-            raise ParameterError("test images and labels disagree on length")
-        if not len(self.x_train) or not len(self.x_test):
-            raise ParameterError("train and test splits must not be empty")
 
 
 @dataclass

@@ -640,39 +640,58 @@ def test_affine_backward_matches_central_differences(kind):
 @pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float64),
                                     (np.float64, np.float32), (np.float32, np.float64)])
 def test_bias_add_over_wide_rows_equals_y_plus_b(dtypes):
+    # The add is written into y, so y keeps its dtype: a float64 bias on
+    # float32 rows adds in float64 and rounds once to float32.
     rng = np.random.default_rng(9)
     for rows in (1, 7, 63, 64, 100, 192, 51200):  # 51200: toy_cnn's conv1 at batch 200
         for cout in (1, 3, 8, 16):
             y = _spread(rng, (rows, cout), dtypes[0])
             b = _spread(rng, (cout,), dtypes[1])
-            want = y + b
+            want = (y + b).astype(y.dtype)
             got = _add_bias(y.copy(), b)
             assert got.dtype == want.dtype and got.shape == want.shape, (rows, cout)
             assert got.tobytes() == want.tobytes(), (rows, cout)
 
 
+def test_float32_layers_add_a_float64_bias_before_rounding():
+    rng = np.random.default_rng(10)
+    conv = Conv2d("conv", _spread(rng, (8, 2, 3, 3), np.float32), _spread(rng, (8,), np.float64),
+                  padding=(1, 1))
+    linear = Linear("linear", _spread(rng, (5, 12), np.float32), _spread(rng, (5,), np.float64))
+    for layer, x in ((conv, _spread(rng, (3, 2, 8, 8), np.float32)),
+                     (linear, _spread(rng, (4, 6, 12), np.float32))):
+        rows = layer._rows(x)
+        want = (rows @ layer.w.reshape(len(layer.w), -1).T + layer.b).astype(x.dtype)
+        y = layer.forward(x, RunContext())
+        assert y.dtype == np.float32
+        assert np.moveaxis(y, layer._out_axis, -1).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("cout", [1, 8, 16])
 def test_bias_gradient_keeps_the_order_of_each_row_layout(cout, dtype):
-    # A one-image conv batch hands backward a drows view whose rows axis is
-    # the contiguous one (so is any single column), which sum(axis=0) adds
-    # pairwise; every other batch's drows is a C-contiguous copy, added row
-    # after row. The two orders give different bits on these values, and
-    # each layout must keep its own.
+    # One order whatever the batch or dy's memory: backward lays the rows out
+    # C-contiguous (a one-image conv batch's dy reshapes to a view whose rows
+    # axis is the contiguous one) and adds them in sequence. A single column
+    # has einsum's own order, the same for every layout too.
     rng = np.random.default_rng(cout)
     for n in (1, 3):
         conv = Conv2d("conv", rng.normal(size=(cout, 2, 3, 3)).astype(dtype),
                       np.zeros(cout, dtype), padding=(1, 1))
         x = rng.normal(size=(n, 2, 16, 16)).astype(dtype)
         dy = _spread(rng, conv.forward(x, RunContext(train=True)).shape, dtype)
-        conv.backward(dy)
+        nhwc = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        out = []
+        for memory in (dy, nhwc):
+            dx = conv.backward(memory)
+            out.append((conv.grads["w"].tobytes(), conv.grads["b"].tobytes(), dx.tobytes()))
+        assert out[0] == out[1], n
         drows = np.moveaxis(dy, 1, -1).reshape(-1, cout)
         in_sequence = functools.reduce(np.add, drows)
-        pairwise = np.ascontiguousarray(drows.T).sum(axis=1)
-        assert in_sequence.tobytes() != pairwise.tobytes()
-        want = pairwise if n == 1 or cout == 1 else in_sequence
+        assert in_sequence.tobytes() != np.ascontiguousarray(drows.T).sum(axis=1).tobytes()
         assert conv.grads["b"].dtype == dtype
-        assert conv.grads["b"].tobytes() == want.tobytes() == drows.sum(axis=0).tobytes()
+        if cout > 1:
+            assert conv.grads["b"].tobytes() == in_sequence.tobytes(), n
 
 
 def test_conv2d_counter_formula():
@@ -729,14 +748,20 @@ def test_avgpool_forward_and_backward():
 @example(shape=(6, 16, 2, 2), dtype=np.float32, seed=1)  # toy_cnn at resolution 4: pool2
 @example(shape=(6, 8, 4, 4), dtype=np.float32, seed=1)  # and pool1
 def test_avgpool_equals_numpy_mean_bit_for_bit(shape, dtype, seed):
-    # Pins the pool to numpy's own reduction order; if numpy changes it,
-    # this fails rather than letting results shift.
+    # Pins the pool to one explicit order on every shape: each window row
+    # left to right, then the rows top to bottom. That is numpy mean's own
+    # order where Wo > 1; at Wo == 1 mean folds the window into one axis and
+    # sums it in sequence instead, so only the explicit order is pinned there.
     n, c, h, w = shape
     x = _spread(np.random.default_rng(seed), shape, dtype)
     y = AvgPool2d("pool", 2).forward(x, RunContext())
-    want = x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    win = x.reshape(n, c, h // 2, 2, w // 2, 2)
+    want = ((win[:, :, :, 0, :, 0] + win[:, :, :, 0, :, 1])
+            + (win[:, :, :, 1, :, 0] + win[:, :, :, 1, :, 1])) / 4
     assert y.dtype == want.dtype and y.flags.c_contiguous
     assert y.tobytes() == want.tobytes()
+    if w > 2:
+        assert y.tobytes() == win.mean(axis=(3, 5)).tobytes()
 
 
 def test_avgpool_bits_do_not_depend_on_memory_layout():

@@ -188,6 +188,21 @@ def test_runtime_imports_only_numpy_and_the_standard_library():
                 assert top == "numpy" or top in sys.stdlib_module_names, (path.name, name)
 
 
+def test_files_and_datasets_import_nothing_that_builds_or_trains_models():
+    # files reads and writes the archives of every other module, and a
+    # dataset is arrays read from them: neither may pull in the engine. The
+    # package imports itself only relatively (the test above forbids
+    # `import axmoe...`), so the relative imports are all there is to check.
+    allowed = {"files": {"errors"}, "datasets": {"errors", "files"}}
+    for name, ok in allowed.items():
+        path = Path(axmoe.__file__).parent / f"{name}.py"
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported |= {node.module} if node.module else {a.name for a in node.names}
+        assert imported <= ok, (name, sorted(imported - ok))
+
+
 def test_readme_layout_names_every_module():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Layout", 1)[1].split("```")[1]
