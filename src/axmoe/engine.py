@@ -30,6 +30,12 @@ looked up like any other pair, because an approximate table may map
 (0, w) to a nonzero product. Per-layer invocation counters therefore equal
 the shape-level MAC formulas exactly.
 
+Affine layers of one layout that read one input, such as the soft experts
+of an MoE layer, run as one group (`_Affine.forward_group`): the input is
+quantized and laid out once, and one LUT call multiplies it by every
+layer's weight codes. A single layer is the group of one, so a group's
+outputs, gradients and counters equal those of its layers run alone.
+
 Training uses the straight-through estimator: the forward pass is the
 quantized/LUT pass, the backward pass computes float gradients as if the
 layer had run exact float arithmetic over the quantized-dequantized
@@ -64,6 +70,8 @@ QMAX = 127  # symmetric range [-127, 127]; code -128 is never produced
 # process took ~450 minor page faults per (8, 784) x (32, 784) call.
 _GATHER_BUDGET = 1 << 15
 _CODE_TABLE_BUDGET = 1 << 16
+# Float64 entries per block of the LUT rescale (256 KiB), for the same reason.
+_EPILOGUE_BUDGET = 1 << 15
 
 # Every index a kernel looks up is in range by construction, so each
 # np.take runs with mode="wrap": the same values, and numpy's cheapest
@@ -90,16 +98,15 @@ class QuantParams:
             raise ParameterError(f"scale must be positive and finite, got {self.scale}")
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    # np.round ties to even; the codec pins ties away from zero instead.
-    return np.trunc(x + np.copysign(0.5, x))
-
-
 def quantize(t: np.ndarray) -> tuple[np.ndarray, QuantParams]:
-    """Symmetric per-tensor int8: scale = max|t| / 127, 1.0 for all-zero input."""
+    """Symmetric per-tensor int8: scale = max|t| / 127, 1.0 for all-zero
+    input. Codes round half away from zero."""
     t = np.asarray(t)
-    amax = float(np.max(np.abs(t))) if t.size else 0.0
-    if not np.isfinite(amax):  # a NaN or an infinity carries through abs and max
+    if t.dtype.kind != "f":  # -min of an integer type's minimum wraps
+        t = t.astype(np.float64)
+    # max and -min, not max(abs): no temp of t's size, and the same value
+    amax = float(max(t.max(), -t.min())) if t.size else 0.0
+    if not math.isfinite(amax):  # a NaN or an infinity carries through max and min
         raise NumericError("quantize: input contains non-finite values")
     scale = amax / QMAX if amax > 0 else 1.0
     if scale == 0:
@@ -111,7 +118,18 @@ def quantize(t: np.ndarray) -> tuple[np.ndarray, QuantParams]:
         x = np.ldexp(t.astype(np.float64), lift) / (np.ldexp(amax, lift) / QMAX)
     else:
         x = t / scale
-    codes = np.clip(_round_half_away(x), -QMAX, QMAX).astype(np.int8)
+    x = np.asarray(x)  # a 0-d t divides to a scalar, which `out=` cannot take
+    # Half away from zero as trunc(|x| + 0.5) with x's sign, which is
+    # trunc(x + copysign(0.5, x)): round to nearest is symmetric about 0.
+    # |x| is at most 127 plus a few ulps of a normal scale, so |x| + 0.5 stays
+    # below 128 and the truncating int8 cast needs no clip. The sign goes
+    # back on as a two's-complement negate, (c ^ -s) + s for sign bit s.
+    neg = np.signbit(x).view(np.int8)
+    np.abs(x, out=x)
+    x += 0.5
+    codes = x.astype(np.int8)
+    codes ^= -neg
+    codes += neg
     return codes, QuantParams(scale)
 
 
@@ -136,7 +154,8 @@ def lut_matmul(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
     One of three kernels runs, each equal to the table gather bit for bit:
 
     * a rank-1 table (`m.rank1`: exact, every truncN, DRUM) runs as GEMMs of
-      its reduced factors, q * (f[a] @ g[b].T) (`_rank1_gemm`);
+      its reduced factors, f[a] @ g[b].T, whose int32 sums are then scaled
+      by q in int32 (`_rank1_gemm`);
     * any other table runs through the code table when N >= 256
       (`_lut_code_table`);
     * and otherwise through one lookup per operand pair (`_lut_gather`).
@@ -180,19 +199,24 @@ def _int32_result(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> tuple[np.nda
     return np.empty((a.shape[0], b.shape[0]), np.int32), a.shape[1] * m.max_abs > INT32_MAX
 
 
-def _store(out: np.ndarray, at, sums: np.ndarray, scan: bool) -> None:
+def _store(out: np.ndarray, at, sums: np.ndarray, scan: bool, q: int = 1) -> None:
     """Write a block of integer-valued float sums into the int32 result,
-    after checking, when `scan` is set, that each one fits."""
-    if scan and sums.size and (sums.min() < INT32_MIN or sums.max() > INT32_MAX):
-        raise NumericError("lut_matmul: 32-bit accumulator overflow")
+    after checking, when `scan` is set, that each one times q fits (the
+    result is scaled by q later)."""
+    if scan and sums.size:
+        lo, hi = sorted((float(sums.min()) * q, float(sums.max()) * q))
+        if lo < INT32_MIN or hi > INT32_MAX:
+            raise NumericError("lut_matmul: 32-bit accumulator overflow")
     out[at] = sums
 
 
 def _rank1_gemm(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
     """(N, M) int32 sums q * (f[a] @ g[b].T) of a rank-1 table's products:
     per block of rows, one GEMM of the reduced factors, whose products are
-    bounded by max|L| / |q|, then a float64 scaling by q. g[b] is looked up
-    once per call, f[a] once per block."""
+    bounded by max|L| / |q|, stored as int32; then one int32 multiply of
+    the whole result by q, none for q = 1. Every q * sum fits int32 (or the
+    block scan raises), so every sum does too. g[b] is looked up once per
+    call, f[a] once per block."""
     f, g, q = m.rank1
     k = a.shape[1]
     acc = _accumulator(k, m.max_abs // abs(q))
@@ -202,8 +226,10 @@ def _rank1_gemm(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
     codes = a.view(np.uint8)
     rows = max(1, _GATHER_BUDGET // max(1, k, len(b)))
     for start in range(0, len(a), rows):
-        block = np.take(f, codes[start : start + rows], mode="wrap") @ gbt
-        _store(out, slice(start, start + rows), np.multiply(block, q, dtype=np.float64), scan)
+        _store(out, slice(start, start + rows),
+               np.take(f, codes[start : start + rows], mode="wrap") @ gbt, scan, q)
+    if q != 1:
+        out *= q
     return out
 
 
@@ -319,6 +345,17 @@ def _add_bias(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     return wide.reshape(y.shape)
 
 
+def _rescale(out: np.ndarray, acc: np.ndarray, scale: float, b: np.ndarray) -> None:
+    """out = acc * scale + b, computed in float64 and cast to out's type, in
+    blocks of rows written straight into out: no float64 array of the
+    whole call is ever held. Each element gets the same two float64
+    operations whatever the block, so the bits do not depend on it."""
+    rows = max(64, _EPILOGUE_BUDGET // max(1, out.shape[1]) // 64 * 64)
+    for start in range(0, len(out), rows):
+        at = slice(start, start + rows)
+        out[at] = _add_bias(np.multiply(acc[at], scale, dtype=np.float64), b)
+
+
 def stable_softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis."""
     z = z - z.max(axis=-1, keepdims=True)
@@ -341,8 +378,8 @@ class RunContext:
     units per expert for MoE layers.
 
     A layer's weights are quantized once per context and reused by every
-    later forward through it, so no parameter may change while a context is
-    live: make a new one after each update.
+    later forward through it (a group's, stacked once), so no parameter may
+    change while a context is live: make a new one after each update.
     """
 
     multiplier: AxMultiplier | None = None
@@ -357,13 +394,17 @@ class RunContext:
     def count_routed(self, name: str, n: int) -> None:
         self.routed[name] = self.routed.get(name, 0) + int(n)
 
-    def quantized_weights(self, layer: "_Affine") -> tuple[np.ndarray, QuantParams]:
-        """`quantize` of the layer's weights as (out, fan_in) rows, made on the
-        layer's first forward and kept under the layer object itself (never
-        its id, which a collected layer can hand on)."""
-        if layer not in self.weight_codes:
-            self.weight_codes[layer] = quantize(layer.w.reshape(layer.w.shape[0], -1))
-        return self.weight_codes[layer]
+    def quantized_weights(self, layers: tuple) -> tuple[np.ndarray, tuple[QuantParams, ...]]:
+        """`quantize` of each layer's weights as (out, fan_in) rows: the codes
+        of all `layers` stacked in order, and each layer's scale. Made on the
+        first forward through the layers and kept under the layer objects
+        themselves (never their ids, which a collected layer can hand on)."""
+        if layers not in self.weight_codes:
+            codes, scales = zip(*(quantize(layer.w.reshape(layer.w.shape[0], -1))
+                                  for layer in layers))
+            self.weight_codes[layers] = (codes[0] if len(codes) == 1 else np.concatenate(codes),
+                                         scales)
+        return self.weight_codes[layers]
 
 
 class Layer:
@@ -423,6 +464,11 @@ class Layer:
     def forward(self, x: np.ndarray, ctx: RunContext) -> np.ndarray:
         raise NotImplementedError
 
+    def group_key(self):
+        """Layers whose keys are equal and not None can run on one input as
+        one group (`_Affine.forward_group`); None for a layer that runs alone."""
+        return None
+
     def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """Gradients of the parameters into `grads`, and the gradient of the
         input. A parameterized layer called with input_grad=False computes
@@ -435,7 +481,8 @@ class Layer:
 # ---------------------------------------------------------------------------
 
 class _Affine(Layer):
-    """y = cols @ w.T + b, one forward and one backward for Conv2d and Linear.
+    """y = cols @ w.T + b, one forward and one backward for Conv2d and Linear,
+    each the one-layer case of a group of layers that read one input.
 
     Subclasses only describe layout: `_lead(shape)` gives the output's row
     axes, `_cols` lays x out as `(*lead, *w.shape[1:])`, `_uncols` is its
@@ -455,44 +502,85 @@ class _Affine(Layer):
     def _rows(self, x):
         return self._cols(x).reshape(-1, self.w[0].size)
 
-    def forward(self, x, ctx):
-        """Float product, or quantize both operands per tensor, multiply every
-        pair through the table and count the lookups. Training caches the
-        operands the product saw (dequantized on the LUT path) for the
-        straight-through backward."""
-        lead = self._lead(x.shape)  # rejects bad geometry before any im2col
-        if ctx.multiplier is not None and self.approximate:
-            qx, sx = quantize(x)
-            qw, sw = ctx.quantized_weights(self)
-            acc = lut_matmul(self._rows(qx), qw, ctx.multiplier)
-            ctx.count(self.name, acc.size * qw.shape[1])
-            y = _add_bias(np.multiply(acc, sx.scale * sw.scale, dtype=np.float64), self.b)
-            if ctx.train:
-                self._cache = (dequantize(qx, sx).astype(x.dtype),
-                               dequantize(qw, sw).astype(self.w.dtype))
-        else:
-            w2d = self.w.reshape(self.w.shape[0], -1)
-            y = _add_bias(self._rows(x) @ w2d.T, self.b)
-            if ctx.train:
-                self._cache = (x, w2d)
+    def _shaped(self, y, lead):
+        """(rows, Cout) products as the layer's output for row axes `lead`."""
         y = y.reshape(*lead, self.w.shape[0])
         if self._out_axis != -1:  # moveaxis normalises its axes even with nothing to move
             y = np.moveaxis(y, -1, self._out_axis)
-        return y.astype(x.dtype, copy=False)
+        return y
+
+    def group_key(self):
+        return type(self), self.w.shape[1:], self.approximate
+
+    def forward(self, x, ctx):
+        return self.forward_group((self,), x, ctx)[0]
 
     def backward(self, dy, input_grad=True):
-        x_eff, w_eff = self._cache
+        return next(self.backward_group((self,), (dy,), input_grad), None)
+
+    @staticmethod
+    def forward_group(layers, x, ctx) -> list:
+        """Each layer's output for the one input x; the layers share a
+        `group_key`. x is laid out (im2col) once for all of them.
+
+        Float products, one GEMM per layer. Or quantize x once (per tensor),
+        multiply it by every layer's weight codes, stacked, in one LUT call,
+        and rescale each layer's columns by its own weight scale; each layer
+        counts its own lookups. Training caches the operands the products
+        saw (dequantized on the LUT path) for the straight-through backward:
+        one shared x, and each layer's own weights."""
+        first = layers[0]
+        lead = first._lead(x.shape)  # rejects bad geometry before any im2col
+        ys = []
+        if ctx.multiplier is not None and first.approximate:
+            qx, sx = quantize(x)
+            qw, sws = ctx.quantized_weights(tuple(layers))
+            acc = lut_matmul(first._rows(qx), qw, ctx.multiplier)
+            x_eff = dequantize(qx, sx).astype(x.dtype) if ctx.train else None
+            c0 = 0
+            for layer, sw in zip(layers, sws):
+                c1 = c0 + layer.w.shape[0]
+                ctx.count(layer.name, len(acc) * (c1 - c0) * qw.shape[1])
+                y = np.empty((len(acc), c1 - c0), dtype=x.dtype)
+                _rescale(y, acc[:, c0:c1], sx.scale * sw.scale, layer.b)
+                ys.append(layer._shaped(y, lead))
+                if ctx.train:
+                    layer._cache = (x_eff, dequantize(qw[c0:c1], sw).astype(layer.w.dtype))
+                c0 = c1
+            return ys
+        rows = first._rows(x)
+        for layer in layers:
+            w2d = layer.w.reshape(layer.w.shape[0], -1)
+            ys.append(layer._shaped(_add_bias(rows @ w2d.T, layer.b), lead).astype(
+                x.dtype, copy=False))
+            if ctx.train:
+                layer._cache = (x, w2d)
+        return ys
+
+    @staticmethod
+    def backward_group(layers, dys, input_grad=True):
+        """The backward of one `forward_group` call, for each layer's output
+        gradient in `dys`: every layer's `grads` over one layout of the
+        shared cached input, then, with input_grad, each layer's input
+        gradient, yielded in layer order. Without input_grad it yields
+        nothing; the `grads` are set once it is first advanced."""
         # C-contiguous rows whatever the batch or dy's memory (conv rows were
         # copied anyway, by the reshape, except for one image), so the bias
         # gradient adds them in one sequence
-        drows = np.ascontiguousarray(np.moveaxis(dy, self._out_axis, -1)).reshape(
-            -1, self.w.shape[0])
-        self.grads = {"w": (drows.T @ self._rows(x_eff)).reshape(self.w.shape),
-                      "b": np.einsum("ij->j", drows)}
-        if not input_grad:
-            return None
-        dcols = (drows @ w_eff).reshape(*self._lead(x_eff.shape), *self.w.shape[1:])
-        return self._uncols(dcols, x_eff.shape)
+        drows = [np.ascontiguousarray(np.moveaxis(dy, layer._out_axis, -1)).reshape(
+            -1, layer.w.shape[0]) for layer, dy in zip(layers, dys)]
+        x_eff = layers[0]._cache[0]
+        rows = layers[0]._rows(x_eff)
+        for layer, d in zip(layers, drows):
+            layer.grads = {"w": (d.T @ rows).reshape(layer.w.shape),
+                           "b": np.einsum("ij->j", d)}
+        del rows
+        lead = layers[0]._lead(x_eff.shape)
+        for layer in layers if input_grad else ():
+            # one expression per layer: no local keeps its rows or columns
+            # alive while the caller holds its input gradient
+            yield layer._uncols((drows.pop(0) @ layer._cache[1]).reshape(
+                *lead, *layer.w.shape[1:]), x_eff.shape)
 
 
 class Conv2d(_Affine):
@@ -505,6 +593,9 @@ class Conv2d(_Affine):
         super().__init__(name, w, b, approximate)
         self.stride = stride
         self.padding = padding
+
+    def group_key(self):
+        return (*super().group_key(), self.stride, self.padding)
 
     def _lead(self, shape):
         return (shape[0], *conv_out_hw(shape[2], shape[3], self.w.shape[2:], self.stride,

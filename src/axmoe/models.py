@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import AvgPool2d, Conv2d, Flatten, Layer, Linear, Model, ReLU
-from .errors import FormatError, ParameterError
+from .errors import FormatError, NumericError, ParameterError
 from .files import read_npz, replace_file
 from .graphs import APPROX, ClusterArch, MoEGroup, build_arch, substitute_moe
 from .moe import ClusterModel, MoELayer, Router
@@ -107,12 +107,22 @@ def _build_cluster(cluster: ClusterArch, seed: int) -> ClusterModel:
 
 def save_model(model, directory, meta: dict) -> None:
     """Write `directory`/checkpoint.npz: every parameter under its qualified
-    name, which always holds a ".", plus `meta` as one JSON string entry."""
+    name, which always holds a ".", plus `meta` as one JSON string entry.
+    NaN or infinite parameters, which `load_model` rejects, raise
+    NumericError and write nothing."""
+    params = model.params()
+    non_finite = _non_finite(params)
+    if non_finite:
+        raise NumericError(f"{directory}: non-finite values in {non_finite}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     buf = io.BytesIO()
-    np.savez(buf, meta=json.dumps(meta, sort_keys=True), **model.params())
+    np.savez(buf, meta=json.dumps(meta, sort_keys=True), **params)
     replace_file(directory / CHECKPOINT_FILE, buf.getbuffer())
+
+
+def _non_finite(params: dict) -> list[str]:
+    return sorted(k for k, v in params.items() if not np.isfinite(v).all())
 
 
 def model_from_spec(meta: dict):
@@ -147,7 +157,7 @@ def load_model(directory):
         model.load_params(params)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{directory}: checkpoint meta does not rebuild a model: {exc}") from exc
-    non_finite = sorted(k for k, v in model.params().items() if not np.isfinite(v).all())
+    non_finite = _non_finite(model.params())
     if non_finite:
         raise FormatError(f"{directory}: non-finite values in {non_finite}")
     return model, meta

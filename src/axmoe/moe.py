@@ -38,14 +38,36 @@ def _bcast(per_sample: np.ndarray, like: np.ndarray) -> np.ndarray:
     return per_sample.reshape(-1, *([1] * (like.ndim - 1)))
 
 
+def _groups(picks, units) -> list[list[int]]:
+    """Unit indices in runs that read one input together: consecutive units
+    with the same pick object (every soft expert's) and one `group_key`.
+    Every other unit, a hard expert or a cluster replica, is a run of one."""
+    runs = []
+    for i, (pick, unit) in enumerate(zip(picks, units)):
+        head = runs[-1][0] if runs else None
+        if (head is not None and pick is picks[head] and unit.group_key() is not None
+                and unit.group_key() == units[head].group_key()):
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    return runs
+
+
 def _run_units(x, picks, units, ctx: RunContext, prefix: str) -> list:
     """Run unit i on x[picks[i]] and count the samples it gets. A unit with no
-    sample is skipped and its output is None."""
+    sample is skipped and its output is None. A run of `_groups` takes its
+    input once, through one `forward_group` call."""
     outs = []
-    for i, (pick, unit) in enumerate(zip(picks, units)):
-        xi = x[pick]
-        ctx.count_routed(f"{prefix}{i}", len(xi))
-        outs.append(unit.forward(xi, ctx) if len(xi) else None)
+    for run in _groups(picks, units):
+        xi = x[picks[run[0]]]
+        for i in run:
+            ctx.count_routed(f"{prefix}{i}", len(xi))
+        if not len(xi):
+            outs += [None] * len(run)
+        elif len(run) == 1:
+            outs.append(units[run[0]].forward(xi, ctx))
+        else:
+            outs += units[run[0]].forward_group([units[i] for i in run], xi, ctx)
     return outs
 
 
@@ -61,20 +83,30 @@ def _scatter(n: int, picks, parts) -> np.ndarray:
     return y
 
 
+def _unit_dy(dy, pick, gate, i) -> np.ndarray:
+    """Unit i's output gradient: dy at its picks, scaled by its gate if any."""
+    d = dy[pick]
+    return d if gate is None else _bcast(gate[pick, i], d) * d
+
+
 def _units_backward(dy, dx, units, picks, outs, gate=None) -> np.ndarray | None:
     """Add each unit's input gradient into dx at its picks; with dx None,
     each unit computes only its parameter gradients. With `gate`, unit i's
-    output was scaled by gate[:, i] in the forward pass."""
-    for i, (unit, pick, out) in enumerate(zip(units, picks, outs)):
-        if out is None:
+    output was scaled by gate[:, i] in the forward pass. A run of `_groups`
+    goes back through one `backward_group` call; the input gradients are
+    added in unit order either way."""
+    for run in _groups(picks, units):
+        pick = picks[run[0]]
+        if outs[run[0]] is None:
             continue
-        d = dy[pick]
-        if gate is not None:
-            d = _bcast(gate[pick, i], d) * d
-        if dx is None:
-            unit.backward(d, input_grad=False)
+        dys = (_unit_dy(dy, pick, gate, i) for i in run)
+        if len(run) == 1:
+            parts = [units[run[0]].backward(next(dys), input_grad=dx is not None)]
         else:
-            dx[pick] += unit.backward(d)
+            parts = units[run[0]].backward_group([units[i] for i in run], dys, dx is not None)
+        for part in parts:
+            if dx is not None:
+                dx[pick] += part
     return dx
 
 

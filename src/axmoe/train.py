@@ -15,7 +15,7 @@ import numpy as np
 
 from .datasets import Split
 from .engine import RunContext, softmax_cross_entropy
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 from .multipliers import AxMultiplier
 
 
@@ -62,13 +62,17 @@ def sgd_step(model, cfg: TrainConfig, frozen: set[str]) -> None:
 
 def train_epoch(model, x, y, cfg: TrainConfig, rng, multiplier: AxMultiplier | None,
                 frozen: set[str]) -> float:
+    """One pass over the shuffled training set; the mean loss. A step whose
+    loss is not finite raises NumericError: training has diverged."""
     order = rng.permutation(len(x))
     total = 0.0
-    for start in range(0, len(order), cfg.batch_size):
+    for step, start in enumerate(range(0, len(order), cfg.batch_size)):
         idx = order[start : start + cfg.batch_size]
         ctx = RunContext(multiplier=multiplier, train=True)
         logits = model.forward(x[idx], ctx)
         loss, dlogits = softmax_cross_entropy(logits, y[idx])
+        if not math.isfinite(loss):
+            raise NumericError(f"train_epoch: loss is {loss} at step {step}: training diverged")
         model.zero_grads()
         model.backward(dlogits, input_grad=False)
         sgd_step(model, cfg, frozen)

@@ -15,7 +15,7 @@ from axmoe import cli, config
 from axmoe.config import ExperimentConfig, config_hash, load_config, parse_config_text
 from axmoe.datasets import DATA_DIR_ENV
 from axmoe.engine import RunContext
-from axmoe.errors import ConfigError, FormatError
+from axmoe.errors import ConfigError, FormatError, NumericError
 from axmoe.graphs import build_arch, substitute_moe
 from axmoe.models import build_model, load_model, model_from_spec, save_model
 from axmoe.multipliers import NAME_BYTES, builtin_multiplier, save_lut
@@ -293,6 +293,17 @@ def test_sweep_checkpoints_rebuild_every_variant(tmp_path, capsys, arch, resolut
             assert model.forward(x, RunContext(multiplier=mul)).dtype == np.float32, variant
 
 
+@pytest.mark.parametrize("multiplier", ["float", "exact"])
+def test_a_sweep_that_diverges_exits_5_and_writes_no_checkpoint(tmp_path, capsys, multiplier):
+    with np.errstate(all="ignore"):  # the overflows on the way to a NaN loss warn
+        rc = cli.main(["sweep", *_base_args(tmp_path), "--set", "lr = 1e30",
+                       "--variant", "dense", "--multiplier", multiplier])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert "training diverged" in err and "Traceback" not in err
+    assert not list(tmp_path.rglob("checkpoint.npz"))
+
+
 def test_cli_count_prices_every_multiplier_in_order(capsys):
     assert cli.main(["count", "--arch", "vit_small", "--variant", "hard",
                      "--multiplier", "trunc2", "--multiplier", "exact"]) == 0
@@ -426,8 +437,20 @@ def test_malformed_checkpoint_is_a_format_error(tmp_path, capsys, corrupt):
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_checkpoint_parameter_is_a_format_error(tmp_path, capsys, value):
     model = build_model(_TOY_MLP_GRAPH)
-    model.params()["fc1.b"][1] = value
     _save_toy_mlp(model, tmp_path / "ckpt")
+    saved = (tmp_path / "ckpt" / "checkpoint.npz").read_bytes()
+    model.params()["fc1.b"][1] = value
+    # the writer refuses what its reader would, and leaves the old file
+    with pytest.raises(NumericError, match="fc1.b"):
+        _save_toy_mlp(model, tmp_path / "ckpt")
+    assert (tmp_path / "ckpt" / "checkpoint.npz").read_bytes() == saved
+
+    def non_finite(params, meta):
+        b = params["fc1.b"].copy()
+        b[1] = value
+        return {**params, "fc1.b": b, "meta": json.dumps(meta)}
+
+    _rewrite(non_finite)(tmp_path / "ckpt" / "checkpoint.npz")
     with pytest.raises(FormatError, match="fc1.b"):
         load_model(tmp_path / "ckpt")
     # the float path multiplies no quantized code, so only the load can refuse it

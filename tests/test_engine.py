@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from axmoe import engine
 from axmoe.engine import (INT32_MAX, QMAX, AvgPool2d, Conv2d, Linear, Model, QuantParams, ReLU,
                           RunContext, _accumulator, _add_bias, _lut_code_table, _lut_gather,
-                          _rank1_gemm, _round_half_away, col2im, dequantize, im2col, lut_matmul,
+                          _rank1_gemm, col2im, dequantize, im2col, lut_matmul,
                           quantize, softmax_cross_entropy, stable_softmax)
 from axmoe.errors import NumericError, ParameterError
 from axmoe.multipliers import (AxMultiplier, build_exact_multiplier,
@@ -27,6 +27,11 @@ EXACT = build_exact_multiplier()
 # ---------------------------------------------------------------------------
 # codec
 # ---------------------------------------------------------------------------
+
+def _round_half_away(x: np.ndarray) -> np.ndarray:
+    # np.round ties to even; the codec pins ties away from zero instead.
+    return np.trunc(x + np.copysign(0.5, x))
+
 
 def test_quantize_scale_and_range():
     rng = np.random.default_rng(0)
@@ -106,6 +111,81 @@ def test_quantize_rejects_a_tensor_too_small_for_any_scale():
     # max|t| / 127 rounds to 0 in float64 below 64 * 2^-1074
     with pytest.raises(NumericError):
         quantize(np.array([5e-324, 0.0]))
+
+
+def _quantize_reference(t: np.ndarray):
+    """The codec as first written: max|t| through abs, then ties away from
+    zero through copysign, clipped to the symmetric range. (codes, scale),
+    or None where quantize must raise."""
+    amax = float(np.max(np.abs(t)))
+    scale = amax / QMAX if amax > 0 else 1.0
+    if scale == 0:
+        return None
+    if scale < np.finfo(np.result_type(t, scale)).tiny:
+        lift = -np.frexp(amax)[1]
+        x = np.ldexp(t.astype(np.float64), lift) / (np.ldexp(amax, lift) / QMAX)
+    else:
+        x = t / scale
+    return np.clip(_round_half_away(x), -QMAX, QMAX).astype(np.int8), scale
+
+
+@st.composite
+def _codec_inputs(draw):
+    """Float32 and float64 tensors of 1 to 40 elements: arbitrary finite
+    values, values on exact half-code ties, signed zeros, all-negative
+    tensors, and tensors small enough that the scale must be lifted."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["any", "ties", "zeros", "negative", "tiny"]))
+    width = 32 if dtype == np.float32 else 64
+
+    def floats(bound, low=None):  # bounds the drawn width holds exactly
+        bound = float(dtype(bound))
+        return st.floats(-bound if low is None else float(dtype(low)), bound, width=width)
+
+    if kind == "ties":
+        # (c + 1/2) * max / 127 for integer c, with max itself present
+        amax = draw(floats(1e30, low=1e-30))
+        half = np.array(draw(st.lists(st.integers(-QMAX, QMAX - 1), min_size=n, max_size=n)))
+        t = ((half + 0.5) * (amax / QMAX)).astype(dtype)
+        t[draw(st.integers(0, n - 1))] = draw(st.sampled_from([amax, -amax]))
+        return t
+    if kind == "zeros":
+        return np.array(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n)),
+                        dtype=dtype)
+    # below 127 times the smallest normal, so max|t| / 127 is subnormal
+    bound = 127 * float(np.finfo(dtype).tiny) if kind == "tiny" else 1e30
+    values = draw(st.lists(floats(bound), min_size=n, max_size=n))
+    t = np.array(values, dtype=dtype)
+    return -np.abs(t) if kind == "negative" else t
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(t=_codec_inputs())
+@example(t=np.array([3.0], np.float32))
+@example(t=np.array(-2.5, np.float32))  # 0-d
+@example(t=np.array([-0.0], np.float64))
+@example(t=np.array([-2.5, 0.5, -127.0], np.float32))
+@example(t=np.array([1e-320, -3e-321]))
+@example(t=np.array([-1e-45, 0.0], np.float32))
+def test_quantize_equals_the_round_half_away_reference(t):
+    want = _quantize_reference(t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if want is None:
+            with pytest.raises(NumericError):
+                quantize(t)
+            return
+        codes, qp = quantize(t)
+    assert codes.dtype == np.int8 and codes.shape == t.shape
+    assert codes.tobytes() == want[0].tobytes()
+    assert qp.scale == want[1]
+
+
+def test_quantize_takes_integer_tensors_at_their_minimum():
+    # |-128| wraps to -128 in int8, and so does -(-128)
+    codes, qp = quantize(np.array([-128, 5], np.int8))
+    assert qp.scale == 128 / QMAX and codes.tolist() == [-127, 5]
 
 
 def test_dequantize_round_trip_error_is_at_most_half_step():
@@ -386,6 +466,33 @@ def test_rank1_gemm_memory_does_not_follow_the_call_shape():
     assert out.dtype == np.int32 and peak < 2 * 2**20
 
 
+@pytest.mark.parametrize("name, q", [("exact", 1), ("trunc2", 16), ("trunc4", 256)])
+def test_rank1_gemm_scales_by_q_up_to_the_int32_bound(name, q):
+    # Every product of codes (-128, -128) is max|L| = 16384 and every factor
+    # product max|f| * max|g| = 16384 / q. At the first K whose sums are
+    # scanned, K * max|L| is 2^31: one zero code per row brings the sum back
+    # to 2^31 - 16384, which fits, while a full row overflows only once its
+    # factor sum, which fits int32 by far, is scaled by q.
+    m = RANK1_TABLES[name]
+    assert m.rank1[2] == q and m.max_abs == 16384
+    k = INT32_MAX // m.max_abs + 1
+    a = np.full((5, k), -128, np.int8)
+    b = np.full((3, k), -128, np.int8)
+    a[np.arange(4), np.arange(4)] = 0
+    b[1, -1] = 127  # negative products: a sum of -(k - 2) * |L(-128, 127)|
+    blocks, recording = _recording_stores()
+    with mock.patch.object(engine, "_GATHER_BUDGET", 2 * k), recording:
+        got = _rank1_gemm(a[:4], b, m)
+    assert got.dtype == np.int32 and np.array_equal(got, _oracle_gather(a[:4], b, m))
+    assert got.max() == INT32_MAX - 16383
+    written = np.zeros(got.shape, dtype=int)
+    for at in blocks:
+        written[at] += 1
+    assert (written == 1).all() and len(blocks) == 2
+    with pytest.raises(NumericError):
+        _rank1_gemm(a, b, m)
+
+
 # Budgets small enough that every kernel runs many blocks, the last of each
 # run short: gather and GEMM blocks of a few rows (and gather blocks of a few
 # columns), code-table blocks of up to 7 columns, a few weight positions and
@@ -397,9 +504,9 @@ def _recording_stores():
     """A patch of engine._store that records where each block was written."""
     blocks = []
 
-    def store(out, at, sums, scan):
+    def store(out, at, sums, *scan_and_q):
         blocks.append(at)
-        return _store(out, at, sums, scan)
+        return _store(out, at, sums, *scan_and_q)
 
     _store = engine._store
     return blocks, mock.patch.object(engine, "_store", store)

@@ -1,12 +1,18 @@
 """Routing algebra: gates, Top-1 selection, blending, cluster dispatch."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from axmoe import engine, moe
 from axmoe.engine import Conv2d, Flatten, Linear, Model, RunContext
 from axmoe.graphs import build_arch, substitute_moe
 from axmoe.models import build_model
 from axmoe.moe import ClusterModel, MoELayer, Router, pool_features
+from axmoe.multipliers import AxMultiplier, build_exact_multiplier, builtin_multiplier
 
 
 def _experts(rng, n, fin, fout, scale=0.5):
@@ -316,3 +322,117 @@ def test_unit_backward_matches_central_differences(mode, kind):
     params = layer.params()
     for name in sorted(grads):
         _assert_grad_close(name, grads[name], _central_differences(loss, params[name]))
+
+
+# ---------------------------------------------------------------------------
+# soft experts run as one group of affine layers
+# ---------------------------------------------------------------------------
+
+def _recording(monkeypatch, *names):
+    """Patch engine functions so each records the first argument of every call."""
+    calls = {}
+    for name in names:
+        calls[name] = seen = []
+
+        def record(*args, _f=getattr(engine, name), _seen=seen, **kwargs):
+            _seen.append(args[0])
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, record)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["conv", "linear"])
+def test_a_soft_layer_quantizes_lays_out_and_multiplies_its_input_once(monkeypatch, kind):
+    rng = np.random.default_rng(21)
+    soft, x = _topology(rng, "soft", kind)
+    hard, _ = _topology(rng, "hard", kind)
+    x[2::3, 2] -= 3.0  # samples 2 and 5 move to expert 0: expert 2 gets none
+    x[2::3, 0] += 3.0
+    calls = _recording(monkeypatch, "quantize", "lut_matmul", "im2col")
+    ctx = RunContext(multiplier=builtin_multiplier("trunc2"), train=True)
+    for weights_quantized in (3, 0):  # the second pass reuses the context's weight codes
+        for seen in calls.values():
+            seen.clear()
+        soft.forward(x, ctx)
+        assert sum(np.shares_memory(t, x) for t in calls["quantize"]) == 1
+        assert len(calls["quantize"]) == 1 + weights_quantized
+        assert len(calls["lut_matmul"]) == 1
+        assert len(calls["im2col"]) == (kind == "conv")
+    for seen in calls.values():
+        seen.clear()
+    ctx = RunContext(multiplier=builtin_multiplier("trunc2"))
+    hard.forward(x, ctx)
+    assert list(ctx.routed.values()) == [4, 2, 0]
+    # one product per expert with samples, each after quantizing its input and weights
+    assert len(calls["lut_matmul"]) == 2 and len(calls["quantize"]) == 2 + 2
+    assert len(calls["im2col"]) == 2 * (kind == "conv")
+
+
+def _nonseparable() -> AxMultiplier:
+    rng = np.random.default_rng(7)
+    lut = build_exact_multiplier().lut.astype(np.int32)
+    lut += (rng.random(lut.shape) < 0.25) * rng.integers(-48, 49, size=lut.shape)
+    return AxMultiplier("nonsep", 1.0, lut.astype(np.int16))
+
+
+GROUP_MULTIPLIERS = {"float": None, "exact": builtin_multiplier("exact"),
+                     "trunc2": builtin_multiplier("trunc2"), "nonsep": _nonseparable()}
+
+
+def _alone(picks, units):
+    return [[i] for i in range(len(units))]
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(kind=st.sampled_from(["conv", "linear"]), stride=st.integers(1, 2),
+       padding=st.integers(0, 1), dtype=st.sampled_from([np.float32, np.float64]),
+       mul=st.sampled_from(sorted(GROUP_MULTIPLIERS)), train=st.booleans(),
+       input_grad=st.booleans(), n_experts=st.integers(2, 3), batch=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_soft_group_equals_its_experts_run_alone(kind, stride, padding, dtype, mul, train,
+                                                   input_grad, n_experts, batch, seed):
+    rng = np.random.default_rng(seed)
+    cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    if kind == "conv":
+        x = rng.normal(size=(batch, cin, *rng.integers(3, 8, size=2)))
+        experts = [Conv2d(f"e{i}", rng.normal(size=(cout, cin, 3, 3)).astype(dtype),
+                          rng.normal(size=cout).astype(dtype), (stride, stride),
+                          (padding, padding)) for i in range(n_experts)]
+    else:
+        x = rng.normal(size=(batch, cin * 9))
+        experts = [Linear(f"e{i}", rng.normal(size=(cout, cin * 9)).astype(dtype),
+                          rng.normal(size=cout).astype(dtype)) for i in range(n_experts)]
+    layer = MoELayer("mix", experts, Router("mix.router", rng.normal(size=(n_experts, x.shape[1]))),
+                     "soft")
+    x = x.astype(dtype)
+    assert moe._groups([slice(None)] * n_experts, experts) == [list(range(n_experts))]
+
+    def run(groups):
+        with mock.patch.object(moe, "_groups", groups):
+            ctx = RunContext(multiplier=GROUP_MULTIPLIERS[mul], train=train)
+            y = layer.forward(x, ctx)
+            out = {"y": y, "counters": list(ctx.counters.items()),
+                   "routed": list(ctx.routed.items())}
+            if train:
+                layer.zero_grads()
+                out["dx"] = layer.backward(np.cos(np.arange(y.size)).reshape(y.shape).astype(dtype),
+                                           input_grad)
+                out["grads"] = {k: g.copy() for k, g in layer.qualified_grads().items()}
+        return out
+
+    grouped, alone = run(moe._groups), run(_alone)
+    assert grouped["counters"] == alone["counters"] and grouped["routed"] == alone["routed"]
+    outputs = [(grouped["y"], alone["y"])]
+    if train:
+        assert (grouped["dx"] is None) == (alone["dx"] is None) == (not input_grad)
+        if input_grad:
+            outputs.append((grouped["dx"], alone["dx"]))
+    for a, b in outputs:
+        assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
+    if train:
+        assert grouped["grads"].keys() == alone["grads"].keys()
+        assert len(grouped["grads"]) == 2 * n_experts + 1
+        for name, g in grouped["grads"].items():
+            assert g.dtype == alone["grads"][name].dtype, name
+            assert g.tobytes() == alone["grads"][name].tobytes(), name

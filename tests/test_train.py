@@ -8,7 +8,7 @@ import pytest
 
 from axmoe import engine, train
 from axmoe.engine import Linear, Model, RunContext, softmax_cross_entropy
-from axmoe.errors import ParameterError
+from axmoe.errors import NumericError, ParameterError
 from axmoe.graphs import VARIANTS, substitute_moe, toy_cnn
 from axmoe.models import build_model
 from axmoe.train import History, Split, TrainConfig, evaluate, fit, retrain, sgd_step
@@ -244,6 +244,17 @@ def test_fit_is_deterministic_under_a_fixed_seed():
         return model.params()["m.fc.w"].copy()
 
     assert np.array_equal(run(), run())
+
+
+@pytest.mark.parametrize("variant", ["dense", "soft"])
+@pytest.mark.parametrize("multiplier", [None, FULL_RANK])
+def test_fit_that_diverges_raises_naming_the_step(variant, multiplier):
+    model = _toy_model(variant)
+    x, y = _toy_set()
+    # the overflows on the way to a NaN loss warn; the step's loss must raise
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"at step \d+: training"):
+        fit(model, Split(x, y, x[:8], y[:8]), TrainConfig(lr=1e30, batch_size=8, epochs=2),
+            multiplier)
 
 
 def test_retrain_requires_a_multiplier():
