@@ -185,6 +185,14 @@ def lut_matmul(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
     return _lut_gather(a, b, m)
 
 
+def _blocks(n: int, size: int, budget: int):
+    """Slices that split range(n) in order into blocks of as many items of
+    `size` entries as `budget` holds, and at least one. Every slice spans
+    that one step: the last one's stop may pass n."""
+    step = max(1, min(n, budget // max(1, size)))
+    return (slice(start, start + step) for start in range(0, n, step))
+
+
 def _accumulator(k: int, bound: int) -> type:
     """The float type that sums K integers of magnitude at most `bound`
     exactly in any order: float32 when every partial sum stays below 2^24,
@@ -224,10 +232,8 @@ def _rank1_gemm(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
     f = f.astype(acc, copy=False)
     gbt = np.take(g.astype(acc, copy=False), b.view(np.uint8), mode="wrap").T
     codes = a.view(np.uint8)
-    rows = max(1, _GATHER_BUDGET // max(1, k, len(b)))
-    for start in range(0, len(a), rows):
-        _store(out, slice(start, start + rows),
-               np.take(f, codes[start : start + rows], mode="wrap") @ gbt, scan, q)
+    for rows in _blocks(len(a), max(k, len(b)), _GATHER_BUDGET):
+        _store(out, rows, np.take(f, codes[rows], mode="wrap") @ gbt, scan, q)
     if q != 1:
         out *= q
     return out
@@ -237,21 +243,18 @@ def _lut_gather(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
     """(N, M) int32 sums of m.lut over every operand pair: the kernel for any
     table, one lookup per pair in the float32 table, summed over K as a GEMV
     against ones. Blocks of output columns, each with its own column index,
-    and of rows keep every block's indices and products inside the budget."""
-    n, k = a.shape
-    mrows = b.shape[0]
+    and of rows (sized for a full block of columns) keep every block's
+    indices and products inside the budget."""
+    k = a.shape[1]
     acc = _accumulator(k, m.max_abs)
     out, scan = _int32_result(a, b, m)
     ones = np.ones(k, dtype=acc)
-    width = max(1, min(mrows, _GATHER_BUDGET // max(1, k)))
-    chunk = max(1, _GATHER_BUDGET // max(1, width * k))
-    for c0 in range(0, mrows, width):
+    for at in _blocks(len(b), k, _GATHER_BUDGET):
         # a pair's index is its row's, lut_index(a, -128), plus its column's
-        cols = lut_index(-128, b[c0 : c0 + width])
-        for start in range(0, n, chunk):
-            rows = lut_index(a[start : start + chunk, None, :], -128)
-            _store(out, (slice(start, start + chunk), slice(c0, c0 + width)),
-                   np.take(m.lut_f32, rows + cols, mode="wrap") @ ones, scan)
+        cols = lut_index(-128, b[at])
+        for rows in _blocks(len(a), (at.stop - at.start) * k, _GATHER_BUDGET):
+            idx = lut_index(a[rows, None, :], -128) + cols
+            _store(out, (rows, at), np.take(m.lut_f32, idx, mode="wrap") @ ones, scan)
     return out
 
 
@@ -268,28 +271,23 @@ def _lut_code_table(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray
     blocks of output rows keep the gathered rows there too. Each column
     block is written into the result after its last block of positions."""
     n, k = a.shape
-    mrows = b.shape[0]
     acc = _accumulator(k, m.max_abs)
     out, scan = _int32_result(a, b, m)
     by_code = m.lut_f32.reshape(256, 256)
-    cols = max(1, _CODE_TABLE_BUDGET // 256)
-    for c0 in range(0, mrows, cols):
-        bt = b[c0 : c0 + cols].T.astype(np.intp) + 128  # (K, cols) table columns
+    for at in _blocks(len(b), 256, _CODE_TABLE_BUDGET):
+        bt = b[at].T.astype(np.intp) + 128  # (K, cols) table columns
         sums = np.zeros((n, bt.shape[1]), dtype=acc)
-        step = max(1, _CODE_TABLE_BUDGET // (256 * bt.shape[1]))
-        for k0 in range(0, k, step):
-            bk = bt[k0 : k0 + step]
+        for ks in _blocks(k, 256 * bt.shape[1], _CODE_TABLE_BUDGET):
+            bk = bt[ks]
             s = np.intp(len(bk))
             table = np.take(by_code, bk, axis=1, mode="wrap").reshape(-1, bk.shape[1])
             row_of_code = (128 * s + np.arange(s, dtype=np.intp))[:, None]
-            chunk = max(1, _CODE_TABLE_BUDGET // bk.size)
-            for start in range(0, n, chunk):
+            for rows in _blocks(n, bk.size, _CODE_TABLE_BUDGET):
                 # widened before the multiply: int8 codes times s wrap in int8
-                rows = np.multiply(a[start : start + chunk, k0 : k0 + step].T, s, dtype=np.intp)
-                rows += row_of_code
-                sums[start : start + chunk] += np.take(table, rows, axis=0, mode="wrap").sum(
-                    axis=0, dtype=acc)
-        _store(out, (slice(None), slice(c0, c0 + cols)), sums, scan)
+                idx = np.multiply(a[rows, ks].T, s, dtype=np.intp)
+                idx += row_of_code
+                sums[rows] += np.take(table, idx, axis=0, mode="wrap").sum(axis=0, dtype=acc)
+        _store(out, (slice(None), at), sums, scan)
     return out
 
 
@@ -349,7 +347,8 @@ def _rescale(out: np.ndarray, acc: np.ndarray, scale: float, b: np.ndarray) -> N
     """out = acc * scale + b, computed in float64 and cast to out's type, in
     blocks of rows written straight into out: no float64 array of the
     whole call is ever held. Each element gets the same two float64
-    operations whatever the block, so the bits do not depend on it."""
+    operations whatever the block, so the bits do not depend on it. Blocks
+    hold a multiple of 64 rows, not `_blocks`', for `_add_bias`'s wide rows."""
     rows = max(64, _EPILOGUE_BUDGET // max(1, out.shape[1]) // 64 * 64)
     for start in range(0, len(out), rows):
         at = slice(start, start + rows)
@@ -402,8 +401,7 @@ class RunContext:
         if layers not in self.weight_codes:
             codes, scales = zip(*(quantize(layer.w.reshape(layer.w.shape[0], -1))
                                   for layer in layers))
-            self.weight_codes[layers] = (codes[0] if len(codes) == 1 else np.concatenate(codes),
-                                         scales)
+            self.weight_codes[layers] = np.concatenate(codes), scales
         return self.weight_codes[layers]
 
 
@@ -560,10 +558,10 @@ class _Affine(Layer):
     @staticmethod
     def backward_group(layers, dys, input_grad=True):
         """The backward of one `forward_group` call, for each layer's output
-        gradient in `dys`: every layer's `grads` over one layout of the
-        shared cached input, then, with input_grad, each layer's input
-        gradient, yielded in layer order. Without input_grad it yields
-        nothing; the `grads` are set once it is first advanced."""
+        gradient in `dys`: sets every layer's `grads`, over one layout of the
+        shared cached input, before it returns. Returns a generator of each
+        layer's input gradient, made one at a time in layer order, which
+        yields nothing without input_grad."""
         # C-contiguous rows whatever the batch or dy's memory (conv rows were
         # copied anyway, by the reshape, except for one image), so the bias
         # gradient adds them in one sequence
@@ -576,11 +574,10 @@ class _Affine(Layer):
                            "b": np.einsum("ij->j", d)}
         del rows
         lead = layers[0]._lead(x_eff.shape)
-        for layer in layers if input_grad else ():
-            # one expression per layer: no local keeps its rows or columns
-            # alive while the caller holds its input gradient
-            yield layer._uncols((drows.pop(0) @ layer._cache[1]).reshape(
-                *lead, *layer.w.shape[1:]), x_eff.shape)
+        # one expression per layer: nothing keeps its rows or columns alive
+        # while the caller holds its input gradient
+        return (layer._uncols((drows.pop(0) @ layer._cache[1]).reshape(
+            *lead, *layer.w.shape[1:]), x_eff.shape) for layer in (layers if input_grad else ()))
 
 
 class Conv2d(_Affine):
@@ -598,6 +595,8 @@ class Conv2d(_Affine):
         return (*super().group_key(), self.stride, self.padding)
 
     def _lead(self, shape):
+        if len(shape) != 4 or shape[1] != self.w.shape[1]:
+            raise ParameterError(f"{self.name}: input {shape} is not (N, {self.w.shape[1]}, H, W)")
         return (shape[0], *conv_out_hw(shape[2], shape[3], self.w.shape[2:], self.stride,
                                        self.padding))
 
@@ -615,6 +614,8 @@ class Linear(_Affine):
     _out_axis = -1
 
     def _lead(self, shape):
+        if len(shape) < 2 or shape[-1] != self.w.shape[1]:
+            raise ParameterError(f"{self.name}: input {shape} is not (..., {self.w.shape[1]})")
         return shape[:-1]
 
     def _cols(self, x):
@@ -631,7 +632,7 @@ class ReLU(Layer):
             self._mask = np.greater(x, 0, order="C")
         return np.maximum(x, 0)
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         return dy * self._mask
 
 
@@ -657,7 +658,7 @@ class AvgPool2d(Layer):
                 for i in range(k))
         return functools.reduce(np.add, rows) / (k * k)
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         k = self.k
         up = np.repeat(np.repeat(dy, k, axis=2), k, axis=3)
         return up / (k * k)
@@ -668,7 +669,7 @@ class Flatten(Layer):
         self._in_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         return dy.reshape(self._in_shape)
 
 
@@ -686,6 +687,8 @@ class Model(Layer):
     def forward(self, x, ctx):
         if not len(x):
             raise ParameterError(f"{self.name}: empty batch")
+        if x.dtype.kind != "f":
+            raise ParameterError(f"{self.name}: input must be floating point, got {x.dtype}")
         if not np.isfinite(x).all():
             raise NumericError(f"{self.name}: input contains non-finite values")
         for layer in self.layers:
@@ -695,16 +698,11 @@ class Model(Layer):
     def backward(self, dy, input_grad=True):
         """With input_grad=False, layers below the first parameterized one
         get no backward, and that layer computes only its `grads`."""
-        if input_grad:
-            for layer in reversed(self.layers):
-                dy = layer.backward(dy)
-            return dy
-        first = next((i for i, layer in enumerate(self.layers) if layer.params()), None)
-        if first is not None:
-            for layer in reversed(self.layers[first + 1 :]):
-                dy = layer.backward(dy)
-            self.layers[first].backward(dy, input_grad=False)
-        return None
+        first = 0 if input_grad else next(
+            (i for i, layer in enumerate(self.layers) if layer.params()), len(self.layers))
+        for i in reversed(range(first, len(self.layers))):
+            dy = self.layers[i].backward(dy, input_grad or i > first)
+        return dy if input_grad else None
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,8 @@ def _units_backward(dy, dx, units, picks, outs, gate=None) -> np.ndarray | None:
             parts = [units[run[0]].backward(next(dys), input_grad=dx is not None)]
         else:
             parts = units[run[0]].backward_group([units[i] for i in run], dys, dx is not None)
-        for part in parts:
-            if dx is not None:
+        if dx is not None:
+            for part in parts:
                 dx[pick] += part
     return dx
 
@@ -119,6 +119,8 @@ class Router:
 
     def gates(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         feats = pool_features(x).astype(np.float64)
+        if feats.shape[1] != self.w.shape[1]:
+            raise ParameterError(f"{self.name}: input {x.shape} is not {self.w.shape[1]} features")
         return stable_softmax(feats @ self.w.T.astype(np.float64)), feats
 
 

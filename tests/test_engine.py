@@ -12,10 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axmoe import engine
-from axmoe.engine import (INT32_MAX, QMAX, AvgPool2d, Conv2d, Linear, Model, QuantParams, ReLU,
-                          RunContext, _accumulator, _add_bias, _lut_code_table, _lut_gather,
-                          _rank1_gemm, col2im, dequantize, im2col, lut_matmul,
-                          quantize, softmax_cross_entropy, stable_softmax)
+from axmoe.engine import (INT32_MAX, QMAX, AvgPool2d, Conv2d, Flatten, Linear, Model, QuantParams,
+                          ReLU, RunContext, _accumulator, _add_bias, _Affine, _blocks,
+                          _lut_code_table, _lut_gather, _rank1_gemm, col2im, dequantize, im2col,
+                          lut_matmul, quantize, softmax_cross_entropy, stable_softmax)
 from axmoe.errors import NumericError, ParameterError
 from axmoe.multipliers import (AxMultiplier, build_exact_multiplier,
                                build_truncation_multiplier, builtin_multiplier, lut_index)
@@ -531,6 +531,24 @@ def test_kernels_in_many_ragged_blocks_equal_the_gather(kernel, shape):
         assert len({written[at].size for at in blocks}) > 1, name  # some block is short
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(n=st.integers(0, 300), size=st.integers(0, 3000), budget=st.integers(1, 1 << 16))
+@example(n=0, size=0, budget=1)
+@example(n=5, size=0, budget=3)
+@example(n=7, size=100, budget=9)  # one item over budget: blocks of one
+def test_blocks_partition_the_items_in_order_within_the_budget(n, size, budget):
+    blocks = list(_blocks(n, size, budget))
+    items = [range(n)[at] for at in blocks]
+    assert [i for block in items for i in block] == list(range(n))
+    for block in items:
+        assert len(block) >= 1
+        assert len(block) * size <= budget or len(block) == 1
+    # every block but the last is as large as the budget allows, an item of
+    # no entries counting as one
+    for block in items[:-1]:
+        assert len(block) == len(items[0]) and (len(block) + 1) * max(1, size) > budget
+
+
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_an_overflow_in_a_middle_block_raises(kernel):
     # Only out[4, 4] overflows: a narrower accumulator (|sum| <= 30000) makes
@@ -742,6 +760,51 @@ def test_affine_backward_matches_central_differences(kind):
     _assert_grad_close("x", dx, _central_differences(loss, x))
     for name, param in (("w", layer.w), ("b", layer.b)):
         _assert_grad_close(name, layer.grads[name], _central_differences(loss, param))
+
+
+@pytest.mark.parametrize("mul", [None, EXACT], ids=["float", "exact"])
+@pytest.mark.parametrize("kind", ["conv", "linear"])
+def test_a_group_backward_sets_every_grad_before_it_is_iterated(kind, mul):
+    rng = np.random.default_rng(23)
+    if kind == "conv":
+        layers = [Conv2d(f"c{i}", rng.normal(size=(2 + i, 3, 3, 3)), rng.normal(size=2 + i),
+                         padding=(1, 1)) for i in range(3)]
+        x = rng.normal(size=(4, 3, 5, 5))
+    else:
+        layers = [Linear(f"l{i}", rng.normal(size=(2 + i, 6)), rng.normal(size=2 + i))
+                  for i in range(3)]
+        x = rng.normal(size=(4, 6))
+    dys = [rng.normal(size=y.shape)
+           for y in _Affine.forward_group(layers, x, RunContext(mul, train=True))]
+    want = []
+    for layer, dy in zip(layers, dys):
+        dx = layer.backward(dy)
+        want.append((layer.grads, dx))
+    for input_grad in (False, True):
+        for layer in layers:
+            layer.zero_grads()
+        dxs = _Affine.backward_group(layers, dys, input_grad)
+        for layer, (grads, _) in zip(layers, want):  # set before dxs is advanced
+            assert grads.keys() == layer.grads.keys() == {"w", "b"}
+            for name, g in grads.items():
+                assert g.tobytes() == layer.grads[name].tobytes(), (layer.name, name)
+        dxs = list(dxs)
+        assert len(dxs) == (len(layers) if input_grad else 0)
+        for dx, (_, alone) in zip(dxs, want):
+            assert dx.tobytes() == alone.tobytes()
+
+
+def test_a_model_without_parameters_runs_no_backward_without_the_input_gradient():
+    model = Model("m", [AvgPool2d("pool", 2), ReLU("relu"), Flatten("flat")])
+    x = np.random.default_rng(3).normal(size=(2, 3, 4, 4))
+    y = model.forward(x, RunContext(train=True))
+    spies = [mock.patch.object(type(layer), "backward", autospec=True,
+                               side_effect=type(layer).backward) for layer in model.layers]
+    with spies[0] as pool, spies[1] as relu, spies[2] as flat:
+        assert model.backward(np.ones_like(y), input_grad=False) is None
+        assert not (pool.called or relu.called or flat.called)
+        assert model.backward(np.ones_like(y)).shape == x.shape
+        assert pool.called and relu.called and flat.called
 
 
 @pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float64),

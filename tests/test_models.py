@@ -1,6 +1,7 @@
 """Executable models: parameter traversal, pooling, and the package surface."""
 
 import ast
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 import axmoe
-from axmoe import engine
-from axmoe.engine import AvgPool2d, Flatten, RunContext, softmax_cross_entropy
+from axmoe import engine, moe
+from axmoe.engine import AvgPool2d, Flatten, Layer, RunContext, softmax_cross_entropy
 from axmoe.graphs import VARIANTS, ClusterArch, MoEGroup, substitute_moe, toy_cnn, toy_mlp
 from axmoe.errors import NumericError, ParameterError
 from axmoe.models import EXPERT_JITTER, build_model
@@ -121,6 +122,43 @@ def test_empty_batch_is_a_parameter_error(arch, variant, mul):
         for train in (False, True):
             with pytest.raises(NumericError, match="non-finite"):
                 model.forward(x, RunContext(multiplier=mul, train=train))
+
+
+# Inputs of the wrong rank, channel count or feature count for ARCHS
+BAD_SHAPES = {"toy_cnn": [(4, 1, 8), (4, 64), (4, 2, 8, 8)],
+              "toy_mlp": [(4, 1, 6), (4, 35), (4, 2, 6, 6)]}
+
+
+@pytest.mark.parametrize("mul", [None, "trunc2"], ids=["float", "trunc2"])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("arch", sorted(ARCHS))
+def test_integer_or_misshapen_input_is_a_parameter_error(arch, variant, mul):
+    spec = ARCHS[arch]()
+    model = build_model(substitute_moe(spec, variant, n_experts=2), seed=0)
+    mul = builtin_multiplier(mul) if mul else None
+    with mock.patch.object(engine, "quantize", wraps=engine.quantize) as quantize:
+        for train in (False, True):
+            for dtype in (np.int64, np.int8, np.uint8, np.bool_):
+                x = np.ones((4, *spec.input_shape), dtype=dtype)
+                with pytest.raises(ParameterError, match="floating point"):
+                    model.forward(x, RunContext(multiplier=mul, train=train))
+            for shape in BAD_SHAPES[arch]:
+                x = np.ones(shape, np.float32)
+                with pytest.raises(ParameterError, match="input"):
+                    model.forward(x, RunContext(multiplier=mul, train=train))
+    assert not quantize.called
+
+
+def test_every_layer_backward_takes_the_input_grad_flag():
+    layers = {cls for module in (engine, moe)
+              for _, cls in inspect.getmembers(module, inspect.isclass)
+              if issubclass(cls, Layer) and cls.__module__ == module.__name__}
+    assert {"ReLU", "AvgPool2d", "Flatten", "Conv2d", "Linear", "Model", "MoELayer",
+            "ClusterModel"} <= {cls.__name__ for cls in layers}
+    for cls in layers:
+        signature = inspect.signature(cls.backward)
+        signature.bind(None, "dy", False)  # positional, as Model.backward passes it
+        signature.bind(None, "dy", input_grad=False)  # by name, as the MoE dispatch does
 
 
 @pytest.mark.parametrize("variant", ["hard", "soft"])

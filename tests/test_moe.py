@@ -39,16 +39,19 @@ def test_gates_are_a_probability_distribution():
 
 
 def test_gate_argmax_is_invariant_to_logit_shift():
+    # Adding one vector v to every expert's router row shifts each sample's
+    # logits by feats @ v, the same for every expert: the softmax is unmoved.
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        logits = rng.normal(size=(9, 4)) * 10
-        shifted = logits + rng.normal() * 100
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        es = np.exp(shifted - shifted.max(axis=1, keepdims=True))
-        g = e / e.sum(axis=1, keepdims=True)
-        gs = es / es.sum(axis=1, keepdims=True)
+    for shape in [(9, 6)] * 10 + [(9, 6, 3, 3)] * 10:
+        router = _router(rng, 4, 6, scale=10.0)
+        x = rng.normal(size=shape)
+        v = rng.normal(size=6) * 100
+        g, feats = router.gates(x)
+        gs, feats_s = Router("r", router.w + v).gates(x)
+        assert np.array_equal(feats, feats_s)
+        assert np.abs(feats @ v).max() > 10  # the shift is far from negligible
         assert np.array_equal(np.argmax(g, axis=1), np.argmax(gs, axis=1))
-        assert np.allclose(g, gs, atol=1e-12)
+        assert np.abs(g - gs).max() <= 1e-12
 
 
 def test_pool_features_global_average_on_images():
