@@ -11,12 +11,15 @@ Layers run in one of two arithmetic modes:
 `lut_matmul` is the one LUT entry point, with three kernels that agree bit
 for bit. A rank-1 table, lut[a, b] == q * f(a) * g(b) with reduced integer
 factors (exact, every truncN, DRUM), runs as GEMMs of its factors. Any
-other table runs through a code table when the call has N >= 256 rows, as
-many as there are codes: the products of all 256 activation codes with each
-weight code, built once per call, from which each row gathers and sums K
-table rows. Shorter calls look every operand pair up directly in the table.
-The rule rests on N alone because the code table costs 256 * K * M products
-to build and the direct gather N * K * M lookups.
+other table runs through a code table when the call has at least as many
+rows as it holds activation codes, N >= hi - lo + 1 for the span
+[lo, hi] = [a.min(), a.max()]: the products of each code of the span with
+each weight code, built once per call, from which each row gathers and
+sums K table rows. Other calls look every operand pair up directly in the
+table. The rule compares the two costs: the code table takes
+(hi - lo + 1) * K * M products to build and the direct gather N * K * M
+lookups. Activations that approximate layers read are images clipped to
+>= 0 or ReLU outputs, whose codes span at most 0..127: half the table.
 
 Every kernel sums integers in floating point, which is exact in any order
 while every partial sum is an integer the type holds: float32 when K times
@@ -54,7 +57,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 from .graphs import conv_out_hw
-from .multipliers import AxMultiplier, lut_index
+from .multipliers import AxMultiplier
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
@@ -76,13 +79,6 @@ _EPILOGUE_BUDGET = 1 << 15
 # Every index a kernel looks up is in range by construction, so each
 # np.take runs with mode="wrap": the same values, and numpy's cheapest
 # index check (~20% faster than the default "raise").
-
-# Rows from which a call builds a code table: as many as there are codes,
-# where the table's 256 * K * M products equal the direct gather's lookups.
-# Summing whole table rows already wins there: at N = 256 the code table
-# took 19 us against the gather's 39 us on (256, 9) x (8, 9), and 3.7 ms
-# against 5.3 ms on (256, 784) x (32, 784) (1 BLAS thread, 2-core AMD EPYC).
-_CODE_TABLE_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +152,18 @@ def lut_matmul(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
     * a rank-1 table (`m.rank1`: exact, every truncN, DRUM) runs as GEMMs of
       its reduced factors, f[a] @ g[b].T, whose int32 sums are then scaled
       by q in int32 (`_rank1_gemm`);
-    * any other table runs through the code table when N >= 256
-      (`_lut_code_table`);
-    * and otherwise through one lookup per operand pair (`_lut_gather`).
+    * any other table runs through the code table when the call has as
+      many rows as activation codes, N >= hi - lo + 1 for the span
+      [lo, hi] = [a.min(), a.max()] (`_lut_code_table`);
+    * and otherwise, an empty call included, through one lookup per operand
+      pair (`_lut_gather`).
 
-    The code table costs 256 * K * M products to build whatever N is, and
-    the direct gather N * K * M lookups, so the table pays once a call has
-    as many rows as there are codes.
+    The code table costs (hi - lo + 1) * K * M products to build whatever N
+    is, and the direct gather N * K * M lookups, so the table pays once a
+    call has as many rows as codes. Summing whole table rows already wins
+    there: at N = 128 rows of codes 0..127, the code table took 16 us
+    against the gather's 21 us on (128, 9) x (8, 9), and 1.76 ms against
+    2.35 ms on (128, 784) x (32, 784) (1 BLAS thread, 2-core AMD EPYC).
 
     Every kernel sums integers, in float32 when no partial sum can reach
     2^24 and in float64 otherwise (`_accumulator`), so every partial sum is
@@ -180,8 +181,10 @@ def lut_matmul(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
         raise ParameterError(f"lut_matmul: incompatible shapes {a.shape} x {b.shape}")
     if m.rank1 is not None:
         return _rank1_gemm(a, b, m)
-    if a.shape[0] >= _CODE_TABLE_ROWS:
-        return _lut_code_table(a, b, m)
+    if a.size:
+        lo, hi = int(a.min()), int(a.max())
+        if len(a) >= hi - lo + 1:
+            return _lut_code_table(a, b, m, (lo, hi))
     return _lut_gather(a, b, m)
 
 
@@ -250,38 +253,44 @@ def _lut_gather(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
     out, scan = _int32_result(a, b, m)
     ones = np.ones(k, dtype=acc)
     for at in _blocks(len(b), k, _GATHER_BUDGET):
-        # a pair's index is its row's, lut_index(a, -128), plus its column's
-        cols = lut_index(-128, b[at])
+        # the index of pair (x, y) is (x + 128) * 256 + y + 128: x << 8 from
+        # the row, y + 32896 from the column, each widened in its one op
+        cols = np.add(b[at], 32896, dtype=np.intp)
         for rows in _blocks(len(a), (at.stop - at.start) * k, _GATHER_BUDGET):
-            idx = lut_index(a[rows, None, :], -128) + cols
+            idx = np.left_shift(a[rows, None, :], 8, dtype=np.intp) + cols
             _store(out, (rows, at), np.take(m.lut_f32, idx, mode="wrap") @ ones, scan)
     return out
 
 
-def _lut_code_table(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
+def _lut_code_table(a: np.ndarray, b: np.ndarray, m: AxMultiplier,
+                    span: tuple[int, int] | None = None) -> np.ndarray:
     """(N, M) int32 sums of m.lut over every operand pair, through a table of
-    the products of every activation code with each weight code.
+    the products of each activation code of the span [lo, hi] (a's own
+    unless given; a must hold a code) with each weight code.
 
-    For a block of S weight positions, table row (c + 128) * S + k holds the
+    For a block of S weight positions, table row (c - lo) * S + k holds the
     products of code c with every weight row's k-th code: the table columns
-    of those codes, taken from the 256 x 256 table. Each output row then
-    gathers one contiguous table row per position, the one of its code
-    a[n, k], and sums them over K. Blocks of positions (and of output
-    columns past 256) keep the table inside the code-table budget, and
-    blocks of output rows keep the gathered rows there too. Each column
-    block is written into the result after its last block of positions."""
+    of those codes, taken from rows lo..hi of the 256 x 256 table. Each
+    output row then gathers one contiguous table row per position, the one
+    of its code a[n, k], and sums them over K. Blocks of output columns and
+    of positions, both sized by the span's code count, keep the table inside
+    the code-table budget, and blocks of output rows keep the gathered rows
+    there too. Each column block is written into the result after its last
+    block of positions."""
     n, k = a.shape
+    lo, hi = span if span is not None else (int(a.min()), int(a.max()))
+    codes = hi - lo + 1
     acc = _accumulator(k, m.max_abs)
     out, scan = _int32_result(a, b, m)
-    by_code = m.lut_f32.reshape(256, 256)
-    for at in _blocks(len(b), 256, _CODE_TABLE_BUDGET):
-        bt = b[at].T.astype(np.intp) + 128  # (K, cols) table columns
+    by_code = m.lut_f32.reshape(256, 256)[lo + 128 : hi + 129]
+    for at in _blocks(len(b), codes, _CODE_TABLE_BUDGET):
+        bt = np.add(b[at].T, 128, dtype=np.intp)  # (K, cols) table columns
         sums = np.zeros((n, bt.shape[1]), dtype=acc)
-        for ks in _blocks(k, 256 * bt.shape[1], _CODE_TABLE_BUDGET):
+        for ks in _blocks(k, codes * bt.shape[1], _CODE_TABLE_BUDGET):
             bk = bt[ks]
             s = np.intp(len(bk))
             table = np.take(by_code, bk, axis=1, mode="wrap").reshape(-1, bk.shape[1])
-            row_of_code = (128 * s + np.arange(s, dtype=np.intp))[:, None]
+            row_of_code = (-lo * s + np.arange(s, dtype=np.intp))[:, None]
             for rows in _blocks(n, bk.size, _CODE_TABLE_BUDGET):
                 # widened before the multiply: int8 codes times s wrap in int8
                 idx = np.multiply(a[rows, ks].T, s, dtype=np.intp)
@@ -528,6 +537,8 @@ class _Affine(Layer):
         saw (dequantized on the LUT path) for the straight-through backward:
         one shared x, and each layer's own weights."""
         first = layers[0]
+        if x.dtype.kind != "f":  # the float path would cast its products back and wrap
+            raise ParameterError(f"{first.name}: input must be floating point, got {x.dtype}")
         lead = first._lead(x.shape)  # rejects bad geometry before any im2col
         ys = []
         if ctx.multiplier is not None and first.approximate:
@@ -673,18 +684,27 @@ class Flatten(Layer):
         return dy.reshape(self._in_shape)
 
 
+def check_sample_shape(name: str, x: np.ndarray, input_shape: tuple | None) -> None:
+    """ParameterError unless each sample of x has `input_shape` (None: any)."""
+    if input_shape is not None and x.shape[1:] != tuple(input_shape):
+        raise ParameterError(f"{name}: input {x.shape} is not (N, {', '.join(map(str, input_shape))})")
+
+
 class Model(Layer):
     """Layers run in order: a whole graph, a multi-layer expert, a cluster
-    gateway or replica."""
+    gateway or replica. A whole graph's model takes only samples of its
+    `input_shape`; a nested one (None) takes what its first layer reads."""
 
-    def __init__(self, name, layers):
+    def __init__(self, name, layers, input_shape=None):
         super().__init__(name)
         self.layers = list(layers)
+        self.input_shape = input_shape
 
     def children(self):
         return self.layers
 
     def forward(self, x, ctx):
+        check_sample_shape(self.name, x, self.input_shape)
         if not len(x):
             raise ParameterError(f"{self.name}: empty batch")
         if x.dtype.kind != "f":

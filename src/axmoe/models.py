@@ -81,12 +81,14 @@ def _build_group(group: MoEGroup, rng) -> MoELayer:
 
 
 def build_model(graph, seed: int = 0):
-    """Executable model from an ArchSpec, substituted spec, or ClusterArch."""
+    """Executable model from an ArchSpec, substituted spec, or ClusterArch.
+    It takes only samples of the graph's `input_shape`."""
     if isinstance(graph, ClusterArch):
         return _build_cluster(graph, seed)
     rng = np.random.default_rng(seed)
     return Model(graph.name, [_build_group(e, rng) if isinstance(e, MoEGroup)
-                              else _layer(e, e.name, _init(rng, e)) for e in graph.layers])
+                              else _layer(e, e.name, _init(rng, e)) for e in graph.layers],
+                 graph.input_shape)
 
 
 def _build_cluster(cluster: ClusterArch, seed: int) -> ClusterModel:
@@ -98,7 +100,7 @@ def _build_cluster(cluster: ClusterArch, seed: int) -> ClusterModel:
         rng = np.random.default_rng([seed, i])
         replicas.append(Model(f"replica{i}", [_layer(s, f"replica{i}.{s.name}", _init(rng, s))
                                               for s in cluster.replica.layers]))
-    return ClusterModel(cluster.name, gateway, replicas)
+    return ClusterModel(cluster.name, gateway, replicas, cluster.replica.input_shape)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import Layer, Model, RunContext, stable_softmax
+from .engine import Layer, Model, RunContext, check_sample_shape, stable_softmax
 from .errors import ParameterError
 
 
@@ -183,12 +183,13 @@ class MoELayer(Layer):
 class ClusterModel(Layer):
     """Exact gateway classifier in front of n complete replicas."""
 
-    def __init__(self, name: str, gateway: Model, replicas: list[Model]):
+    def __init__(self, name: str, gateway: Model, replicas: list[Model], input_shape=None):
         super().__init__(name)
         if not replicas:
             raise ParameterError("cluster needs at least one replica")
         self.gateway = gateway
         self.replicas = replicas
+        self.input_shape = input_shape  # as a whole graph's Model takes it
         self._cache = None
 
     def children(self):
@@ -199,6 +200,7 @@ class ClusterModel(Layer):
         return super().frozen_names() | set(self.gateway.params())
 
     def forward(self, x, ctx: RunContext):
+        check_sample_shape(self.name, x, self.input_shape)
         # the gateway is exact and frozen: a fresh context keeps it in float and
         # keeps it from caching inputs for a backward that never runs
         sel = np.argmax(self.gateway.forward(x, RunContext()), axis=1)

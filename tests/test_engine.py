@@ -256,6 +256,7 @@ def test_lut_matmul_overflow_detection():
     for m, n in ((flat, 1), (_bent(flat), 1), (_bent(flat), 512)):  # GEMM, gather, code table
         b = np.full((2, k + 1), 5, dtype=np.int8)
         a = np.full((n, k + 1), 5, dtype=np.int8)
+        a[:, ::2] = 6  # two codes: one row gathers, 512 rows build the code table
         got = lut_matmul(a[:, :k], b[:, :k], m)
         assert got.dtype == np.int32 and (got == k * flat.max_abs).all(), m.name
         with pytest.raises(NumericError):
@@ -345,13 +346,16 @@ def test_factored_tables_reproduce_their_products():
 
 @st.composite
 def _operands(draw):
-    """Codes of every shape on both sides of the code-table row threshold,
-    with K * M past the chunk budget, drawn uniformly or from the extremes."""
+    """Codes of every shape on both sides of the code-table rule, with
+    K * M past the chunk budget, drawn uniformly, from the extremes, or
+    (the activations) from a narrow span of codes."""
     n = draw(st.one_of(st.integers(0, 40), st.integers(500, 530)))
     k, mrows = draw(st.integers(0, 60)), draw(st.integers(0, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = np.arange(-128, 128) if draw(st.booleans()) else np.array([-128, -127, -1, 0, 1, 127])
-    return (rng.choice(pool, size=(n, k)).astype(np.int8),
+    lo = draw(st.integers(-128, 127))
+    span = np.arange(lo, draw(st.integers(lo, min(127, lo + 40))) + 1)
+    return (rng.choice(span if draw(st.booleans()) else pool, size=(n, k)).astype(np.int8),
             rng.choice(pool, size=(mrows, k)).astype(np.int8))
 
 
@@ -360,6 +364,15 @@ def _full_range(n, k, mrows):
     rng = np.random.default_rng(0)
     return (rng.integers(-128, 128, size=(n, k)).astype(np.int8),
             rng.integers(-128, 128, size=(mrows, k)).astype(np.int8))
+
+
+def _spanning(n, k, mrows, lo, hi):
+    """Seeded activation codes whose span is exactly [lo, hi] (n * k >= 2),
+    against weight codes over the whole int8 range."""
+    rng = np.random.default_rng(2)
+    a = rng.integers(lo, hi + 1, size=(n, k)).astype(np.int8)
+    a.flat[:2] = lo, hi
+    return a, rng.integers(-128, 128, size=(mrows, k)).astype(np.int8)
 
 
 def _near_the_bound(n, k, mrows):
@@ -374,10 +387,15 @@ def _near_the_bound(n, k, mrows):
 KERNELS = {"gemm": _rank1_gemm, "code_table": _lut_code_table, "gather": _lut_gather}
 
 
-def _expected_kernel(name, n):
+def _expected_kernel(name, a):
+    """The GEMM for a rank-1 table; else the code table once the call has
+    as many rows as its activations span codes, N >= max - min + 1, which
+    an empty call never has; else the gather."""
     if name in RANK1_TABLES:
         return "gemm"
-    return "code_table" if n >= 256 else "gather"
+    if a.size and len(a) >= int(a.max()) - int(a.min()) + 1:
+        return "code_table"
+    return "gather"
 
 
 def _expected_accumulator(m, k):
@@ -405,6 +423,18 @@ def _expected_accumulator(m, k):
 @example(name="full_rank", operands=_full_range(256, 60, 12))  # 256 * K * M > budget
 @example(name="trunc5", operands=_full_range(530, 60, 12))
 @example(name="full_rank", operands=_full_range(512, 3, 600))  # more columns than one block
+# Narrow spans on each side of the rule, N = codes - 1 and N = codes: a ReLU
+# output's 0..127 (its table half the height), an all-negative span, and one
+# repeated code, a table of one row.
+@example(name="full_rank", operands=_spanning(127, 60, 12, 0, 127))
+@example(name="full_rank", operands=_spanning(128, 60, 12, 0, 127))
+@example(name="mitchell", operands=_spanning(300, 784, 32, 0, 127))  # K * M past the budget
+@example(name="mitchell", operands=_spanning(27, 30, 5, -128, -101))
+@example(name="mitchell", operands=_spanning(28, 30, 5, -128, -101))
+@example(name="full_rank", operands=_spanning(1, 40, 6, 5, 5))
+@example(name="zero", operands=_spanning(4, 40, 6, -7, -7))
+@example(name="full_rank", operands=_spanning(1, 40, 6, 5, 6))
+@example(name="full_rank", operands=_spanning(2, 40, 6, 5, 6))
 # Both sides of the float32 bound, K * max|f| * max|g| < 2^24 for the GEMM and
 # K * max|L| < 2^24 for the gather and the code table (K < 1024 for these
 # tables), and K = 2048, where float32 sums would round.
@@ -432,7 +462,7 @@ def test_lut_matmul_equals_the_gather_bit_for_bit(name, operands):
         with mock.patch.object(engine, "_accumulator", accumulator):
             got = lut_matmul(a, b, m)
     took = {kernel for kernel, f in KERNELS.items() if ran[f.__name__].called}
-    assert took == {_expected_kernel(name, a.shape[0])}
+    assert took == {_expected_kernel(name, a)}
     assert picked == [_expected_accumulator(m, a.shape[1])]
     assert got.dtype == np.int32 and got.shape == (a.shape[0], b.shape[0])
     assert np.array_equal(got, _oracle_gather(a, b, m))
@@ -554,14 +584,15 @@ def test_an_overflow_in_a_middle_block_raises(kernel):
     # Only out[4, 4] overflows: a narrower accumulator (|sum| <= 30000) makes
     # 4 * 100 * 100 too large, and small budgets put that entry in a block
     # that is neither the first nor the last: the GEMM writes rows one at a
-    # time, the gather a row of two columns, the code table three columns.
+    # time, the gather a row of two columns, the code table three columns
+    # (its blocks hold budget / codes columns, and a spans the 101 codes 0..100).
     a = np.zeros((9, 4), np.int8)
     b = np.zeros((9, 4), np.int8)
     a[4], b[4] = 100, 100
     m = EXACT if kernel == "gemm" else _bent(EXACT)
     blocks, recording = _recording_stores()
     with mock.patch.multiple(engine, INT32_MAX=30_000, INT32_MIN=-30_001, _GATHER_BUDGET=9,
-                             _CODE_TABLE_BUDGET=256 * 3):
+                             _CODE_TABLE_BUDGET=101 * 3):
         KERNELS[kernel](a // 2, b, m)  # every sum at most 4 * 50 * 100: no overflow
         blocks.clear()
         with recording, pytest.raises(NumericError):
@@ -569,6 +600,7 @@ def test_an_overflow_in_a_middle_block_raises(kernel):
     hit = np.zeros((9, 9), dtype=bool)
     hit[blocks[-1]] = True
     assert hit[4, 4] and not hit[0, 0] and not hit[8, 8] and len(blocks) > 1
+    assert hit.sum() == {"gemm": 9, "gather": 2, "code_table": 9 * 3}[kernel]  # the sizes above
 
 
 @pytest.mark.parametrize("shape", [
@@ -579,6 +611,16 @@ def test_lut_code_table_memory_does_not_follow_the_call_shape(shape):
     # Measured above the (N, M) int64 output, which follows the shape by design.
     peak, out = _traced_peak(_lut_code_table, *_full_range(*shape), TABLES["full_rank"])
     assert peak - out.nbytes < 4 * 2**20
+
+
+@pytest.mark.parametrize("shape", [(16384, 72, 16), (1024, 784, 32)])
+def test_lut_code_table_memory_on_a_relu_span_does_not_follow_the_call_shape(shape):
+    # Codes 0..127, as every approximate layer's input has: a table half the
+    # height, so each block holds twice the weight positions.
+    a, b = _spanning(*shape, 0, 127)
+    peak, out = _traced_peak(_lut_code_table, a, b, TABLES["full_rank"])
+    assert peak - out.nbytes < 4 * 2**20
+    assert np.array_equal(out[:64], _oracle_gather(a[:64], b, TABLES["full_rank"]))
 
 
 def test_lut_matmul_never_runs_on_a_dropped_table():
@@ -862,6 +904,14 @@ def test_bias_gradient_keeps_the_order_of_each_row_layout(cout, dtype):
         assert conv.grads["b"].dtype == dtype
         if cout > 1:
             assert conv.grads["b"].tobytes() == in_sequence.tobytes(), n
+
+
+@pytest.mark.parametrize("mul", [None, EXACT], ids=["float", "exact"])
+def test_a_layer_called_alone_rejects_integer_input(mul):
+    # 3 * 100 in int8 wraps to 44 when the float path casts its product back
+    layer = Linear("l", np.ones((1, 3), np.float32), np.zeros(1, np.float32))
+    with pytest.raises(ParameterError, match="l: input must be floating point, got int8"):
+        layer.forward(np.full((1, 3), 100, np.int8), RunContext(multiplier=mul))
 
 
 def test_conv2d_counter_formula():

@@ -149,6 +149,35 @@ def test_integer_or_misshapen_input_is_a_parameter_error(arch, variant, mul):
     assert not quantize.called
 
 
+# Samples with as many values as the graph's, in another shape: each runs
+# through the layers without a shape check of its own (a conv over 4 x 16
+# pixels pools to toy_cnn's fc features, toy_mlp's Flatten takes any 36)
+REARRANGED = {"toy_cnn": [(4, 1, 4, 16), (4, 1, 16, 4)],
+              "toy_mlp": [(4, 36, 1), (4, 1, 36), (4, 6, 6), (4, 1, 6, 6, 1)]}
+
+
+def _nested_models(layer):
+    for child in layer.children():
+        if isinstance(child, (engine.Model, moe.ClusterModel)):
+            yield child
+        yield from _nested_models(child)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("arch", sorted(ARCHS))
+def test_samples_of_another_shape_are_a_parameter_error(arch, variant):
+    spec = ARCHS[arch]()
+    model = build_model(substitute_moe(spec, variant, n_experts=2), seed=0)
+    assert model.input_shape == spec.input_shape
+    # experts, replicas and the gateway carry no shape of their own
+    assert all(nested.input_shape is None for nested in _nested_models(model))
+    for mul in (None, EXACT):
+        model.forward(np.ones((4, *spec.input_shape), np.float32), RunContext(multiplier=mul))
+        for shape in REARRANGED[arch]:
+            with pytest.raises(ParameterError, match=r"is not \(N, "):
+                model.forward(np.ones(shape, np.float32), RunContext(multiplier=mul))
+
+
 def test_every_layer_backward_takes_the_input_grad_flag():
     layers = {cls for module in (engine, moe)
               for _, cls in inspect.getmembers(module, inspect.isclass)
