@@ -290,6 +290,12 @@ def _read_sweep_csv(path) -> tuple[list[list[str]], list[SweepPoint]]:
             if not (math.isfinite(p_norm) and math.isfinite(top1)):
                 raise FormatError(f"{path}:{line_no}: p_norm {p_norm} and top1 {top1} "
                                   "must be finite")
+            # what a sweep writes: a fraction of correct samples, and a power
+            # that `normalized_power` can bring down to 0 but never below
+            if not 0 <= top1 <= 1:
+                raise FormatError(f"{path}:{line_no}: top1 {top1} is not in [0, 1]")
+            if p_norm < 0:
+                raise FormatError(f"{path}:{line_no}: p_norm {p_norm} is negative")
             rows.append(row)
             points.append(SweepPoint(p_norm, top1,
                                      label=f"{record['variant']}+{record['multiplier']}"))

@@ -10,9 +10,10 @@ Layers run in one of two arithmetic modes:
 
 `lut_matmul` is the one LUT entry point, with three kernels that agree bit
 for bit. A rank-1 table, lut[a, b] == q * f(a) * g(b) with reduced integer
-factors (exact, every truncN, DRUM), runs as GEMMs of its factors. Any
-other table runs through a code table when the call has at least as many
-rows as it holds activation codes, N >= hi - lo + 1 for the span
+factors (exact, every truncN, DRUM), runs as GEMMs of its factors, which
+it looks up two codes per index in tables of factor pairs. Any other table
+runs through a code table when the call has at least as many rows as it
+holds activation codes, N >= hi - lo + 1 for the span
 [lo, hi] = [a.min(), a.max()]: the products of each code of the span with
 each weight code, built once per call, from which each row gathers and
 sums K table rows. Other calls look every operand pair up directly in the
@@ -76,9 +77,13 @@ _CODE_TABLE_BUDGET = 1 << 16
 # Float64 entries per block of the LUT rescale (256 KiB), for the same reason.
 _EPILOGUE_BUDGET = 1 << 15
 
-# Every index a kernel looks up is in range by construction, so each
-# np.take runs with mode="wrap": the same values, and numpy's cheapest
-# index check (~20% faster than the default "raise").
+# Every index a kernel looks up is in range by construction, so each take
+# runs with mode="wrap": the same values, and numpy's cheapest index check
+# (~20% faster than the default "raise"). Kernels call the ndarray method,
+# which skips np.take's Python dispatch (~0.4 us a call).
+
+# Two adjacent int8 codes as one index of a rank-1 pair table (`_factors`).
+_CODE_PAIR = np.dtype("<u2")
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +95,7 @@ class QuantParams:
     scale: float
 
     def __post_init__(self):
-        if not (self.scale > 0) or not np.isfinite(self.scale):
+        if not (self.scale > 0) or not math.isfinite(self.scale):
             raise ParameterError(f"scale must be positive and finite, got {self.scale}")
 
 
@@ -101,7 +106,8 @@ def quantize(t: np.ndarray) -> tuple[np.ndarray, QuantParams]:
     if t.dtype.kind != "f":  # -min of an integer type's minimum wraps
         t = t.astype(np.float64)
     # max and -min, not max(abs): no temp of t's size, and the same value
-    amax = float(max(t.max(), -t.min())) if t.size else 0.0
+    lo, hi = (float(t.min()), float(t.max())) if t.size else (0.0, 0.0)
+    amax = max(hi, -lo)
     if not math.isfinite(amax):  # a NaN or an infinity carries through max and min
         raise NumericError("quantize: input contains non-finite values")
     scale = amax / QMAX if amax > 0 else 1.0
@@ -120,6 +126,13 @@ def quantize(t: np.ndarray) -> tuple[np.ndarray, QuantParams]:
     # |x| is at most 127 plus a few ulps of a normal scale, so |x| + 0.5 stays
     # below 128 and the truncating int8 cast needs no clip. The sign goes
     # back on as a two's-complement negate, (c ^ -s) + s for sign bit s.
+    if lo >= 0:
+        # x is |x| and no code is negative: -0.0 (the only sign bit min >= 0
+        # allows) rounds to code 0 either way. ReLU outputs and clipped
+        # images, every activation an approximate layer reads, take this one
+        # add and one cast.
+        x += 0.5
+        return x.astype(np.int8), QuantParams(scale)
     neg = np.signbit(x).view(np.int8)
     np.abs(x, out=x)
     x += 0.5
@@ -151,7 +164,9 @@ def lut_matmul(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
 
     * a rank-1 table (`m.rank1`: exact, every truncN, DRUM) runs as GEMMs of
       its reduced factors, f[a] @ g[b].T, whose int32 sums are then scaled
-      by q in int32 (`_rank1_gemm`);
+      by q in int32 (`_rank1_gemm`); each pair of adjacent codes indexes a
+      table of factor pairs (`m.rank1_pairs`) once, which halves the
+      lookups (`_factors`);
     * any other table runs through the code table when the call has as
       many rows as activation codes, N >= hi - lo + 1 for the span
       [lo, hi] = [a.min(), a.max()] (`_lut_code_table`);
@@ -227,19 +242,35 @@ def _rank1_gemm(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
     bounded by max|L| / |q|, stored as int32; then one int32 multiply of
     the whole result by q, none for q = 1. Every q * sum fits int32 (or the
     block scan raises), so every sum does too. g[b] is looked up once per
-    call, f[a] once per block."""
+    call, f[a] once per block, each two codes per index (`_factors`)."""
     f, g, q = m.rank1
+    fp, gp = m.rank1_pairs
     k = a.shape[1]
     acc = _accumulator(k, m.max_abs // abs(q))
     out, scan = _int32_result(a, b, m)
-    f = f.astype(acc, copy=False)
-    gbt = np.take(g.astype(acc, copy=False), b.view(np.uint8), mode="wrap").T
-    codes = a.view(np.uint8)
+    gbt = _factors(gp, g, b, acc).T
     for rows in _blocks(len(a), max(k, len(b)), _GATHER_BUDGET):
-        _store(out, rows, np.take(f, codes[rows], mode="wrap") @ gbt, scan, q)
+        _store(out, rows, _factors(fp, f, a[rows], acc) @ gbt, scan, q)
     if q != 1:
         out *= q
     return out
+
+
+def _factors(pairs: np.ndarray, v: np.ndarray, codes: np.ndarray, acc: type) -> np.ndarray:
+    """v[codes] as `acc` for int8 codes, two codes per lookup: the codes,
+    C-contiguous (copied only if they are not), read as little-endian
+    uint16 index `pairs` (`AxMultiplier.rank1_pairs`), and each uint64
+    entry lands as two float32 factors. An odd count's last code is looked
+    up alone in v. numpy widens every index to intp before it gathers, so
+    half the indices halve that pass as well as the gather."""
+    codes = np.ascontiguousarray(codes)
+    out = np.empty(codes.shape, dtype=np.float32)
+    flat, dst = codes.reshape(-1), out.reshape(-1)
+    if flat.size & 1:
+        dst[-1] = v[int(flat[-1]) & 255]
+        flat, dst = flat[:-1], dst[:-1]
+    pairs.take(flat.view(_CODE_PAIR), out=dst.view(np.uint64), mode="wrap")
+    return out if acc is np.float32 else out.astype(acc)
 
 
 def _lut_gather(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
@@ -258,7 +289,7 @@ def _lut_gather(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
         cols = np.add(b[at], 32896, dtype=np.intp)
         for rows in _blocks(len(a), (at.stop - at.start) * k, _GATHER_BUDGET):
             idx = np.left_shift(a[rows, None, :], 8, dtype=np.intp) + cols
-            _store(out, (rows, at), np.take(m.lut_f32, idx, mode="wrap") @ ones, scan)
+            _store(out, (rows, at), m.lut_f32.take(idx, mode="wrap") @ ones, scan)
     return out
 
 
@@ -289,13 +320,13 @@ def _lut_code_table(a: np.ndarray, b: np.ndarray, m: AxMultiplier,
         for ks in _blocks(k, codes * bt.shape[1], _CODE_TABLE_BUDGET):
             bk = bt[ks]
             s = np.intp(len(bk))
-            table = np.take(by_code, bk, axis=1, mode="wrap").reshape(-1, bk.shape[1])
+            table = by_code.take(bk, axis=1, mode="wrap").reshape(-1, bk.shape[1])
             row_of_code = (-lo * s + np.arange(s, dtype=np.intp))[:, None]
             for rows in _blocks(n, bk.size, _CODE_TABLE_BUDGET):
                 # widened before the multiply: int8 codes times s wrap in int8
                 idx = np.multiply(a[rows, ks].T, s, dtype=np.intp)
                 idx += row_of_code
-                sums[rows] += np.take(table, idx, axis=0, mode="wrap").sum(axis=0, dtype=acc)
+                sums[rows] += table.take(idx, axis=0, mode="wrap").sum(axis=0, dtype=acc)
         _store(out, (slice(None), at), sums, scan)
     return out
 

@@ -102,7 +102,9 @@ class AxMultiplier:
     # Values derived from the table for the LUT kernels. Each is computed on
     # first use and kept on this object, so a table never runs on another
     # table's values, and construction stays cheap for callers that never
-    # multiply.
+    # multiply. A rank-1 table's kernel reads its factors through the pair
+    # tables of `rank1_pairs` (512 KiB each); any other table's kernels read
+    # `lut_f32` (256 KiB).
 
     @functools.cached_property
     def max_abs(self) -> int:
@@ -139,10 +141,34 @@ class AxMultiplier:
         gcol, grow = int(np.gcd.reduce(col)), int(np.gcd.reduce(row))
         return _by_byte(col // gcol), _by_byte(row // grow), gcol * grow // p
 
+    @functools.cached_property
+    def rank1_pairs(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The factors f and g of `rank1` looked up two codes at a time, or
+        None when the table is not rank 1: for each factor v, a (65536,)
+        uint64 table whose entry i holds the float32 pair
+        (v[i & 255], v[i >> 8]). Two adjacent int8 codes read as one
+        little-endian uint16 index it, and the entry, viewed as two float32,
+        is their factors in order. g's table is f's own when g == f (exact
+        and every truncN), so such a multiplier holds 512 KiB of them."""
+        if self.rank1 is None:
+            return None
+        f, g, _ = self.rank1
+        fp = _by_pair(f)
+        return fp, fp if np.array_equal(f, g) else _by_pair(g)
+
 
 def _frozen(v: np.ndarray) -> np.ndarray:
     v.setflags(write=False)
     return v
+
+
+def _by_pair(v: np.ndarray) -> np.ndarray:
+    """The (65536,) uint64 table of float32 pairs (v[i & 255], v[i >> 8]),
+    built by broadcasting: no index array of the table's size."""
+    t = np.empty((256, 256, 2), dtype=np.float32)
+    t[:, :, 0] = v[None, :]
+    t[:, :, 1] = v[:, None]
+    return _frozen(t.view(np.uint64).reshape(-1))
 
 
 def _by_byte(v: np.ndarray) -> np.ndarray:

@@ -542,11 +542,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope,nope\n1,2\n")
     assert cli.main(["pareto", "--csv", str(bad), "--out", str(tmp_path)]) == 4
-    # sweep CSV rows whose p_norm or top1 is not finite
-    for p_norm, top1 in (("nan", "0.5"), ("1.0", "inf")):
+    # sweep CSV rows whose p_norm or top1 is not finite, a top1 outside
+    # [0, 1] and a negative p_norm: no sweep writes them
+    for p_norm, top1 in (("nan", "0.5"), ("1.0", "inf"), ("1.0", "2.0"), ("1.0", "-0.1"),
+                         ("-1", "0.5")):
         bad.write_text(",".join(cli.CSV_COLUMNS) + "\n"
-                       f"toy_mlp,dense,exact,1,1,0.5,{p_norm},{top1},false,0\n")
+                       f"toy_mlp,dense,exact,1,1,0.5,{p_norm},{top1},false,0\n"
+                       f"toy_mlp,dense,exact,1,1,0.5,1.0,0.5,false,0\n")
         assert cli.main(["pareto", "--csv", str(bad), "--out", str(tmp_path)]) == 4
+        assert f"{bad}:2:" in capsys.readouterr().err, (p_norm, top1)
+    # 0 is a power normalized_power can return, and 0 and 1 are top-1 scores
+    good = tmp_path / "edges.csv"
+    good.write_text(",".join(cli.CSV_COLUMNS) + "\n"
+                    "toy_mlp,dense,exact,1,1,0.5,0,0,false,0\n"
+                    "toy_mlp,dense,exact,1,1,0.5,1.0,1,false,0\n")
+    assert cli.main(["pareto", "--csv", str(good), "--out", str(tmp_path / "edges")]) == 0
     # an .axm8 table whose power field is infinite
     table = tmp_path / "inf.axm8"
     save_lut(builtin_multiplier("exact"), table)

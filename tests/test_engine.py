@@ -133,10 +133,12 @@ def _quantize_reference(t: np.ndarray):
 def _codec_inputs(draw):
     """Float32 and float64 tensors of 1 to 40 elements: arbitrary finite
     values, values on exact half-code ties, signed zeros, all-negative
-    tensors, and tensors small enough that the scale must be lifted."""
+    tensors, tensors small enough that the scale must be lifted, and
+    non-negative tensors (min >= 0, as ReLU outputs and clipped images are)
+    that mix ties, -0.0 and tiny values."""
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     n = draw(st.integers(1, 40))
-    kind = draw(st.sampled_from(["any", "ties", "zeros", "negative", "tiny"]))
+    kind = draw(st.sampled_from(["any", "ties", "zeros", "negative", "tiny", "nonnegative"]))
     width = 32 if dtype == np.float32 else 64
 
     def floats(bound, low=None):  # bounds the drawn width holds exactly
@@ -153,6 +155,16 @@ def _codec_inputs(draw):
     if kind == "zeros":
         return np.array(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n)),
                         dtype=dtype)
+    if kind == "nonnegative":
+        # a max of any size or one below 127 times the smallest normal; each
+        # other entry up to it, on a half-code tie below it, or -0.0
+        top = draw(st.sampled_from([1e30, 127 * float(np.finfo(dtype).tiny)]))
+        amax = draw(floats(top, low=0.0))
+        ties = ((np.arange(QMAX) + 0.5) * (amax / QMAX)).astype(dtype).tolist()
+        entry = st.one_of(floats(amax, low=0.0), st.sampled_from(ties), st.just(-0.0))
+        t = np.array(draw(st.lists(entry, min_size=n, max_size=n)), dtype=dtype)
+        t[draw(st.integers(0, n - 1))] = amax
+        return t
     # below 127 times the smallest normal, so max|t| / 127 is subnormal
     bound = 127 * float(np.finfo(dtype).tiny) if kind == "tiny" else 1e30
     values = draw(st.lists(floats(bound), min_size=n, max_size=n))
@@ -168,6 +180,11 @@ def _codec_inputs(draw):
 @example(t=np.array([-2.5, 0.5, -127.0], np.float32))
 @example(t=np.array([1e-320, -3e-321]))
 @example(t=np.array([-1e-45, 0.0], np.float32))
+# min >= 0: ties at scale 1 with -0.0 beside them, a -0.0 minimum under a
+# lifted scale, and a 0-d tie
+@example(t=np.array([0.5, -0.0, 2.5, 126.5, 127.0, 0.0], np.float32))
+@example(t=np.array([-0.0, 3e-321, 1e-320]))
+@example(t=np.array(0.5))
 def test_quantize_equals_the_round_half_away_reference(t):
     want = _quantize_reference(t)
     with warnings.catch_warnings():
@@ -299,6 +316,10 @@ def _full_rank_table() -> np.ndarray:
 BUILTINS = ("exact", *(f"trunc{k}" for k in range(1, 8)))
 RANK1_TABLES = {name: builtin_multiplier(name) for name in BUILTINS}
 RANK1_TABLES["drum4"] = AxMultiplier("drum4", 1.0, _signed_table(lambda x, y: _drum(x) * _drum(y)))
+# L[a, b] = a * (b // 2): factors f != g, so g has a pair table of its own
+RANK1_TABLES["half_b"] = AxMultiplier(
+    "half_b", 1.0, np.multiply.outer(np.arange(-128, 128), np.arange(-128, 128) // 2)
+    .astype(np.int16).ravel())
 GATHER_TABLES = {
     "mitchell": AxMultiplier("mitchell", 1.0, _signed_table(_mitchell)),
     "full_rank": AxMultiplier("full_rank", 1.0, _full_rank_table()),
@@ -344,19 +365,58 @@ def test_factored_tables_reproduce_their_products():
         assert m.rank1 is None, name
 
 
+def test_rank1_pair_tables_hold_both_factors_of_every_code_pair():
+    # every pair (c0, c1) of int8 codes, adjacent in memory as a kernel reads them
+    codes = np.arange(-128, 128).astype(np.int8)
+    pairs = np.stack(np.meshgrid(codes, codes, indexing="ij"), axis=-1).reshape(-1, 2)
+    index = pairs.view("<u2").ravel()
+    shared = {}
+    for name, m in RANK1_TABLES.items():
+        f, g, _ = m.rank1
+        fp, gp = m.rank1_pairs
+        assert m.rank1_pairs is m.rank1_pairs, name  # built once
+        shared[name] = fp is gp
+        assert shared[name] == np.array_equal(f, g), name
+        for table, v in ((fp, f), (gp, g)):
+            assert table.dtype == np.uint64 and table.shape == (256 * 256,), name
+            assert not table.flags.writeable, name
+            with pytest.raises(ValueError):
+                table[0] = 0
+            got = table[index].view(np.float32).reshape(-1, 2)
+            assert got.tobytes() == v[pairs.view(np.uint8)].tobytes(), name
+    assert not shared["half_b"] and all(shared[name] for name in BUILTINS)
+    for name, m in GATHER_TABLES.items():
+        assert m.rank1_pairs is None, name
+
+
+def _laid_out(x: np.ndarray, layout: str) -> np.ndarray:
+    """x's values in C order, in F order (a transpose's memory) or as every
+    other column of a wider array."""
+    if layout == "transposed":
+        return np.asfortranarray(x)
+    if layout == "strided":
+        wide = np.zeros((x.shape[0], 2 * x.shape[1]), dtype=x.dtype)
+        wide[:, ::2] = x
+        return wide[:, ::2]
+    return x
+
+
 @st.composite
 def _operands(draw):
     """Codes of every shape on both sides of the code-table rule, with
     K * M past the chunk budget, drawn uniformly, from the extremes, or
-    (the activations) from a narrow span of codes."""
+    (the activations) from a narrow span of codes, each operand C-contiguous
+    or not."""
     n = draw(st.one_of(st.integers(0, 40), st.integers(500, 530)))
     k, mrows = draw(st.integers(0, 60)), draw(st.integers(0, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = np.arange(-128, 128) if draw(st.booleans()) else np.array([-128, -127, -1, 0, 1, 127])
     lo = draw(st.integers(-128, 127))
     span = np.arange(lo, draw(st.integers(lo, min(127, lo + 40))) + 1)
-    return (rng.choice(span if draw(st.booleans()) else pool, size=(n, k)).astype(np.int8),
-            rng.choice(pool, size=(mrows, k)).astype(np.int8))
+    a = rng.choice(span if draw(st.booleans()) else pool, size=(n, k)).astype(np.int8)
+    b = rng.choice(pool, size=(mrows, k)).astype(np.int8)
+    layouts = st.sampled_from(["c", "transposed", "strided"])
+    return _laid_out(a, draw(layouts)), _laid_out(b, draw(layouts))
 
 
 def _full_range(n, k, mrows):
@@ -543,7 +603,10 @@ def _recording_stores():
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
-@pytest.mark.parametrize("shape", [(37, 5, 10), (601, 5, 10), (13, 23, 9), (5, 40, 15)])
+# (22, 9, 13): K = 9 and 100 // 13 = 7 rows per rank-1 block, so every block
+# (7, 7, 7 and 1 rows) and b hold an odd number of codes
+@pytest.mark.parametrize("shape", [(37, 5, 10), (601, 5, 10), (13, 23, 9), (5, 40, 15),
+                                   (22, 9, 13)])
 def test_kernels_in_many_ragged_blocks_equal_the_gather(kernel, shape):
     names = sorted(RANK1_TABLES) if kernel == "gemm" else ["mitchell", "full_rank", "trunc3"]
     a, b = _full_range(*shape)
@@ -559,6 +622,8 @@ def test_kernels_in_many_ragged_blocks_equal_the_gather(kernel, shape):
             written[at] += 1
         assert (written == 1).all() and len(blocks) > 1, name
         assert len({written[at].size for at in blocks}) > 1, name  # some block is short
+        if kernel == "gemm" and shape == (22, 9, 13):  # each factor lookup's count is odd
+            assert all(len(written[at]) * 9 % 2 for at in blocks) and b.size % 2, name
 
 
 @settings(max_examples=300, deadline=None, database=None)
