@@ -269,15 +269,18 @@ def _csv_bytes(header, rows) -> bytes:
 def _read_sweep_csv(path) -> tuple[list[list[str]], list[SweepPoint]]:
     """Each row as read, and its (p_norm, top1) point."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        if tuple(header) != CSV_COLUMNS:
-            raise FormatError(f"{path}: unexpected header {header}")
+            table = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        except csv.Error as exc:  # a field past csv's size limit
+            raise FormatError(f"{path}: {exc}") from exc
+        if not table:
+            raise FormatError(f"{path}: empty file")
+        if tuple(table[0]) != CSV_COLUMNS:
+            raise FormatError(f"{path}: unexpected header {table[0]}")
         rows, points = [], []
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in enumerate(table[1:], start=2):
             if len(row) != len(CSV_COLUMNS):
                 raise FormatError(f"{path}:{line_no}: expected {len(CSV_COLUMNS)} "
                                   f"fields, got {len(row)}")

@@ -715,16 +715,10 @@ class Flatten(Layer):
         return dy.reshape(self._in_shape)
 
 
-def check_sample_shape(name: str, x: np.ndarray, input_shape: tuple | None) -> None:
-    """ParameterError unless each sample of x has `input_shape` (None: any)."""
-    if input_shape is not None and x.shape[1:] != tuple(input_shape):
-        raise ParameterError(f"{name}: input {x.shape} is not (N, {', '.join(map(str, input_shape))})")
-
-
 class Model(Layer):
-    """Layers run in order: a whole graph, a multi-layer expert, a cluster
-    gateway or replica. A whole graph's model takes only samples of its
-    `input_shape`; a nested one (None) takes what its first layer reads."""
+    """Layers run in order: a whole graph (a cluster's holds its ClusterModel),
+    a multi-layer expert, a cluster gateway or replica. A whole graph's model
+    takes only samples of its `input_shape`, a nested one (None) any shape."""
 
     def __init__(self, name, layers, input_shape=None):
         super().__init__(name)
@@ -735,7 +729,9 @@ class Model(Layer):
         return self.layers
 
     def forward(self, x, ctx):
-        check_sample_shape(self.name, x, self.input_shape)
+        if self.input_shape is not None and x.shape[1:] != tuple(self.input_shape):
+            raise ParameterError(f"{self.name}: input {x.shape} is not "
+                                 f"(N, {', '.join(map(str, self.input_shape))})")
         if not len(x):
             raise ParameterError(f"{self.name}: empty batch")
         if x.dtype.kind != "f":

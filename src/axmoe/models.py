@@ -80,11 +80,11 @@ def _build_group(group: MoEGroup, rng) -> MoELayer:
     return MoELayer(group.name, experts, Router(f"{group.name}.router", router_w), group.mode)
 
 
-def build_model(graph, seed: int = 0):
-    """Executable model from an ArchSpec, substituted spec, or ClusterArch.
-    It takes only samples of the graph's `input_shape`."""
+def build_model(graph, seed: int = 0) -> Model:
+    """Executable model from an ArchSpec, substituted spec, or ClusterArch:
+    a Model that takes only samples of the graph's `input_shape`."""
     if isinstance(graph, ClusterArch):
-        return _build_cluster(graph, seed)
+        return Model(graph.name, [_build_cluster(graph, seed)], graph.replica.input_shape)
     rng = np.random.default_rng(seed)
     return Model(graph.name, [_build_group(e, rng) if isinstance(e, MoEGroup)
                               else _layer(e, e.name, _init(rng, e)) for e in graph.layers],
@@ -100,7 +100,7 @@ def _build_cluster(cluster: ClusterArch, seed: int) -> ClusterModel:
         rng = np.random.default_rng([seed, i])
         replicas.append(Model(f"replica{i}", [_layer(s, f"replica{i}.{s.name}", _init(rng, s))
                                               for s in cluster.replica.layers]))
-    return ClusterModel(cluster.name, gateway, replicas, cluster.replica.input_shape)
+    return ClusterModel(cluster.name, gateway, replicas)
 
 
 # ---------------------------------------------------------------------------

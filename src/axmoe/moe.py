@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import Layer, Model, RunContext, check_sample_shape, stable_softmax
+from .engine import Layer, Model, RunContext, stable_softmax
 from .errors import ParameterError
 
 
@@ -38,36 +38,17 @@ def _bcast(per_sample: np.ndarray, like: np.ndarray) -> np.ndarray:
     return per_sample.reshape(-1, *([1] * (like.ndim - 1)))
 
 
-def _groups(picks, units) -> list[list[int]]:
-    """Unit indices in runs that read one input together: consecutive units
-    with the same pick object (every soft expert's) and one `group_key`.
-    Every other unit, a hard expert or a cluster replica, is a run of one."""
-    runs = []
-    for i, (pick, unit) in enumerate(zip(picks, units)):
-        head = runs[-1][0] if runs else None
-        if (head is not None and pick is picks[head] and unit.group_key() is not None
-                and unit.group_key() == units[head].group_key()):
-            runs[-1].append(i)
-        else:
-            runs.append([i])
-    return runs
-
-
-def _run_units(x, picks, units, ctx: RunContext, prefix: str) -> list:
+def _run_units(x, picks, units, ctx: RunContext, prefix: str, grouped: bool = False) -> list:
     """Run unit i on x[picks[i]] and count the samples it gets. A unit with no
-    sample is skipped and its output is None. A run of `_groups` takes its
-    input once, through one `forward_group` call."""
+    sample is skipped and its output is None. Grouped units (soft experts of
+    one layout) all read x, once, through one `forward_group` call."""
     outs = []
-    for run in _groups(picks, units):
-        xi = x[picks[run[0]]]
-        for i in run:
-            ctx.count_routed(f"{prefix}{i}", len(xi))
-        if not len(xi):
-            outs += [None] * len(run)
-        elif len(run) == 1:
-            outs.append(units[run[0]].forward(xi, ctx))
-        else:
-            outs += units[run[0]].forward_group([units[i] for i in run], xi, ctx)
+    for i, (pick, unit) in enumerate(zip(picks, units)):
+        xi = x[pick]  # all of x for a soft pick, without a copy
+        ctx.count_routed(f"{prefix}{i}", len(xi))
+        outs.append(unit.forward(xi, ctx) if len(xi) and not grouped else None)
+    if grouped and len(x):
+        outs = units[0].forward_group(units, x, ctx)
     return outs
 
 
@@ -89,24 +70,20 @@ def _unit_dy(dy, pick, gate, i) -> np.ndarray:
     return d if gate is None else _bcast(gate[pick, i], d) * d
 
 
-def _units_backward(dy, dx, units, picks, outs, gate=None) -> np.ndarray | None:
-    """Add each unit's input gradient into dx at its picks; with dx None,
-    each unit computes only its parameter gradients. With `gate`, unit i's
-    output was scaled by gate[:, i] in the forward pass. A run of `_groups`
-    goes back through one `backward_group` call; the input gradients are
-    added in unit order either way."""
-    for run in _groups(picks, units):
-        pick = picks[run[0]]
-        if outs[run[0]] is None:
-            continue
-        dys = (_unit_dy(dy, pick, gate, i) for i in run)
-        if len(run) == 1:
-            parts = [units[run[0]].backward(next(dys), input_grad=dx is not None)]
-        else:
-            parts = units[run[0]].backward_group([units[i] for i in run], dys, dx is not None)
+def _units_backward(dy, dx, units, picks, outs, gate=None, grouped=False) -> np.ndarray | None:
+    """Add each unit's input gradient into dx at its picks, in unit order;
+    with dx None, each unit computes only its parameter gradients. With
+    `gate`, unit i's output was scaled by gate[:, i] in the forward pass.
+    Grouped units go back through one `backward_group` call."""
+    live = [i for i, out in enumerate(outs) if out is not None]
+    dys = (_unit_dy(dy, picks[i], gate, i) for i in live)
+    if grouped and live:
+        parts = units[0].backward_group(units, dys, dx is not None)
+    else:
+        parts = (units[i].backward(d, input_grad=dx is not None) for i, d in zip(live, dys))
+    for i, part in zip(live, parts):  # drives the one-by-one backwards, dx or not
         if dx is not None:
-            for part in parts:
-                dx[pick] += part
+            dx[picks[i]] += part
     return dx
 
 
@@ -136,6 +113,10 @@ class MoELayer(Layer):
         self.experts = experts
         self.router = router
         self.mode = mode
+        # soft experts that are affine layers of one layout read x as one group
+        key = experts[0].group_key()
+        self._grouped = (mode == "soft" and len(experts) > 1 and key is not None
+                         and all(e.group_key() == key for e in experts))
         self._cache = None
 
     def children(self):
@@ -157,7 +138,7 @@ class MoELayer(Layer):
         else:
             sel = np.argmax(g, axis=1)  # ties resolve to the lowest index
             picks = [sel == i for i in range(len(self.experts))]
-        outs = _run_units(x, picks, self.experts, ctx, f"{self.name}.expert")
+        outs = _run_units(x, picks, self.experts, ctx, f"{self.name}.expert", self._grouped)
         parts = (None if out is None else _bcast(g[pick, i], out) * out
                  for i, (pick, out) in enumerate(zip(picks, outs)))
         y = _scatter(len(x), picks, parts)
@@ -177,19 +158,18 @@ class MoELayer(Layer):
         # dx starts from the router term: soft then sums router + e0 + e1 + ...
         # in that order, and the float rounding of existing runs is kept
         dx = _spread_to(dz @ self.router.w.astype(dz.dtype), x) if input_grad else None
-        return _units_backward(dy, dx, self.experts, picks, outs, gate=g)
+        return _units_backward(dy, dx, self.experts, picks, outs, g, self._grouped)
 
 
 class ClusterModel(Layer):
     """Exact gateway classifier in front of n complete replicas."""
 
-    def __init__(self, name: str, gateway: Model, replicas: list[Model], input_shape=None):
+    def __init__(self, name: str, gateway: Model, replicas: list[Model]):
         super().__init__(name)
         if not replicas:
             raise ParameterError("cluster needs at least one replica")
         self.gateway = gateway
         self.replicas = replicas
-        self.input_shape = input_shape  # as a whole graph's Model takes it
         self._cache = None
 
     def children(self):
@@ -200,7 +180,6 @@ class ClusterModel(Layer):
         return super().frozen_names() | set(self.gateway.params())
 
     def forward(self, x, ctx: RunContext):
-        check_sample_shape(self.name, x, self.input_shape)
         # the gateway is exact and frozen: a fresh context keeps it in float and
         # keeps it from caching inputs for a backward that never runs
         sel = np.argmax(self.gateway.forward(x, RunContext()), axis=1)

@@ -1,14 +1,19 @@
 """Config file parsing, hashing, multiplier resolution, CLI behaviour."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
-
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import axmoe
 from axmoe import cli, config
@@ -260,7 +265,7 @@ def test_cli_retrain_cluster_checkpoint_reloads_and_evaluates(tmp_path, capsys):
     # the pretrained replicas moved away from their seeded initial values
     fresh = model_from_spec(meta).params()
     assert any(not np.array_equal(fresh[k], v) for k, v in saved.items())
-    gateway = set(model.gateway.params())
+    gateway = set(model.layers[0].gateway.params())
     assert gateway and all(k.startswith("gateway.") for k in gateway)
     assert model.frozen_names() == gateway
 
@@ -359,6 +364,69 @@ def test_cli_pareto_flags_frontier(tmp_path, capsys):
     dat = (tmp_path / "pareto.dat").read_text().splitlines()
     assert dat[0].startswith("#")
     assert len(dat) == 3
+
+
+@pytest.fixture(scope="module")
+def sweep_csv(tmp_path_factory) -> bytes:
+    """A sweep.csv as `sweep` writes it: two variants under two multipliers."""
+    out = tmp_path_factory.mktemp("sweep")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["sweep", *_base_args(out), "--set", "samples = 32",
+                         "--set", "pretrain_epochs = 1", "--variant", "dense",
+                         "--variant", "hard", "--multiplier", "float",
+                         "--multiplier", "trunc2"]) == 0
+    return (out / "sweep.csv").read_bytes()
+
+
+# A corruption of sweep.csv: replace cells by drawn text (rewritten through
+# csv, so a comma or quote stays inside its cell), then flip bytes, then cut
+_CELLS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, len(cli.CSV_COLUMNS) - 1),
+                            st.one_of(st.sampled_from(["", "nan", "inf", "-1", "1e400", "2",
+                                                       "0", "1", "-0", " 0.5 ", "1_0", '"',
+                                                       "a,b", "x\ny"]),
+                                      st.text(max_size=6))), max_size=3)
+_FLIPS = st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(1, 255)), max_size=3)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cells=_CELLS, flips=_FLIPS, cut=st.none() | st.floats(0, 1))
+def test_pareto_on_a_corrupted_sweep_csv_exits_cleanly(sweep_csv, cells, flips, cut):
+    table = list(csv.reader(io.StringIO(sweep_csv.decode("utf-8"), newline="")))
+    for row, col, value in cells:
+        table[row % len(table)][col] = value
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(table)
+    data = bytearray(text.getvalue().encode("utf-8"))
+    for at, mask in flips:
+        data[int(at * len(data))] ^= mask
+    if cut is not None:
+        del data[int(cut * len(data)):]
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "sweep.csv", Path(tmp) / "out"
+        src.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(["pareto", "--csv", str(src), "--out", str(out)])
+        err = err.getvalue()
+        assert rc in (0, 2, 3, 4) and "Traceback" not in err
+        if rc:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            return
+        assert not err
+        with open(src, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        with open(out / "pareto.csv", encoding="utf-8", newline="") as fh:
+            flagged = list(csv.reader(fh))
+        assert tuple(flagged[0]) == cli.CSV_COLUMNS + ("pareto",)
+        assert [r[:-1] for r in flagged[1:]] == rows
+        assert {r[-1] for r in flagged[1:]} <= {"true", "false"}
+        dat = (out / "pareto.dat").read_text(encoding="utf-8").splitlines()
+        assert dat[0] == "# p_norm top1"
+        assert len(dat) - 1 == sum(r[-1] == "true" for r in flagged[1:])
+        for line in dat[1:]:
+            p_norm, top1 = map(float, line.split(" "))
+            assert p_norm >= 0 and 0 <= top1 <= 1
 
 
 def test_cli_eval_reloads_checkpoints(tmp_path, capsys):
@@ -542,6 +610,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope,nope\n1,2\n")
     assert cli.main(["pareto", "--csv", str(bad), "--out", str(tmp_path)]) == 4
+    # sweep CSV that is not UTF-8
+    bad.write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    assert cli.main(["pareto", "--csv", str(bad), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8") and err.count("error:") == 1
+    # a field past the csv module's size limit
+    bad.write_text(",".join(cli.CSV_COLUMNS) + "\n" + "x" * 200_000 + "\n")
+    assert cli.main(["pareto", "--csv", str(bad), "--out", str(tmp_path)]) == 4
+    assert "field limit" in capsys.readouterr().err
     # sweep CSV rows whose p_norm or top1 is not finite, a top1 outside
     # [0, 1] and a negative p_norm: no sweep writes them
     for p_norm, top1 in (("nan", "0.5"), ("1.0", "inf"), ("1.0", "2.0"), ("1.0", "-0.1"),

@@ -158,9 +158,28 @@ REARRANGED = {"toy_cnn": [(4, 1, 4, 16), (4, 1, 16, 4)],
 
 def _nested_models(layer):
     for child in layer.children():
-        if isinstance(child, (engine.Model, moe.ClusterModel)):
+        if isinstance(child, engine.Model):
             yield child
         yield from _nested_models(child)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("arch", sorted(ARCHS))
+def test_every_graph_builds_a_model_whose_input_errors_name_the_graph(arch, variant):
+    spec = ARCHS[arch]()
+    model = build_model(substitute_moe(spec, variant, n_experts=2), seed=0)
+    assert type(model) is engine.Model and model.input_shape == spec.input_shape
+    named = rf"^{spec.name}: "  # the graph, never a cluster's {name}_gateway
+    for train in (False, True):
+        ctx = RunContext(train=train)
+        with pytest.raises(ParameterError, match=named + "empty batch"):
+            model.forward(np.zeros((0, *spec.input_shape), np.float32), ctx)
+        with pytest.raises(ParameterError, match=named + "input must be floating point"):
+            model.forward(np.ones((4, *spec.input_shape), np.int64), ctx)
+        x = np.ones((4, *spec.input_shape), np.float32)
+        x[2].flat[0] = np.nan
+        with pytest.raises(NumericError, match=named + "input contains non-finite"):
+            model.forward(x, ctx)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

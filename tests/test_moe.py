@@ -1,13 +1,11 @@
 """Routing algebra: gates, Top-1 selection, blending, cluster dispatch."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axmoe import engine, moe
+from axmoe import engine
 from axmoe.engine import Conv2d, Flatten, Linear, Model, RunContext
 from axmoe.graphs import build_arch, substitute_moe
 from axmoe.models import build_model
@@ -247,8 +245,9 @@ def test_cluster_gateway_caches_nothing_in_training():
     model = build_model(graph, seed=0)
     x = np.random.default_rng(12).normal(size=(16, 1, 8, 8)).astype(np.float32)
     model.forward(x, RunContext(train=True))
-    assert all(getattr(layer, "_cache", None) is None for layer in model.gateway.layers)
-    assert any(layer._cache is not None for r in model.replicas for layer in r.layers
+    (cluster,) = model.layers
+    assert all(getattr(layer, "_cache", None) is None for layer in cluster.gateway.layers)
+    assert any(layer._cache is not None for r in cluster.replicas for layer in r.layers
                if isinstance(layer, Linear))
 
 
@@ -383,10 +382,6 @@ GROUP_MULTIPLIERS = {"float": None, "exact": builtin_multiplier("exact"),
                      "trunc2": builtin_multiplier("trunc2"), "nonsep": _nonseparable()}
 
 
-def _alone(picks, units):
-    return [[i] for i in range(len(units))]
-
-
 @settings(max_examples=120, deadline=None, database=None)
 @given(kind=st.sampled_from(["conv", "linear"]), stride=st.integers(1, 2),
        padding=st.integers(0, 1), dtype=st.sampled_from([np.float32, np.float64]),
@@ -409,22 +404,22 @@ def test_a_soft_group_equals_its_experts_run_alone(kind, stride, padding, dtype,
     layer = MoELayer("mix", experts, Router("mix.router", rng.normal(size=(n_experts, x.shape[1]))),
                      "soft")
     x = x.astype(dtype)
-    assert moe._groups([slice(None)] * n_experts, experts) == [list(range(n_experts))]
+    assert layer._grouped
 
-    def run(groups):
-        with mock.patch.object(moe, "_groups", groups):
-            ctx = RunContext(multiplier=GROUP_MULTIPLIERS[mul], train=train)
-            y = layer.forward(x, ctx)
-            out = {"y": y, "counters": list(ctx.counters.items()),
-                   "routed": list(ctx.routed.items())}
-            if train:
-                layer.zero_grads()
-                out["dx"] = layer.backward(np.cos(np.arange(y.size)).reshape(y.shape).astype(dtype),
-                                           input_grad)
-                out["grads"] = {k: g.copy() for k, g in layer.qualified_grads().items()}
+    def run(grouped):
+        layer._grouped = grouped
+        ctx = RunContext(multiplier=GROUP_MULTIPLIERS[mul], train=train)
+        y = layer.forward(x, ctx)
+        out = {"y": y, "counters": list(ctx.counters.items()),
+               "routed": list(ctx.routed.items())}
+        if train:
+            layer.zero_grads()
+            out["dx"] = layer.backward(np.cos(np.arange(y.size)).reshape(y.shape).astype(dtype),
+                                       input_grad)
+            out["grads"] = {k: g.copy() for k, g in layer.qualified_grads().items()}
         return out
 
-    grouped, alone = run(moe._groups), run(_alone)
+    grouped, alone = run(True), run(False)
     assert grouped["counters"] == alone["counters"] and grouped["routed"] == alone["routed"]
     outputs = [(grouped["y"], alone["y"])]
     if train:
@@ -439,3 +434,64 @@ def test_a_soft_group_equals_its_experts_run_alone(kind, stride, padding, dtype,
         for name, g in grouped["grads"].items():
             assert g.dtype == alone["grads"][name].dtype, name
             assert g.tobytes() == alone["grads"][name].tobytes(), name
+
+
+def _conv(rng, name, stride=1, padding=0, approximate=True):
+    return Conv2d(name, rng.normal(size=(2, 3, 3, 3)), rng.normal(size=2), (stride, stride),
+                  (padding, padding), approximate)
+
+
+def test_only_soft_affine_experts_of_one_layout_are_grouped():
+    rng = np.random.default_rng(22)
+
+    def grouped(experts, mode="soft"):
+        return MoELayer("mix", experts, _router(rng, len(experts), 3), mode)._grouped
+
+    assert grouped([_conv(rng, f"e{i}") for i in range(2)])
+    assert grouped(_experts(rng, 3, 3, 2))
+    assert not grouped([_conv(rng, f"e{i}") for i in range(2)], "hard")
+    assert not grouped(_experts(rng, 3, 3, 2), "hard")
+    assert not grouped([_conv(rng, "e0")])
+    assert not grouped([Model(f"e{i}", [e]) for i, e in enumerate(_experts(rng, 2, 3, 2))])
+    assert not grouped([_conv(rng, "e0"), _conv(rng, "e1", stride=2, padding=1)])
+    assert not grouped([_conv(rng, "e0"), _conv(rng, "e1", approximate=False)])
+
+
+@pytest.mark.parametrize("mul", [None, "trunc2"], ids=["float", "trunc2"])
+def test_a_soft_layer_of_two_strides_runs_its_experts_one_by_one(mul):
+    rng = np.random.default_rng(23)
+    mul = builtin_multiplier(mul) if mul else None
+    # on 5x5 images, stride 1 unpadded and stride 2 padded both give 3x3 outputs
+    experts = [_conv(rng, "e0"), _conv(rng, "e1", stride=2, padding=1)]
+    router = _router(rng, 2, 3)
+    layer = MoELayer("mix", experts, router, "soft")
+    assert not layer._grouped
+    x = rng.normal(size=(4, 3, 5, 5))
+    dy = rng.normal(size=(4, 2, 3, 3))
+    ctx = RunContext(multiplier=mul, train=True)
+    y = layer.forward(x, ctx)
+    layer.zero_grads()
+    dx = layer.backward(dy)
+    grads = {k: g.copy() for k, g in layer.qualified_grads().items()}
+
+    # the same experts, each run alone, mixed and differentiated by hand
+    g, feats = router.gates(x)
+    gate = [g[:, i, None, None, None] for i in range(2)]
+    alone = RunContext(multiplier=mul, train=True)
+    outs = [e.forward(x, alone) for e in experts]
+    assert list(ctx.counters.items()) == list(alone.counters.items())
+    assert list(ctx.routed.values()) == [4, 4]
+    y_alone = np.zeros_like(y)
+    for gi, out in zip(gate, outs):
+        y_alone += gi * out
+    dg = np.stack([(dy * out).sum(axis=(1, 2, 3)) for out in outs], axis=1)
+    dz = g * (dg - (dg * g).sum(axis=1, keepdims=True))
+    dx_alone = np.broadcast_to((dz @ router.w)[:, :, None, None], x.shape) / 25
+    for gi, e in zip(gate, experts):
+        dx_alone += e.backward(gi * dy)
+    grads_alone = {"mix.router.w": dz.T @ feats,
+                   **{f"{e.name}.{k}": v for e in experts for k, v in e.grads.items()}}
+    assert y.tobytes() == y_alone.tobytes() and dx.tobytes() == dx_alone.tobytes()
+    assert grads.keys() == grads_alone.keys()
+    for name, grad in grads.items():
+        assert grad.tobytes() == grads_alone[name].tobytes(), name
