@@ -19,8 +19,12 @@ each weight code, built once per call, from which each row gathers and
 sums K table rows. Other calls look every operand pair up directly in the
 table. The rule compares the two costs: the code table takes
 (hi - lo + 1) * K * M products to build and the direct gather N * K * M
-lookups. Activations that approximate layers read are images clipped to
->= 0 or ReLU outputs, whose codes span at most 0..127: half the table.
+lookups, and summing whole table rows already wins at N = hi - lo + 1: at
+N = 128 rows of codes 0..127 the code table took 16 us against the
+gather's 21 us on (128, 9) x (8, 9), and 1.76 ms against 2.35 ms on
+(128, 784) x (32, 784) (1 BLAS thread, 2-core AMD EPYC). Activations
+that approximate layers read are images clipped to >= 0 or ReLU outputs,
+whose codes span at most 0..127: half the table.
 
 Every kernel sums integers in floating point, which is exact in any order
 while every partial sum is an integer the type holds: float32 when K times
@@ -121,25 +125,15 @@ def quantize(t: np.ndarray) -> tuple[np.ndarray, QuantParams]:
     else:
         x = t / scale
     x = np.asarray(x)  # a 0-d t divides to a scalar, which `out=` cannot take
-    # Half away from zero as trunc(|x| + 0.5) with x's sign, which is
-    # trunc(x + copysign(0.5, x)): round to nearest is symmetric about 0.
-    # |x| is at most 127 plus a few ulps of a normal scale, so |x| + 0.5 stays
-    # below 128 and the truncating int8 cast needs no clip. The sign goes
-    # back on as a two's-complement negate, (c ^ -s) + s for sign bit s.
-    if lo >= 0:
-        # x is |x| and no code is negative: -0.0 (the only sign bit min >= 0
-        # allows) rounds to code 0 either way. ReLU outputs and clipped
-        # images, every activation an approximate layer reads, take this one
-        # add and one cast.
-        x += 0.5
-        return x.astype(np.int8), QuantParams(scale)
-    neg = np.signbit(x).view(np.int8)
-    np.abs(x, out=x)
-    x += 0.5
-    codes = x.astype(np.int8)
-    codes ^= -neg
-    codes += neg
-    return codes, QuantParams(scale)
+    # Half away from zero as trunc(x + copysign(0.5, x)): for x < 0, x - 0.5
+    # is -(|x| + 0.5) exactly, and the int8 cast truncates toward zero on
+    # both sides. |x| is at most 127 plus a few ulps of a normal scale, so
+    # |x| + 0.5 stays below 128 and the cast needs no clip. With lo >= 0 no
+    # code is negative (-0.0 rounds to code 0 either way) and the add takes
+    # a scalar: ReLU outputs and clipped images, every activation an
+    # approximate layer reads, take this one add and one cast.
+    x += 0.5 if lo >= 0 else np.copysign(0.5, x)
+    return x.astype(np.int8), QuantParams(scale)
 
 
 def dequantize(codes: np.ndarray, qp: QuantParams) -> np.ndarray:
@@ -158,33 +152,9 @@ def _check_codes(x: np.ndarray, what: str) -> np.ndarray:
 
 
 def lut_matmul(a: np.ndarray, b: np.ndarray, m: AxMultiplier) -> np.ndarray:
-    """(N, K) x (M, K) int8 codes -> (N, M) int32 through the multiplier table.
-
-    One of three kernels runs, each equal to the table gather bit for bit:
-
-    * a rank-1 table (`m.rank1`: exact, every truncN, DRUM) runs as GEMMs of
-      its reduced factors, f[a] @ g[b].T, whose int32 sums are then scaled
-      by q in int32 (`_rank1_gemm`); each pair of adjacent codes indexes a
-      table of factor pairs (`m.rank1_pairs`) once, which halves the
-      lookups (`_factors`);
-    * any other table runs through the code table when the call has as
-      many rows as activation codes, N >= hi - lo + 1 for the span
-      [lo, hi] = [a.min(), a.max()] (`_lut_code_table`);
-    * and otherwise, an empty call included, through one lookup per operand
-      pair (`_lut_gather`).
-
-    The code table costs (hi - lo + 1) * K * M products to build whatever N
-    is, and the direct gather N * K * M lookups, so the table pays once a
-    call has as many rows as codes. Summing whole table rows already wins
-    there: at N = 128 rows of codes 0..127, the code table took 16 us
-    against the gather's 21 us on (128, 9) x (8, 9), and 1.76 ms against
-    2.35 ms on (128, 784) x (32, 784) (1 BLAS thread, 2-core AMD EPYC).
-
-    Every kernel sums integers, in float32 when no partial sum can reach
-    2^24 and in float64 otherwise (`_accumulator`), so every partial sum is
-    exact whatever the order of the additions. Each works in blocks of
-    rows (and of columns) and writes every block into the one int32 array
-    it returns.
+    """(N, K) x (M, K) int8 codes -> (N, M) int32: each output is the sum
+    over K of m.lut's products of its row's and its column's codes, equal
+    bit for bit whichever kernel the module docstring's rule picks.
 
     Fails loudly if any sum leaves the int32 range, mirroring a 32-bit
     hardware accumulator with overflow detection. Only a call whose K
@@ -718,7 +688,9 @@ class Flatten(Layer):
 class Model(Layer):
     """Layers run in order: a whole graph (a cluster's holds its ClusterModel),
     a multi-layer expert, a cluster gateway or replica. A whole graph's model
-    takes only samples of its `input_shape`, a nested one (None) any shape."""
+    (every one `build_model` returns) has an `input_shape` and rejects a
+    batch that is misshapen, empty, not floating point or not finite. A
+    nested one (None) just runs its layers on what its graph passed on."""
 
     def __init__(self, name, layers, input_shape=None):
         super().__init__(name)
@@ -729,15 +701,16 @@ class Model(Layer):
         return self.layers
 
     def forward(self, x, ctx):
-        if self.input_shape is not None and x.shape[1:] != tuple(self.input_shape):
-            raise ParameterError(f"{self.name}: input {x.shape} is not "
-                                 f"(N, {', '.join(map(str, self.input_shape))})")
-        if not len(x):
-            raise ParameterError(f"{self.name}: empty batch")
-        if x.dtype.kind != "f":
-            raise ParameterError(f"{self.name}: input must be floating point, got {x.dtype}")
-        if not np.isfinite(x).all():
-            raise NumericError(f"{self.name}: input contains non-finite values")
+        if self.input_shape is not None:
+            if x.shape[1:] != tuple(self.input_shape):
+                raise ParameterError(f"{self.name}: input {x.shape} is not "
+                                     f"(N, {', '.join(map(str, self.input_shape))})")
+            if not len(x):
+                raise ParameterError(f"{self.name}: empty batch")
+            if x.dtype.kind != "f":
+                raise ParameterError(f"{self.name}: input must be floating point, got {x.dtype}")
+            if not np.isfinite(x).all():
+                raise NumericError(f"{self.name}: input contains non-finite values")
         for layer in self.layers:
             x = layer.forward(x, ctx)
         return x
@@ -757,8 +730,15 @@ class Model(Layer):
 # ---------------------------------------------------------------------------
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy over the batch. Returns (loss, dloss/dlogits)."""
-    n = logits.shape[0]
+    """Mean cross-entropy over the batch. Returns (loss, dloss/dlogits).
+    Each of the N labels must be an integer class in 0..C-1."""
+    n, c = logits.shape
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu" or labels.shape != (n,):
+        raise ParameterError(f"labels must be {n} integers, got {labels.dtype} {labels.shape}")
+    if n and not (0 <= labels.min() and labels.max() < c):
+        raise ParameterError(f"labels must be classes 0..{c - 1}, got "
+                             f"{labels.min()}..{labels.max()}")
     p = stable_softmax(logits.astype(np.float64))
     eps = np.finfo(np.float64).tiny
     loss = float(-np.log(p[np.arange(n), labels] + eps).mean())

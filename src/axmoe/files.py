@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import os
+import tokenize
 import zipfile
 from pathlib import Path
 
@@ -78,6 +79,11 @@ def read_npz(path) -> dict[str, np.ndarray]:
                 # a zip member that is not an .npy file reads as raw bytes
                 if all(isinstance(a, np.ndarray) for a in arrays.values()):
                     return arrays
-        except (zipfile.BadZipFile, ValueError, KeyError, EOFError) as exc:
+        # zipfile raises RuntimeError for an encrypted member, and its subclass
+        # NotImplementedError for an unknown compression method or zip version;
+        # numpy's parse of a damaged .npy header can raise SyntaxError,
+        # TokenError or TypeError (a bytes key)
+        except (zipfile.BadZipFile, RuntimeError, ValueError, KeyError, EOFError,
+                SyntaxError, tokenize.TokenError, TypeError) as exc:
             raise FormatError(f"{path}: {exc}") from exc
     raise FormatError(f"{path}: not an .npz archive of arrays")

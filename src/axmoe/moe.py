@@ -38,10 +38,14 @@ def _bcast(per_sample: np.ndarray, like: np.ndarray) -> np.ndarray:
     return per_sample.reshape(-1, *([1] * (like.ndim - 1)))
 
 
-def _run_units(x, picks, units, ctx: RunContext, prefix: str, grouped: bool = False) -> list:
-    """Run unit i on x[picks[i]] and count the samples it gets. A unit with no
+def _mix(x, picks, units, ctx: RunContext, prefix: str, gate=None, grouped=False):
+    """Run unit i on x[picks[i]] and count the samples it gets, then add each
+    output, scaled by gate[picks[i], i] when a gate is given, into its
+    picked rows of y, in unit order. Returns (outs, y). A unit with no
     sample is skipped and its output is None. Grouped units (soft experts of
-    one layout) all read x, once, through one `forward_group` call."""
+    one layout) all read x, once, through one `forward_group` call. Hard and
+    cluster picks do not overlap; soft picks are every row. y is made after
+    every unit has run, so no unit's forward runs beside it."""
     outs = []
     for i, (pick, unit) in enumerate(zip(picks, units)):
         xi = x[pick]  # all of x for a soft pick, without a copy
@@ -49,19 +53,14 @@ def _run_units(x, picks, units, ctx: RunContext, prefix: str, grouped: bool = Fa
         outs.append(unit.forward(xi, ctx) if len(xi) and not grouped else None)
     if grouped and len(x):
         outs = units[0].forward_group(units, x, ctx)
-    return outs
-
-
-def _scatter(n: int, picks, parts) -> np.ndarray:
-    """Add each part into its picked rows of an n-row output, in unit order.
-    Hard and cluster picks do not overlap; soft picks are every row."""
     y = None
-    for pick, part in zip(picks, parts):
-        if part is not None:
+    for i, (pick, out) in enumerate(zip(picks, outs)):
+        if out is not None:
+            part = out if gate is None else _bcast(gate[pick, i], out) * out
             if y is None:
-                y = np.zeros((n,) + part.shape[1:], dtype=part.dtype)
+                y = np.zeros((len(x),) + part.shape[1:], dtype=part.dtype)
             y[pick] += part
-    return y
+    return outs, y
 
 
 def _unit_dy(dy, pick, gate, i) -> np.ndarray:
@@ -138,10 +137,7 @@ class MoELayer(Layer):
         else:
             sel = np.argmax(g, axis=1)  # ties resolve to the lowest index
             picks = [sel == i for i in range(len(self.experts))]
-        outs = _run_units(x, picks, self.experts, ctx, f"{self.name}.expert", self._grouped)
-        parts = (None if out is None else _bcast(g[pick, i], out) * out
-                 for i, (pick, out) in enumerate(zip(picks, outs)))
-        y = _scatter(len(x), picks, parts)
+        outs, y = _mix(x, picks, self.experts, ctx, f"{self.name}.expert", g, self._grouped)
         if ctx.train:
             self._cache = (x, feats, g, picks, outs)
         return y
@@ -184,10 +180,10 @@ class ClusterModel(Layer):
         # keeps it from caching inputs for a backward that never runs
         sel = np.argmax(self.gateway.forward(x, RunContext()), axis=1)
         picks = [sel == i for i in range(len(self.replicas))]
-        outs = _run_units(x, picks, self.replicas, ctx, f"{self.name}.replica")
+        outs, y = _mix(x, picks, self.replicas, ctx, f"{self.name}.replica")
         if ctx.train:
             self._cache = (x, picks, outs)
-        return _scatter(len(x), picks, outs)
+        return y
 
     def backward(self, dy, input_grad=True):
         x, picks, outs = self._cache

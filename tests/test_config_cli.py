@@ -8,11 +8,12 @@ import json
 import re
 import struct
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import axmoe
@@ -429,6 +430,81 @@ def test_pareto_on_a_corrupted_sweep_csv_exits_cleanly(sweep_csv, cells, flips, 
             assert p_norm >= 0 and 0 <= top1 <= 1
 
 
+@pytest.fixture(scope="module")
+def sweep_checkpoint(tmp_path_factory) -> bytes:
+    """A toy_mlp hard-variant checkpoint.npz as `sweep` writes it."""
+    out = tmp_path_factory.mktemp("ckpt")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["sweep", *_base_args(out), "--set", "samples = 32",
+                         "--set", "pretrain_epochs = 1", "--variant", "hard",
+                         "--multiplier", "float"]) == 0
+    return (out / "ckpt_hard" / "checkpoint.npz").read_bytes()
+
+
+def _npz_regions(raw: bytes) -> tuple[range, list[int], range]:
+    """The offsets of an .npz archive's whole file, of its members' local
+    zip and .npy headers (each < 192 bytes with the name and zip64 extra),
+    and of its central directory: the bytes no CRC covers, or that are read
+    before a member's CRC is checked."""
+    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+        starts = [info.header_offset for info in archive.infolist()]
+        end = archive.start_dir
+    local = sorted({i for s in starts for i in range(s, min(s + 192, end))})
+    return range(len(raw)), local, range(end, len(raw))
+
+
+# A corruption of checkpoint.npz: flip bits of bytes, then set bytes, then
+# cut. Each byte is one of the `_npz_regions` and an index into it, modulo
+# its length. The examples are the escapes a scan of every header byte
+# found: in the first central-directory entry, compression method 99, zip
+# version 9.9, flag bit 5 (patched data) and flag bit 0 (encrypted); in the
+# .npy header of the second member, the first that holds more than zipfile
+# reads at once (so its CRC is checked after its header is parsed), a
+# header length cut to 0x36, a descr of ",f4" and a bytes key (B'fortran_order').
+_AT = st.tuples(st.integers(0, 2), st.integers(0, 65535))
+
+
+@example(flips=[], sets=[((2, 10), 99)], cut=None)
+@example(flips=[], sets=[((2, 6), 99)], cut=None)
+@example(flips=[((2, 8), 0x20)], sets=[], cut=None)
+@example(flips=[((2, 8), 0x01)], sets=[], cut=None)
+@example(flips=[((1, 192 + 79), 0x40)], sets=[], cut=None)
+@example(flips=[], sets=[((1, 192 + 92), ord(","))], cut=None)
+@example(flips=[], sets=[((1, 192 + 97), ord("B"))], cut=None)
+@settings(max_examples=150, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flips=st.lists(st.tuples(_AT, st.integers(1, 255)), max_size=3),
+       sets=st.lists(st.tuples(_AT, st.integers(0, 255)), max_size=3),
+       cut=st.none() | st.floats(0, 1))
+def test_eval_on_a_corrupted_checkpoint_exits_cleanly(sweep_checkpoint, flips, sets, cut):
+    data = bytearray(sweep_checkpoint)
+    regions = _npz_regions(sweep_checkpoint)
+
+    def where(at):
+        region, index = at
+        return regions[region][index % len(regions[region])]
+
+    for at, mask in flips:
+        data[where(at)] ^= mask
+    for at, value in sets:
+        data[where(at)] = value
+    if cut is not None:
+        del data[int(cut * len(data)):]
+    # a fresh path per example: rewriting one file that holds recent data
+    # makes ext4 flush it first
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "checkpoint.npz").write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(["eval", "--set", f"checkpoint = {tmp}"])
+    err = err.getvalue()
+    assert rc in (0, 2, 3, 4) and "Traceback" not in err
+    if rc:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert not err
+
+
 def test_cli_eval_reloads_checkpoints(tmp_path, capsys):
     # arch and shape differ from the defaults; eval must take them from the
     # checkpoint and keep the default draw the sweep used
@@ -591,7 +667,7 @@ def test_a_bad_multiplier_fails_before_any_training_or_load(tmp_path, capsys, mu
     assert err.count("error:") == 3 and "Traceback" not in err
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, sweep_checkpoint):
     # unknown config key
     assert cli.main(["count", "--set", "quantum = 9"]) == 2
     # missing config file
@@ -650,4 +726,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main([]) == 2
     # eval scores a checkpoint, and none is given
     assert cli.main(["eval"]) == 2
+    # a checkpoint whose first central-directory entry names compression
+    # method 99, for which zipfile raises NotImplementedError
+    raw = bytearray(sweep_checkpoint)
+    with zipfile.ZipFile(io.BytesIO(sweep_checkpoint)) as archive:
+        raw[archive.start_dir + 10] = 99
+    (tmp_path / "method99").mkdir()
+    (tmp_path / "method99" / "checkpoint.npz").write_bytes(raw)
     capsys.readouterr()
+    assert cli.main(["eval", "--set", f"checkpoint = {tmp_path / 'method99'}"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "compression" in err

@@ -5,10 +5,15 @@ import errno
 import io
 import json
 import os
+import struct
+import zipfile
 
+import numpy as np
 import pytest
 
 from axmoe import cli, files
+from axmoe.datasets import load_npz_split
+from axmoe.errors import FormatError
 from axmoe.files import replace_file
 from axmoe.multipliers import builtin_multiplier, save_lut
 from test_config_cli import _base_args
@@ -154,3 +159,49 @@ def test_pareto_exits_3_when_an_output_is_a_directory(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     assert (tmp_path / "pareto.dat").is_dir() and not any((tmp_path / "pareto.dat").iterdir())
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+def _in_central_directory(offset, edit):
+    """Corruption of an .npz archive's first central-directory entry: the
+    byte `offset` bytes into it becomes edit(byte)."""
+    def corrupt(raw):
+        with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+            at = archive.start_dir + offset
+        return raw[:at] + bytes([edit(raw[at])]) + raw[at + 1:]
+    return corrupt
+
+
+def _one_npy_member(header):
+    """Corruption that makes the archive one `x.npy` member, with a valid
+    CRC, whose version 1.0 .npy header is the text `header`."""
+    def corrupt(raw):
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w") as archive:
+            archive.writestr("x.npy", b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header))
+                             + header + bytes(12))
+        return buf.getvalue()
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    _in_central_directory(10, lambda b: 99),
+    _in_central_directory(6, lambda b: 99),
+    _in_central_directory(8, lambda b: b | 0x20),
+    _in_central_directory(8, lambda b: b | 0x01),
+    _one_npy_member(b"{'descr': '<f4', 'fortran_order': False, 'shape': (3,"),
+    _one_npy_member(b"{'descr': ',f4', 'fortran_order': False, 'shape': (3,), }\n"),
+    _one_npy_member(b"{'descr': '<f4',B'fortran_order': False, 'shape': (3,), }\n"),
+], ids=["compression_method", "zip_version", "patched_data_flag", "encrypted_flag",
+        "unclosed_npy_header", "comma_npy_descr", "bytes_npy_key"])
+def test_read_npz_refuses_an_archive_that_zipfile_or_numpy_cannot_read(tmp_path, corrupt):
+    # zipfile raises NotImplementedError or RuntimeError for these, and
+    # numpy's .npy header parse TokenError, SyntaxError or TypeError; the
+    # CLI maps none of them to an exit code
+    path = tmp_path / "a.npz"
+    buf = io.BytesIO()
+    np.savez(buf, x=np.zeros((3, 1, 2, 2), np.float32), y=np.zeros(3, np.int64))
+    path.write_bytes(corrupt(buf.getvalue()))
+    with pytest.raises(FormatError, match=str(path)):
+        files.read_npz(path)
+    with pytest.raises(FormatError):  # dataset splits share the reader
+        load_npz_split(path)

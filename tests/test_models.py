@@ -182,6 +182,20 @@ def test_every_graph_builds_a_model_whose_input_errors_name_the_graph(arch, vari
             model.forward(x, ctx)
 
 
+@pytest.mark.parametrize("variant", ["hard", "soft", "cluster"])
+@pytest.mark.parametrize("arch", sorted(ARCHS))
+def test_one_forward_checks_its_batch_once(arch, variant):
+    # the whole graph checks the batch; experts, replicas and the gateway
+    # run on rows it has already checked
+    spec = ARCHS[arch]()
+    model = build_model(substitute_moe(spec, variant, n_experts=2), seed=0)
+    x = np.random.default_rng(4).normal(size=(16, *spec.input_shape)).astype(np.float32)
+    for mul in (None, EXACT):
+        with mock.patch("numpy.isfinite", wraps=np.isfinite) as isfinite:
+            model.forward(x, RunContext(multiplier=mul))
+        assert isfinite.call_count == 1, (mul, isfinite.call_count)
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("arch", sorted(ARCHS))
 def test_samples_of_another_shape_are_a_parameter_error(arch, variant):

@@ -461,9 +461,10 @@ def test_only_soft_affine_experts_of_one_layout_are_grouped():
 def test_a_soft_layer_of_two_strides_runs_its_experts_one_by_one(mul):
     rng = np.random.default_rng(23)
     mul = builtin_multiplier(mul) if mul else None
-    # on 5x5 images, stride 1 unpadded and stride 2 padded both give 3x3 outputs
-    experts = [_conv(rng, "e0"), _conv(rng, "e1", stride=2, padding=1)]
-    router = _router(rng, 2, 3)
+    # on 5x5 images, stride 1 unpadded and stride 2 padded both give 3x3
+    # outputs; three experts, as a sum of two parts does not show their order
+    experts = [_conv(rng, "e0"), _conv(rng, "e1", stride=2, padding=1), _conv(rng, "e2")]
+    router = _router(rng, 3, 3)
     layer = MoELayer("mix", experts, router, "soft")
     assert not layer._grouped
     x = rng.normal(size=(4, 3, 5, 5))
@@ -476,11 +477,11 @@ def test_a_soft_layer_of_two_strides_runs_its_experts_one_by_one(mul):
 
     # the same experts, each run alone, mixed and differentiated by hand
     g, feats = router.gates(x)
-    gate = [g[:, i, None, None, None] for i in range(2)]
+    gate = [g[:, i, None, None, None] for i in range(3)]
     alone = RunContext(multiplier=mul, train=True)
     outs = [e.forward(x, alone) for e in experts]
     assert list(ctx.counters.items()) == list(alone.counters.items())
-    assert list(ctx.routed.values()) == [4, 4]
+    assert list(ctx.routed.values()) == [4, 4, 4]
     y_alone = np.zeros_like(y)
     for gi, out in zip(gate, outs):
         y_alone += gi * out

@@ -93,6 +93,18 @@ def test_cross_entropy_is_ln2_on_zero_logit_binary_batch():
     assert np.allclose(grad.sum(axis=0), 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("labels", [[0, -1, 1], [0, 3, 1], [0.0, 1.0, 2.0], [True, False, True],
+                                    [[0], [1], [2]]])
+def test_fit_refuses_a_split_whose_labels_are_not_classes(labels):
+    # a Split made in Python reaches fit without the CLI's label check: -1
+    # trained toward the last class, and 3 or a float label raised IndexError
+    x = np.ones((3, 4), np.float32)
+    model = Model("m", [Linear("fc", np.zeros((3, 4), np.float32), np.zeros(3, np.float32))])
+    data = Split(x, np.array(labels), x, np.array([0, 1, 2]))
+    with pytest.raises(ParameterError, match="labels must be"):
+        fit(model, data, TrainConfig(epochs=1, batch_size=3))
+
+
 def _separable(rng, n=120, fin=4):
     w_true = rng.normal(size=(3, fin))
     x = rng.normal(size=(n, fin)).astype(np.float32)
