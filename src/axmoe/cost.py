@@ -77,34 +77,32 @@ class MacReport:
                 f"active params {self.active_params / 1e6:.3f} M")
 
 
-def _price(spec: LayerSpec) -> tuple[int, int, int]:
-    """(MACs, approximate MACs, params) of one layer."""
-    macs = layer_macs(spec)
-    return macs, macs if spec.arithmetic == APPROX else 0, layer_params(spec)
+def _copies(graph):
+    """(name, routed key, runs, spec) of every stored copy of every layer of
+    a graph: a dense spec, a substituted hard/soft spec, or a ClusterArch.
 
-
-def _parts(graph):
-    """(copies stored, copies a sample runs through, MACs, approximate MACs,
-    params) of every part of a graph.
-
-    A plain layer, a router and a cluster gateway's layers are stored and
-    run once. An expert member is stored n times and runs once per sample
-    under hard routing, n times under soft routing. A cluster replica is
-    stored n times and one of them runs per sample.
+    `name` is the one `models.build_model` gives the copy. `key` names the
+    routed count of the samples the copy sees, or is None when it sees every
+    sample. `runs` is how many times one sample runs through the copy: once
+    for a plain layer, a router, a gateway layer or a soft expert; a sample
+    runs exactly one hard expert or cluster replica, so copy 0 counts once
+    and the others not at all.
     """
     if isinstance(graph, ClusterArch):
-        yield from _parts(graph.gateway)
-        for stored, runs, *price in _parts(graph.replica):
-            yield graph.n_experts * stored, runs, *price
+        yield from _copies(graph.gateway)
+        for i in range(graph.n_experts):
+            for spec in graph.replica.layers:
+                yield f"replica{i}.{spec.name}", f"{graph.name}.replica{i}", int(i == 0), spec
         return
     for entry in graph.layers:
         if isinstance(entry, MoEGroup):
-            yield 1, 1, *_price(entry.router)
-            runs = entry.n_experts if entry.mode == "soft" else 1
-            for member in entry.members:
-                yield entry.n_experts, runs, *_price(member)
+            yield entry.router.name, None, 1, entry.router
+            for i in range(entry.n_experts):
+                key, runs = f"{entry.name}.expert{i}", int(entry.mode == "soft" or i == 0)
+                for spec in entry.members:
+                    yield f"{key}.{spec.name}", key, runs, spec
         else:
-            yield 1, 1, *_price(entry)
+            yield entry.name, None, 1, entry
 
 
 def _variant(graph) -> str:
@@ -123,11 +121,13 @@ def count_macs(graph) -> MacReport:
     through, so batch * m_approx is the engine's LUT lookups for the batch.
     """
     m_total = m_eff = m_approx = total_params = active_params = 0
-    for stored, runs, macs, approx, params in _parts(graph):
-        m_total += stored * macs
+    for _, _, runs, spec in _copies(graph):
+        macs, params = layer_macs(spec), layer_params(spec)
+        m_total += macs
         m_eff += runs * macs
-        m_approx += runs * approx
-        total_params += stored * params
+        if spec.arithmetic == APPROX:
+            m_approx += runs * macs
+        total_params += params
         active_params += runs * params
     return MacReport(
         arch=graph.name, variant=_variant(graph),
@@ -135,6 +135,21 @@ def count_macs(graph) -> MacReport:
         f_apx=m_approx / m_eff if m_eff else 0.0,
         total_params=total_params, active_params=active_params,
     )
+
+
+def predict_lut_counts(graph, routed: dict, batch: int) -> dict[str, int]:
+    """LUT lookups per layer the int8 engine makes running `batch` samples
+    through `graph`, given `routed`, the samples each expert or replica saw
+    (`RunContext.routed`): a copy's approximate MACs times the samples it
+    sees. A layer that makes no lookup is left out, as the engine leaves it
+    out of its counters."""
+    counts = {}
+    for name, key, _, spec in _copies(graph):
+        if spec.arithmetic == APPROX:
+            lookups = layer_macs(spec) * (batch if key is None else routed.get(key, 0))
+            if lookups:
+                counts[name] = lookups
+    return counts
 
 
 def normalized_power(m_eff: int, m_base: int, f_apx: float, p_apx: float) -> float:

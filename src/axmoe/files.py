@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import io
 import os
 import tokenize
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -67,23 +69,26 @@ def replace_file(path, data) -> None:
 
 def read_npz(path) -> dict[str, np.ndarray]:
     """Every array of the `.npz` archive at `path`, read without pickle.
-    Anything else at `path` raises FormatError; a missing file stays an
-    OSError."""
-    # np.load leaks the handle it opens when the archive is corrupt
-    with open(path, "rb") as fh:
-        try:
-            archive = np.load(fh, allow_pickle=False)
+    Anything else at `path` raises FormatError; a file that cannot be opened
+    or read stays an OSError."""
+    data = Path(path).read_bytes()
+    try:
+        with warnings.catch_warnings():
+            # numpy reads on past a deprecated dtype alias or a Python 2 header
+            warnings.simplefilter("error")
+            archive = np.load(io.BytesIO(data), allow_pickle=False)
             if isinstance(archive, np.lib.npyio.NpzFile):
                 with archive:
                     arrays = {name: archive[name] for name in archive.files}
                 # a zip member that is not an .npy file reads as raw bytes
                 if all(isinstance(a, np.ndarray) for a in arrays.values()):
                     return arrays
-        # zipfile raises RuntimeError for an encrypted member, and its subclass
-        # NotImplementedError for an unknown compression method or zip version;
-        # numpy's parse of a damaged .npy header can raise SyntaxError,
-        # TokenError or TypeError (a bytes key)
-        except (zipfile.BadZipFile, RuntimeError, ValueError, KeyError, EOFError,
-                SyntaxError, tokenize.TokenError, TypeError) as exc:
-            raise FormatError(f"{path}: {exc}") from exc
+    # zipfile raises RuntimeError for an encrypted member, its subclass
+    # NotImplementedError for an unknown compression method or zip version,
+    # and a decompressor's OSError for a member it cannot decode; numpy's
+    # parse of a damaged .npy header can raise SyntaxError, TokenError or
+    # TypeError (a bytes key)
+    except (zipfile.BadZipFile, OSError, RuntimeError, ValueError, KeyError, EOFError,
+            SyntaxError, tokenize.TokenError, TypeError, Warning) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     raise FormatError(f"{path}: not an .npz archive of arrays")

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from axmoe import cli
-from axmoe.cost import count_macs, dominates, layer_macs, normalized_power, pareto_frontier, SweepPoint
+from axmoe.cost import (count_macs, dominates, normalized_power, pareto_frontier,
+                        predict_lut_counts, SweepPoint)
 from axmoe.datasets import load_dataset
 from axmoe.engine import (Conv2d, Linear, Model, ReLU, Flatten, RunContext,
                           lut_matmul, quantize, softmax_cross_entropy)
-from axmoe.graphs import APPROX, ClusterArch, MoEGroup, VARIANTS, build_arch, substitute_moe
+from axmoe.graphs import VARIANTS, build_arch, substitute_moe
 from axmoe.models import build_model
 from axmoe.moe import MoELayer, Router
 from axmoe.multipliers import (EXACT_POWER_NW, REFERENCE_MULTIPLIERS,
@@ -128,38 +129,6 @@ def test_c05_vit_hard_router_overhead_is_negligible():
     assert half.m_eff / M == pytest.approx(4246.04, rel=VIT_EFF_RTOL)
 
 
-def _lut_ops(spec):
-    if spec.kind in ("conv2d", "linear") and spec.arithmetic == APPROX:
-        return layer_macs(spec)
-    return 0
-
-
-def _predict_counters(graph, ctx, batch):
-    pred: dict[str, int] = {}
-
-    def add(key, ops, runs):
-        if ops and runs:
-            pred[key] = pred.get(key, 0) + ops * runs
-
-    if isinstance(graph, ClusterArch):
-        for spec in graph.gateway.layers:
-            add(spec.name, _lut_ops(spec), batch)
-        for i in range(graph.n_experts):
-            routed = ctx.routed[f"{graph.name}.replica{i}"]
-            for spec in graph.replica.layers:
-                add(f"replica{i}.{spec.name}", _lut_ops(spec), routed)
-        return pred
-    for entry in graph.layers:
-        if isinstance(entry, MoEGroup):
-            for i in range(entry.n_experts):
-                routed = ctx.routed[f"{entry.name}.expert{i}"]
-                for spec in entry.members:
-                    add(f"{entry.name}.expert{i}.{spec.name}", _lut_ops(spec), routed)
-        else:
-            add(entry.name, _lut_ops(entry), batch)
-    return pred
-
-
 def test_c06_runtime_lut_counters_equal_cost_model_exactly():
     mul = build_exact_multiplier()
     rng = np.random.default_rng(42)
@@ -174,7 +143,7 @@ def test_c06_runtime_lut_counters_equal_cost_model_exactly():
             x = rng.normal(size=(batch,) + arch.input_shape).astype(np.float32)
             ctx = RunContext(multiplier=mul)
             model.forward(x, ctx)
-            assert ctx.counters == _predict_counters(graph, ctx, batch), (arch_name, variant)
+            assert ctx.counters == predict_lut_counts(graph, ctx.routed, batch), (arch_name, variant)
 
 
 def test_c07_exact_lut_path_stays_inside_twice_the_analytic_bound():

@@ -185,18 +185,23 @@ def _one_npy_member(header):
 
 @pytest.mark.parametrize("corrupt", [
     _in_central_directory(10, lambda b: 99),
+    _in_central_directory(10, lambda b: 12),
     _in_central_directory(6, lambda b: 99),
     _in_central_directory(8, lambda b: b | 0x20),
     _in_central_directory(8, lambda b: b | 0x01),
     _one_npy_member(b"{'descr': '<f4', 'fortran_order': False, 'shape': (3,"),
     _one_npy_member(b"{'descr': ',f4', 'fortran_order': False, 'shape': (3,), }\n"),
     _one_npy_member(b"{'descr': '<f4',B'fortran_order': False, 'shape': (3,), }\n"),
-], ids=["compression_method", "zip_version", "patched_data_flag", "encrypted_flag",
-        "unclosed_npy_header", "comma_npy_descr", "bytes_npy_key"])
+    _one_npy_member(b"{'descr': '<a4', 'fortran_order': False, 'shape': (3,), }\n"),
+    _one_npy_member(b"{'descr': '<f4', 'fortran_order': False, 'shape': (3L,), }\n"),
+], ids=["compression_method", "bzip2_on_a_stored_member", "zip_version", "patched_data_flag",
+        "encrypted_flag", "unclosed_npy_header", "comma_npy_descr", "bytes_npy_key",
+        "deprecated_npy_dtype_alias", "python2_npy_header"])
 def test_read_npz_refuses_an_archive_that_zipfile_or_numpy_cannot_read(tmp_path, corrupt):
-    # zipfile raises NotImplementedError or RuntimeError for these, and
-    # numpy's .npy header parse TokenError, SyntaxError or TypeError; the
-    # CLI maps none of them to an exit code
+    # zipfile raises NotImplementedError or RuntimeError for these, bz2 an
+    # OSError the CLI would take for an I/O error, and numpy's .npy header
+    # parse TokenError, SyntaxError or TypeError, which the CLI maps to no
+    # exit code, or only a warning before it reads on
     path = tmp_path / "a.npz"
     buf = io.BytesIO()
     np.savez(buf, x=np.zeros((3, 1, 2, 2), np.float32), y=np.zeros(3, np.int64))
@@ -205,3 +210,10 @@ def test_read_npz_refuses_an_archive_that_zipfile_or_numpy_cannot_read(tmp_path,
         files.read_npz(path)
     with pytest.raises(FormatError):  # dataset splits share the reader
         load_npz_split(path)
+
+
+def test_read_npz_leaves_a_file_it_cannot_read_an_os_error(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        files.read_npz(tmp_path / "missing.npz")
+    with pytest.raises(IsADirectoryError):
+        files.read_npz(tmp_path)

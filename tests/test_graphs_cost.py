@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from axmoe.cost import (MacReport, SweepPoint, count_macs, dominates, layer_macs, layer_params,
-                        normalized_power, pareto_frontier)
+from axmoe.cost import (MacReport, SweepPoint, _copies, count_macs, dominates, layer_macs,
+                        layer_params, normalized_power, pareto_frontier, predict_lut_counts)
 from axmoe.engine import RunContext
 from axmoe.errors import ParameterError
 from axmoe.graphs import (APPROX, ARCHITECTURES, EXACT, VARIANTS, ArchSpec, ClusterArch,
@@ -193,14 +193,59 @@ def test_soft_replicates_experts_in_both_totals():
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_engine_lookups_equal_batch_times_approximate_macs(arch_name, variant):
     arch = build_arch(arch_name, num_classes=5, resolution=8, channels=2)
-    graph = substitute_moe(arch, variant, n_experts=3)
-    batch = 17
+    batch = 17  # odd, so hard routing splits unevenly and can leave an expert idle
     x = np.random.default_rng(3).normal(size=(batch,) + arch.input_shape).astype(np.float32)
-    ctx = RunContext(multiplier=build_exact_multiplier())
-    model = build_model(graph, seed=7)
-    model.forward(x, ctx)
-    assert sum(ctx.counters.values()) == batch * count_macs(graph).m_approx
-    assert count_macs(graph).total_params == sum(p.size for p in model.params().values())
+    for n_experts in range(1, 5):
+        graph = substitute_moe(arch, variant, n_experts=n_experts)
+        ctx = RunContext(multiplier=build_exact_multiplier())
+        build_model(graph, seed=7).forward(x, ctx)
+        predicted = predict_lut_counts(graph, ctx.routed, batch)
+        assert ctx.counters == predicted, n_experts
+        assert sum(predicted.values()) == batch * count_macs(graph).m_approx, n_experts
+
+
+@pytest.mark.parametrize("arch_name", ["toy_cnn", "toy_mlp"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_the_walk_names_every_layer_build_model_gives_parameters(arch_name, variant):
+    # the cost walk and models.build_model name each layer copy on their own
+    arch = build_arch(arch_name, num_classes=5, resolution=8, channels=2)
+    for n_experts in range(1, 5):
+        graph = substitute_moe(arch, variant, n_experts=n_experts)
+        params = build_model(graph, seed=7).params()
+        walked = [name for name, _, _, spec in _copies(graph) if layer_params(spec)]
+        assert len(walked) == len(set(walked)), n_experts
+        assert set(walked) == {key.rsplit(".", 1)[0] for key in params}, n_experts
+        assert count_macs(graph).total_params == sum(p.size for p in params.values())
+
+
+def _routed_split(graph, batch, rng) -> dict[str, int]:
+    """Samples per expert or replica key as the engine would record them:
+    the whole batch for every soft expert, a random split of it otherwise."""
+    def split(keys, soft):
+        n = len(keys)
+        counts = [batch] * n if soft else rng.multinomial(batch, [1 / n] * n)
+        return dict(zip(keys, map(int, counts)))
+
+    if isinstance(graph, ClusterArch):
+        return split([f"{graph.name}.replica{i}" for i in range(graph.n_experts)], False)
+    routed = {}
+    for g in graph.layers:
+        if isinstance(g, MoEGroup):
+            routed |= split([f"{g.name}.expert{i}" for i in range(g.n_experts)], g.mode == "soft")
+    return routed
+
+
+@pytest.mark.parametrize("arch_name", ["resnet20", "vgg11_bn", "vgg19_bn", "vit_small"])
+def test_predicted_lookups_of_published_graphs_sum_to_batch_times_approximate_macs(arch_name):
+    arch = build_arch(arch_name)
+    batch = 17
+    rng = np.random.default_rng(5)
+    ratios = (None, 0.25, 0.5) if arch_name == "vit_small" else (None,)
+    for variant in VARIANTS:
+        for ratio in ratios:
+            graph = substitute_moe(arch, variant, n_experts=3, moe_ratio=ratio)
+            predicted = predict_lut_counts(graph, _routed_split(graph, batch, rng), batch)
+            assert sum(predicted.values()) == batch * count_macs(graph).m_approx, (variant, ratio)
 
 
 def test_mac_report_invariants():
