@@ -19,9 +19,10 @@ denominator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 from .graphs import APPROX, ClusterArch, LayerSpec, MoEGroup
 from .multipliers import EXACT_POWER_NW
 
@@ -165,7 +166,10 @@ def normalized_power(m_eff: int, m_base: int, f_apx: float, p_apx: float) -> flo
         raise ParameterError(f"multiplier power must be positive, got {p_apx}")
     if not 0.0 <= f_apx <= 1.0:
         raise ParameterError(f"f_apx {f_apx} outside [0, 1]")
-    return (m_eff / m_base) * (f_apx * (p_apx / EXACT_POWER_NW) + (1.0 - f_apx))
+    p_norm = (m_eff / m_base) * (f_apx * (p_apx / EXACT_POWER_NW) + (1.0 - f_apx))
+    if not math.isfinite(p_norm):  # a finite but huge power overflows it
+        raise NumericError(f"normalized power of a {p_apx} nW multiplier is not finite")
+    return p_norm
 
 
 # ---------------------------------------------------------------------------

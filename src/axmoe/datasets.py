@@ -99,6 +99,10 @@ def synthetic_blobs(n: int, classes: int, channels: int = 3, resolution: int = 8
         raise ParameterError(f"need at least one sample per class, got {n} for {classes}")
     if resolution < 4:
         raise ParameterError(f"resolution must be >= 4, got {resolution}")
+    # float64 images, sized in Python integers before numpy overflows on them
+    if n * channels * resolution * resolution * 8 > np.iinfo(np.intp).max:
+        raise ParameterError(f"{n} images of {channels} x {resolution} x {resolution} float64 "
+                             "values are larger than numpy's largest array")
     rng = np.random.default_rng(seed)
     labels = rng.permutation(np.arange(n) % classes).astype(np.int64)
     n_pos = (classes + 1) // 2

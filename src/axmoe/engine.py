@@ -71,15 +71,14 @@ QMAX = 127  # symmetric range [-127, 127]; code -128 is never produced
 
 # Entries per LUT kernel chunk: codes and their sums in a rank-1 block, table
 # indices and gathered products in the gather, table products and gathered
-# rows in the code table. Small chunks keep the kernels' transient arrays
-# from setting the process's peak memory, whose size would otherwise follow
-# each call's shape. A gather chunk of 2^15 (256 KiB of indices) also stays
-# small enough that glibc keeps its pages between calls: at 2^17, a fresh
-# process took ~450 minor page faults per (8, 784) x (32, 784) call.
+# rows in the code table, float64 results in the rescale. Small chunks keep
+# the kernels' transient arrays from setting the process's peak memory, whose
+# size would otherwise follow each call's shape. A gather chunk of 2^15
+# (256 KiB of indices) also stays small enough that glibc keeps its pages
+# between calls: at 2^17, a fresh process took ~450 minor page faults per
+# (8, 784) x (32, 784) call.
 _GATHER_BUDGET = 1 << 15
 _CODE_TABLE_BUDGET = 1 << 16
-# Float64 entries per block of the LUT rescale (256 KiB), for the same reason.
-_EPILOGUE_BUDGET = 1 << 15
 
 # Every index a kernel looks up is in range by construction, so each take
 # runs with mode="wrap": the same values, and numpy's cheapest index check
@@ -357,11 +356,8 @@ def _rescale(out: np.ndarray, acc: np.ndarray, scale: float, b: np.ndarray) -> N
     """out = acc * scale + b, computed in float64 and cast to out's type, in
     blocks of rows written straight into out: no float64 array of the
     whole call is ever held. Each element gets the same two float64
-    operations whatever the block, so the bits do not depend on it. Blocks
-    hold a multiple of 64 rows, not `_blocks`', for `_add_bias`'s wide rows."""
-    rows = max(64, _EPILOGUE_BUDGET // max(1, out.shape[1]) // 64 * 64)
-    for start in range(0, len(out), rows):
-        at = slice(start, start + rows)
+    operations whatever the block, so the bits do not depend on it."""
+    for at in _blocks(len(out), out.shape[1], _GATHER_BUDGET):
         out[at] = _add_bias(np.multiply(acc[at], scale, dtype=np.float64), b)
 
 
@@ -433,27 +429,26 @@ class Layer:
     def _params(self) -> dict[str, np.ndarray]:
         return {}
 
-    def params(self) -> dict[str, np.ndarray]:
-        out = {}
+    def walk(self):
+        """This layer and every layer below it, each child's tree before its
+        parent."""
         for child in self.children():
-            out.update(child.params())
-        out.update({f"{self.name}.{k}": v for k, v in self._params().items()})
-        return out
+            yield from child.walk()
+        yield self
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {f"{layer.name}.{k}": v
+                for layer in self.walk() for k, v in layer._params().items()}
 
     def qualified_grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for child in self.children():
-            out.update(child.qualified_grads())
-        out.update({f"{self.name}.{k}": v for k, v in self.grads.items()})
-        return out
+        return {f"{layer.name}.{k}": v for layer in self.walk() for k, v in layer.grads.items()}
 
     def frozen_names(self) -> set[str]:
         return set().union(*(child.frozen_names() for child in self.children()))
 
     def zero_grads(self) -> None:
-        self.grads = {}
-        for child in self.children():
-            child.zero_grads()
+        for layer in self.walk():
+            layer.grads = {}
 
     def load_params(self, values: dict[str, np.ndarray]) -> None:
         """Copy `values` into the live parameters. The names must be exactly

@@ -77,7 +77,7 @@ def _build_group(group: MoEGroup, rng) -> MoELayer:
         experts.append(layers[0] if len(layers) == 1 else Model(prefix, layers))
     router_w = (ROUTER_INIT_STD * rng.standard_normal(
         (group.n_experts, group.router.in_features))).astype(DTYPE)
-    return MoELayer(group.name, experts, Router(f"{group.name}.router", router_w), group.mode)
+    return MoELayer(group.name, experts, Router(group.router.name, router_w), group.mode)
 
 
 def build_model(graph, seed: int = 0) -> Model:

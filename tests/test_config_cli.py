@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
 import struct
 import tempfile
@@ -24,7 +25,7 @@ from axmoe.engine import RunContext
 from axmoe.errors import ConfigError, FormatError, NumericError
 from axmoe.graphs import build_arch, substitute_moe
 from axmoe.models import build_model, load_model, model_from_spec, save_model
-from axmoe.multipliers import NAME_BYTES, builtin_multiplier, save_lut
+from axmoe.multipliers import NAME_BYTES, builtin_multiplier, load_lut, save_lut
 
 
 def test_parse_config_text_types_and_comments():
@@ -514,6 +515,125 @@ def test_eval_on_a_corrupted_checkpoint_exits_cleanly(sweep_checkpoint, flips, s
         assert err.startswith("error: ") and err.count("\n") == 1, err
     else:
         assert not err
+
+
+def _main(argv) -> tuple[int, str, str]:
+    """`cli.main(argv)`'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _assert_one_error_line(rc, err) -> None:
+    assert "Traceback" not in err
+    if rc:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert not err
+
+
+# One to three integer or float config keys and their values: small ones,
+# which run, and sizes no array can hold. n_experts and the epoch counts stay
+# small: a huge one makes a run go on practically forever.
+_SIZE = st.integers(-1, 12) | st.integers(2**63, 10**30)
+_REAL = st.floats(0, 1) | st.sampled_from([0.0, -0.0, 1e-300, 1.5, -1.0, 1e308, float("inf"),
+                                           float("nan")]) | st.floats()
+_VALUES = st.lists(st.one_of(
+    *(st.tuples(st.just(key), _SIZE) for key in ("samples", "eval_samples", "channels",
+                                                  "resolution", "num_classes", "batch_size",
+                                                  "seed")),
+    *(st.tuples(st.just(key), st.integers(-1, n)) for key, n in (("n_experts", 4),
+                                                                 ("pretrain_epochs", 1),
+                                                                 ("retrain_epochs", 1))),
+    *(st.tuples(st.just(key), _REAL) for key in ("moe_ratio", "noise", "lr"))),
+    min_size=1, max_size=3).map(dict)
+# what a drawn value replaces: a run of a few milliseconds
+_SMALL_RUN = {"samples": 8, "eval_samples": 8, "resolution": 4, "num_classes": 2,
+              "pretrain_epochs": 1, "retrain_epochs": 1, "batch_size": 4}
+
+
+@example(values={"samples": 99999999999999999999})
+@example(values={"eval_samples": 99999999999999999999})
+@example(values={"resolution": 99999999999999999999})
+@example(values={"channels": 99999999999999999999})
+@example(values={"resolution": 9223372036854775808})
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(values=_VALUES)
+def test_retrain_on_drawn_set_values_exits_cleanly(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, _, err = _main(["retrain", "--arch", "toy_mlp", "--variant", "hard",
+                            "--multiplier", "float", "--multiplier", "trunc2", "--out", tmp,
+                            *(arg for key, value in {**_SMALL_RUN, **values}.items()
+                              for arg in ("--set", f"{key} = {value}"))])
+        assert rc in (0, 2, 3, 4, 5)
+        _assert_one_error_line(rc, err)
+        if not rc:
+            rows, _ = cli._read_sweep_csv(Path(tmp) / "sweep.csv")
+            assert [row[2] for row in rows] == ["float", "trunc2"]
+    if values and set(values) <= {"samples", "eval_samples", "channels", "resolution"} \
+            and min(values.values()) >= 2**63:
+        assert rc == 2 and "larger than numpy's largest array" in err, err
+
+
+@pytest.fixture(scope="module")
+def saved_table(tmp_path_factory) -> bytes:
+    """trunc2's table as `save_lut` writes it."""
+    path = tmp_path_factory.mktemp("table") / "trunc2.axm8"
+    save_lut(builtin_multiplier("trunc2"), path)
+    return path.read_bytes()
+
+
+# A corruption of an .axm8 table: flip bits of bytes, then set bytes, then
+# cut. Each byte is in the header (magic, version, name and power) or
+# anywhere, by an index modulo its length. The example sets the power to
+# 1.7e308: finite, but a p_norm computed from it overflows to inf.
+_TABLE_HEADER = 4 + 1 + NAME_BYTES + 8
+_TABLE_AT = st.tuples(st.booleans(), st.integers(0, 2**17))
+_HUGE_POWER = [((True, 5 + NAME_BYTES + i), byte)
+               for i, byte in enumerate(struct.pack("<d", 1.7e308))]
+
+
+@example(flips=[], sets=_HUGE_POWER, cut=None)
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flips=st.lists(st.tuples(_TABLE_AT, st.integers(1, 255)), max_size=3),
+       sets=st.lists(st.tuples(_TABLE_AT, st.integers(0, 255)), max_size=3),
+       cut=st.none() | st.floats(0, 1))
+def test_a_corrupted_table_loads_or_fails_cleanly(saved_table, flips, sets, cut):
+    data = bytearray(saved_table)
+
+    def where(at):
+        header, index = at
+        return index % (_TABLE_HEADER if header else len(data))
+
+    for at, mask in flips:
+        data[where(at)] ^= mask
+    for at, value in sets:
+        data[where(at)] = value
+    if cut is not None:
+        del data[int(cut * len(data)):]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.axm8"
+        path.write_bytes(data)
+        try:
+            load_lut(path)
+            loaded = True
+        except FormatError:
+            loaded = False
+        rc, _, err = _main(["mulinfo", "--multiplier", str(path)])
+        assert rc == (0 if loaded else 4)
+        _assert_one_error_line(rc, err)
+        rc, out, err = _main(["count", "--arch", "toy_mlp", "--variant", "dense",
+                              "--variant", "soft", "--multiplier", str(path)])
+    assert rc in ((0, 5) if loaded else (4,))
+    _assert_one_error_line(rc, err)
+    # what count prints, sweep writes: a p_norm that pareto reads
+    p_norms = [float(v) for v in re.findall(r"p_norm\(.*?\) (\S+)", out)]
+    assert all(math.isfinite(p) and p >= 0 for p in p_norms)
+    assert rc or len(p_norms) == 2
+    if sets == _HUGE_POWER and not flips and cut is None:
+        assert rc == 5 and "not finite" in err, err
 
 
 def test_cli_eval_reloads_checkpoints(tmp_path, capsys):

@@ -1,17 +1,22 @@
 """Shape-level graphs, MAC accounting, power model, Pareto culling."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from axmoe import models
 from axmoe.cost import (MacReport, SweepPoint, _copies, count_macs, dominates, layer_macs,
                         layer_params, normalized_power, pareto_frontier, predict_lut_counts)
-from axmoe.engine import RunContext
-from axmoe.errors import ParameterError
+from axmoe.engine import RunContext, softmax_cross_entropy
+from axmoe.errors import NumericError, ParameterError
 from axmoe.graphs import (APPROX, ARCHITECTURES, EXACT, VARIANTS, ArchSpec, ClusterArch,
                           LayerSpec, MoEGroup, build_arch, default_gateway, substitute_moe)
 from axmoe.models import build_model
+from axmoe.moe import ClusterModel, MoELayer, pool_features
 from axmoe.multipliers import build_exact_multiplier
 
 
@@ -248,6 +253,168 @@ def test_predicted_lookups_of_published_graphs_sum_to_batch_times_approximate_ma
             assert sum(predicted.values()) == batch * count_macs(graph).m_approx, (variant, ratio)
 
 
+@st.composite
+def _small_archs(draw):
+    """A small dense ArchSpec: up to two conv blocks (a conv, then maybe a
+    relu, then maybe a 2x2 avgpool), a flatten and one or two linear layers,
+    each conv or linear approximate or exact. Each expert unit is a run that
+    starts at a conv or linear layer, as every builder's does, and holds
+    what follows it up to the next one or, as drawn, past it."""
+    channels, hw = draw(st.integers(2, 3)), draw(st.integers(3, 7))
+    input_shape = (channels, hw, hw)
+    arithmetic = st.sampled_from([APPROX, EXACT])
+    layers, affine = [], []
+    for i in range(draw(st.integers(0, 2))):
+        pad = draw(st.integers(0, 1))
+        k = draw(st.integers(1, min(3, hw + 2 * pad)))
+        stride, cout = draw(st.integers(1, 2)), draw(st.integers(2, 4))
+        out = (hw + 2 * pad - k) // stride + 1
+        affine.append(len(layers))
+        layers.append(LayerSpec(kind="conv2d", name=f"conv{i}", in_channels=channels,
+                                out_channels=cout, kernel=(k, k), stride=(stride, stride),
+                                padding=(pad, pad), out_hw=(out, out),
+                                arithmetic=draw(arithmetic)))
+        if draw(st.booleans()):
+            layers.append(LayerSpec(kind="relu", name=f"relu{i}"))
+        if out % 2 == 0 and draw(st.booleans()):
+            layers.append(LayerSpec(kind="avgpool", name=f"pool{i}", kernel=(2, 2),
+                                    elements=cout * out * out))
+            out //= 2
+        channels, hw = cout, out
+    layers.append(LayerSpec(kind="flatten", name="flatten"))
+    fin = channels * hw * hw
+    hidden = [draw(st.integers(2, 5)) for _ in range(draw(st.integers(0, 1)))]
+    for j, fout in enumerate(hidden + [draw(st.integers(2, 4))]):
+        if j:
+            layers.append(LayerSpec(kind="relu", name=f"fc{j - 1}.relu"))
+        affine.append(len(layers))
+        layers.append(LayerSpec(kind="linear", name=f"fc{j}", in_features=fin,
+                                out_features=fout, arithmetic=draw(arithmetic)))
+        fin = fout
+    # at each conv or linear layer: no unit, a new one, or the one before it
+    # goes on; the layers up to the next conv or linear follow that choice
+    choices = [draw(st.sampled_from(["none", "new", "on"])) for _ in affine]
+    if "new" not in choices:
+        choices[0] = "new"
+    unit = ""
+    for at, (start, choice) in enumerate(zip(affine, choices)):
+        unit = {"none": "", "new": f"u{at}", "on": unit}[choice]
+        for i in range(start, (affine + [len(layers)])[at + 1]):
+            layers[i] = replace(layers[i], moe_unit=unit)
+    return ArchSpec("random", input_shape, tuple(layers))
+
+
+def _weights_apart(feats: np.ndarray, n: int) -> np.ndarray | None:
+    """(n, features) routing weights under which two samples of `feats`
+    win experts 0 and 1, or None when every sample's features are a
+    multiple of one vector, which no bias-free score splits as such.
+
+    Scaling a bias-free score does not move its argmax, and fresh weights
+    send a whole batch to one expert, so the rows are built from the batch.
+    With each sample's features centred, and with the mean's direction
+    (which scores every sample alike) taken out, as e_s, row r scores
+    e_s . e_r. The sample with the longest e wins row 0, and the sample
+    whose e is most opposed to it (the e sum to 0, so one is) wins row 1."""
+    f = feats.astype(np.float64)
+    mean = f.mean(axis=0)
+    e = f - mean
+    if mean @ mean:
+        e -= np.outer(e @ mean, mean) / (mean @ mean)
+    norms = (e * e).sum(axis=1)
+    if norms.max() <= 1e-6 * (f * f).sum(axis=1).max():
+        return None
+    first = int(np.argmax(norms))
+    w = np.zeros((n, f.shape[1]))
+    w[:2] = e[first], e[int(np.argmin(e @ e[first]))]
+    return w
+
+
+def _route_apart(model, x, ctx_of) -> list[str]:
+    """Give each hard router of `model`, and a cluster's gateway, weights
+    under which it sends samples of x to two experts, in forward order, each
+    from the features it reads in a forward of x under `ctx_of()`. Returns
+    the names of the layers it could route apart."""
+    apart = []
+    for layer in model.walk():
+        if isinstance(layer, ClusterModel) and len(layer.replicas) > 1:
+            w, feats = layer.gateway.layers[-1].w, x.reshape(len(x), -1)
+        elif isinstance(layer, MoELayer) and layer.mode == "hard" and len(layer.experts) > 1:
+            w = layer.router.w
+            with mock.patch.object(layer.router, "gates", wraps=layer.router.gates) as gates:
+                model.forward(x, ctx_of())
+            feats = pool_features(gates.call_args.args[0])
+        else:
+            continue
+        weights = _weights_apart(feats, len(w))
+        if weights is not None:
+            w[...] = weights
+            apart.append(layer.name)
+    return apart
+
+
+def _graphs_of(arch, n_experts_range):
+    for variant in VARIANTS:
+        for n in n_experts_range if variant != "dense" else (1,):
+            yield variant, n, substitute_moe(arch, variant, n_experts=n)
+
+
+GRAD_REL_TOL = 1e-4  # criterion 9's
+SMALL_PARAMS = 120   # dense graphs up to this size also check their backward
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(arch=_small_archs())
+def test_random_graphs_check_the_two_halves(arch):
+    batch = 9
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(batch,) + arch.input_shape).astype(np.float32)
+    exact = build_exact_multiplier()
+    classes = arch.layers[-1].out_features
+    for variant, n, graph in _graphs_of(arch, range(1, 5)):
+        model = build_model(graph, seed=1)
+        apart = _route_apart(model, x, lambda: RunContext(multiplier=exact))
+        ctx = RunContext(multiplier=exact)
+        assert model.forward(x, ctx).shape == (batch, classes)
+        report = count_macs(graph)
+        predicted = predict_lut_counts(graph, ctx.routed, batch)
+        assert ctx.counters == predicted, (variant, n)
+        assert sum(predicted.values()) == batch * report.m_approx, (variant, n)
+        assert report.total_params == sum(p.size for p in model.params().values())
+        for name in apart:
+            used = [k for k, v in ctx.routed.items() if k.startswith(f"{name}.") and v]
+            assert len(used) > 1, (variant, n, name, ctx.routed)
+    if count_macs(arch).total_params > SMALL_PARAMS:
+        return
+    # the backward, in float64, against central differences; two experts,
+    # so no sample's hard routing is a tie an eps could break
+    x64 = x.astype(np.float64)
+    labels = rng.integers(0, classes, size=batch)
+    with mock.patch.object(models, "DTYPE", np.float64):
+        built = [(variant, build_model(graph, seed=1)) for variant, _, graph
+                 in _graphs_of(arch, (2,))]
+    for variant, model in built:
+        # biases off 0, so that no ReLU input sits on its kink
+        for name, p in model.params().items():
+            if name.endswith(".b"):
+                p[...] = rng.normal(0.0, 0.1, p.shape)
+        _route_apart(model, x64, RunContext)
+        _, dlogits = softmax_cross_entropy(model.forward(x64, RunContext(train=True)), labels)
+        model.zero_grads()
+        model.backward(dlogits)
+        grads, params = model.qualified_grads(), model.params()
+        for name in sorted(grads):
+            p = params[name]
+            idx = tuple(int(rng.integers(s)) for s in p.shape)
+            orig, eps, losses = p[idx], 1e-6, []
+            for step in (eps, -eps):
+                p[idx] = orig + step
+                losses.append(softmax_cross_entropy(model.forward(x64, RunContext()), labels)[0])
+            p[idx] = orig
+            fd, an = (losses[0] - losses[1]) / (2 * eps), float(grads[name][idx])
+            if max(abs(fd), abs(an)) >= 1e-7:
+                assert abs(fd - an) / max(abs(fd), abs(an)) < GRAD_REL_TOL, (variant, name, fd, an)
+
+
 def test_mac_report_invariants():
     with pytest.raises(ParameterError):
         MacReport(arch="a", variant="dense", m_total=10, m_eff=20,
@@ -272,6 +439,10 @@ def test_normalized_power_hand_values():
                 dict(m_eff=1, m_base=10, f_apx=0.5, p_apx=0.0)):
         with pytest.raises(ParameterError):
             normalized_power(**bad)
+    # a finite power, as an .axm8 header may hold, whose p_norm is not
+    for p_apx in (1.7e308, float("nan")):
+        with pytest.raises(NumericError):
+            normalized_power(3, 1, 1.0, p_apx)
 
 
 # ---------------------------------------------------------------------------
