@@ -21,14 +21,14 @@ from .multipliers import (REFERENCE_MULTIPLIERS, AxMultiplier, ErrorStats,
                           build_exact_multiplier, build_truncation_multiplier,
                           builtin_multiplier, error_stats, load_lut, per_op_saving,
                           save_lut)
-from .train import History, TrainConfig, evaluate, fit, retrain
+from .train import TrainConfig, evaluate, fit, retrain
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ARCHITECTURES", "VARIANTS", "REFERENCE_MULTIPLIERS",
     "ArchSpec", "AxMultiplier", "ClusterArch", "ClusterModel", "ConfigError",
-    "ErrorStats", "ExperimentConfig", "FormatError", "History", "LayerSpec",
+    "ErrorStats", "ExperimentConfig", "FormatError", "LayerSpec",
     "MacReport", "Model", "MoEGroup", "MoELayer", "NumericError", "ParameterError",
     "QuantParams", "Router", "RunContext", "Split", "SweepPoint", "TrainConfig",
     "build_arch", "build_exact_multiplier", "build_model",

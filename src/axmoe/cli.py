@@ -230,11 +230,12 @@ def cmd_sweep(args) -> int:
         pretrained = {k: v.copy() for k, v in model.params().items()}
         for name, mul in muls:
             model.load_params(pretrained)
-            retrained = False
-            if args.do_retrain and cfg.retrain_epochs > 0 and mul is not None:
-                retrain(model, data, _train_cfg(cfg, cfg.retrain_epochs, cfg.seed + 1), mul)
-                retrained = True
-            top1 = evaluate(model, data.x_test, data.y_test, mul)
+            retrained = args.do_retrain and cfg.retrain_epochs > 0 and mul is not None
+            if retrained:
+                top1 = retrain(model, data, _train_cfg(cfg, cfg.retrain_epochs, cfg.seed + 1),
+                               mul)
+            else:
+                top1 = evaluate(model, data.x_test, data.y_test, mul)
             p_norm = _p_norm(rep, m_base, mul)
             rows.append([cfg.arch, variant, name, str(rep.m_total), str(rep.m_eff),
                          f"{rep.f_apx:.6f}", f"{p_norm:.6f}", f"{top1:.6f}",

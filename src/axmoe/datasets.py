@@ -103,21 +103,25 @@ def synthetic_blobs(n: int, classes: int, channels: int = 3, resolution: int = 8
     if n * channels * resolution * resolution * 8 > np.iinfo(np.intp).max:
         raise ParameterError(f"{n} images of {channels} x {resolution} x {resolution} float64 "
                              "values are larger than numpy's largest array")
-    rng = np.random.default_rng(seed)
-    labels = rng.permutation(np.arange(n) % classes).astype(np.int64)
-    n_pos = (classes + 1) // 2
-    angles = 2.0 * np.pi * (labels % n_pos) / n_pos
-    ring = resolution / 3.0
-    cy = resolution / 2.0 + ring * np.sin(angles) + rng.normal(0.0, 0.35, size=n)
-    cx = resolution / 2.0 + ring * np.cos(angles) + rng.normal(0.0, 0.35, size=n)
-    grid = np.arange(resolution, dtype=np.float64)
-    d2 = (grid[:, None] - cy[:, None, None]) ** 2 + (grid[None, :] - cx[:, None, None]) ** 2
-    sigma = resolution / 8.0
-    bumps = np.exp(-d2 / (2.0 * sigma * sigma))
-    amp = np.where(labels // n_pos == 0, CONTRAST_LO, CONTRAST_HI)
-    x = np.repeat((amp[:, None, None] * bumps)[:, None], channels, axis=1)
-    x = x + rng.normal(0.0, noise, size=x.shape)
-    return np.clip(x, 0.0, 1.0).astype(np.float32), labels
+    try:
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.arange(n) % classes).astype(np.int64)
+        n_pos = (classes + 1) // 2
+        angles = 2.0 * np.pi * (labels % n_pos) / n_pos
+        ring = resolution / 3.0
+        cy = resolution / 2.0 + ring * np.sin(angles) + rng.normal(0.0, 0.35, size=n)
+        cx = resolution / 2.0 + ring * np.cos(angles) + rng.normal(0.0, 0.35, size=n)
+        grid = np.arange(resolution, dtype=np.float64)
+        d2 = (grid[:, None] - cy[:, None, None]) ** 2 + (grid[None, :] - cx[:, None, None]) ** 2
+        sigma = resolution / 8.0
+        bumps = np.exp(-d2 / (2.0 * sigma * sigma))
+        amp = np.where(labels // n_pos == 0, CONTRAST_LO, CONTRAST_HI)
+        x = np.repeat((amp[:, None, None] * bumps)[:, None], channels, axis=1)
+        x = x + rng.normal(0.0, noise, size=x.shape)
+        return np.clip(x, 0.0, 1.0).astype(np.float32), labels
+    except MemoryError:  # within numpy's limit, beyond what the machine can allocate
+        raise ParameterError(f"{n} images of {channels} x {resolution} x {resolution} float64 "
+                             "values do not fit in memory") from None
 
 
 def load_dataset(kind: str, path=None, *, samples: int, eval_samples: int,

@@ -12,12 +12,13 @@ layout is used on disk (magic "AXM8", see save_lut/load_lut).
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, NumericError, ParameterError
 from .files import replace_file
 
 INT8_MIN, INT8_MAX = -128, 127
@@ -227,7 +228,10 @@ def error_stats(m: AxMultiplier) -> ErrorStats:
 def per_op_saving(design) -> float:
     """Per-operation power saving in percent of a multiplier or registry
     entry relative to the exact design."""
-    return (1.0 - design.power_nw / EXACT_POWER_NW) * 100.0
+    saving = (1.0 - design.power_nw / EXACT_POWER_NW) * 100.0
+    if not math.isfinite(saving):  # a finite but huge power overflows it
+        raise NumericError(f"per-op saving of a {design.power_nw} nW multiplier is not finite")
+    return saving
 
 
 def save_lut(m: AxMultiplier, path) -> None:

@@ -9,7 +9,7 @@ every parameter the model reports as frozen (routers, cluster gateways).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,14 +38,6 @@ class TrainConfig:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
 
 
-@dataclass
-class History:
-    """Per-epoch mean training loss and test accuracy."""
-
-    loss: list[float] = field(default_factory=list)
-    top1: list[float] = field(default_factory=list)
-
-
 def sgd_step(model, cfg: TrainConfig, frozen: set[str]) -> None:
     """One in-place parameter update. Parameters without a gradient (never on
     the sampled routing path, or behind an argmax) are left alone."""
@@ -62,28 +54,35 @@ def sgd_step(model, cfg: TrainConfig, frozen: set[str]) -> None:
 
 def train_epoch(model, x, y, cfg: TrainConfig, rng, multiplier: AxMultiplier | None,
                 frozen: set[str]) -> float:
-    """One pass over the shuffled training set; the mean loss. A step whose
-    loss is not finite raises NumericError: training has diverged."""
+    """One pass over the shuffled training set; the mean loss. A step that
+    overflows, or whose loss is not finite, raises NumericError: training
+    has diverged."""
     order = rng.permutation(len(x))
     total = 0.0
-    for step, start in enumerate(range(0, len(order), cfg.batch_size)):
-        idx = order[start : start + cfg.batch_size]
-        ctx = RunContext(multiplier=multiplier, train=True)
-        logits = model.forward(x[idx], ctx)
-        loss, dlogits = softmax_cross_entropy(logits, y[idx])
-        if not math.isfinite(loss):
-            raise NumericError(f"train_epoch: loss is {loss} at step {step}: training diverged")
-        model.zero_grads()
-        model.backward(dlogits, input_grad=False)
-        sgd_step(model, cfg, frozen)
-        total += loss * len(idx)
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            for step, start in enumerate(range(0, len(order), cfg.batch_size)):
+                idx = order[start : start + cfg.batch_size]
+                ctx = RunContext(multiplier=multiplier, train=True)
+                logits = model.forward(x[idx], ctx)
+                loss, dlogits = softmax_cross_entropy(logits, y[idx])
+                if not math.isfinite(loss):
+                    raise NumericError(f"train_epoch: loss is {loss} at step {step}: "
+                                       "training diverged")
+                model.zero_grads()
+                model.backward(dlogits, input_grad=False)
+                sgd_step(model, cfg, frozen)
+                total += loss * len(idx)
+    except FloatingPointError as exc:
+        raise NumericError(f"train_epoch: {exc} at step {step}: training diverged") from None
     return total / max(len(order), 1)
 
 
 def evaluate(model, x, y, multiplier: AxMultiplier | None = None, batch_size: int = 256) -> float:
     """Top-1 accuracy over a labelled set, batched to bound memory. One
     RunContext serves the whole pass, so each layer's weights are quantized
-    once."""
+    once. A pass that overflows raises NumericError rather than scoring
+    logits that are not finite."""
     if batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     if len(y) != len(x):
@@ -92,14 +91,21 @@ def evaluate(model, x, y, multiplier: AxMultiplier | None = None, batch_size: in
         raise ParameterError("cannot evaluate on an empty set")
     ctx = RunContext(multiplier=multiplier, train=False)
     correct = 0
-    for start in range(0, len(x), batch_size):
-        logits = model.forward(x[start : start + batch_size], ctx)
-        correct += int((np.argmax(logits, axis=1) == y[start : start + batch_size]).sum())
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            for start in range(0, len(x), batch_size):
+                logits = model.forward(x[start : start + batch_size], ctx)
+                correct += int((np.argmax(logits, axis=1) == y[start : start + batch_size]).sum())
+    except FloatingPointError as exc:
+        raise NumericError(f"evaluate: {exc}: the logits are not finite") from None
     return correct / len(x)
 
 
-def fit(model, data: Split, cfg: TrainConfig, multiplier: AxMultiplier | None = None) -> History:
-    """Train in place and report per-epoch loss and test accuracy.
+def fit(model, data: Split, cfg: TrainConfig,
+        multiplier: AxMultiplier | None = None) -> list[float]:
+    """Train in place on the training split; each epoch's mean loss, in
+    order (empty at zero epochs). The test split is not read: callers that
+    want accuracy call `evaluate`.
 
     Float training moves every parameter, routers included. Under a
     multiplier the model's own frozen set (router weights, gateway
@@ -107,17 +113,15 @@ def fit(model, data: Split, cfg: TrainConfig, multiplier: AxMultiplier | None = 
     """
     frozen = set() if multiplier is None else model.frozen_names()
     rng = np.random.default_rng(cfg.seed)
-    hist = History()
-    for _ in range(cfg.epochs):
-        loss = train_epoch(model, data.x_train, data.y_train, cfg, rng, multiplier, frozen)
-        hist.loss.append(float(loss))
-        hist.top1.append(evaluate(model, data.x_test, data.y_test, multiplier))
-    return hist
+    return [train_epoch(model, data.x_train, data.y_train, cfg, rng, multiplier, frozen)
+            for _ in range(cfg.epochs)]
 
 
-def retrain(model, data: Split, cfg: TrainConfig, multiplier: AxMultiplier) -> History:
-    """Adapt a pretrained model to a multiplier. Routing stays fixed: the
-    model's own frozen set (router weights, gateway parameters) is pinned."""
+def retrain(model, data: Split, cfg: TrainConfig, multiplier: AxMultiplier) -> float:
+    """Adapt a pretrained model to a multiplier; its top-1 on the test split
+    under that multiplier afterwards. Routing stays fixed: the model's own
+    frozen set (router weights, gateway parameters) is pinned."""
     if multiplier is None:
         raise ParameterError("retraining needs a multiplier to adapt to")
-    return fit(model, data, cfg, multiplier=multiplier)
+    fit(model, data, cfg, multiplier=multiplier)
+    return evaluate(model, data.x_test, data.y_test, multiplier)

@@ -241,6 +241,18 @@ def test_cli_retrain_flags_rows_and_improves_reload(tmp_path, capsys):
     assert rows[1][8] == "true"
 
 
+def test_cli_sweep_without_pretraining_writes_a_row_per_variant(tmp_path, capsys):
+    # fit makes no test pass of its own, so each row's top1 comes from the
+    # sweep's own evaluate even when there is no epoch to train
+    rc = cli.main(["sweep", *_base_args(tmp_path, ["--set", "pretrain_epochs = 0"]),
+                   "--variant", "dense", "--variant", "hard", "--multiplier", "float"])
+    assert rc == 0
+    rows, points = cli._read_sweep_csv(tmp_path / "sweep.csv")
+    assert [row[1] for row in rows] == ["dense", "hard"]
+    assert all(0 <= point.top1 <= 1 for point in points)
+    assert capsys.readouterr().out.count("top1") == 2
+
+
 def _read_checkpoint(ckpt):
     """The parameters and the decoded meta in a checkpoint directory."""
     with np.load(ckpt / "checkpoint.npz", allow_pickle=False) as npz:
@@ -558,6 +570,7 @@ _SMALL_RUN = {"samples": 8, "eval_samples": 8, "resolution": 4, "num_classes": 2
 @example(values={"resolution": 99999999999999999999})
 @example(values={"channels": 99999999999999999999})
 @example(values={"resolution": 9223372036854775808})
+@example(values={"samples": 2**50})
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(values=_VALUES)
 def test_retrain_on_drawn_set_values_exits_cleanly(values):
@@ -574,6 +587,8 @@ def test_retrain_on_drawn_set_values_exits_cleanly(values):
     if values and set(values) <= {"samples", "eval_samples", "channels", "resolution"} \
             and min(values.values()) >= 2**63:
         assert rc == 2 and "larger than numpy's largest array" in err, err
+    if values == {"samples": 2**50}:  # 8 PiB of labels: no address space holds it
+        assert rc == 2 and "do not fit in memory" in err, err
 
 
 @pytest.fixture(scope="module")
@@ -622,8 +637,9 @@ def test_a_corrupted_table_loads_or_fails_cleanly(saved_table, flips, sets, cut)
         except FormatError:
             loaded = False
         rc, _, err = _main(["mulinfo", "--multiplier", str(path)])
-        assert rc == (0 if loaded else 4)
+        assert rc in ((0, 5) if loaded else (4,))
         _assert_one_error_line(rc, err)
+        mulinfo_rc = rc
         rc, out, err = _main(["count", "--arch", "toy_mlp", "--variant", "dense",
                               "--variant", "soft", "--multiplier", str(path)])
     assert rc in ((0, 5) if loaded else (4,))
@@ -634,6 +650,7 @@ def test_a_corrupted_table_loads_or_fails_cleanly(saved_table, flips, sets, cut)
     assert rc or len(p_norms) == 2
     if sets == _HUGE_POWER and not flips and cut is None:
         assert rc == 5 and "not finite" in err, err
+        assert mulinfo_rc == 5
 
 
 def test_cli_eval_reloads_checkpoints(tmp_path, capsys):

@@ -11,7 +11,7 @@ from axmoe.engine import Linear, Model, RunContext, softmax_cross_entropy
 from axmoe.errors import NumericError, ParameterError
 from axmoe.graphs import VARIANTS, substitute_moe, toy_cnn
 from axmoe.models import build_model
-from axmoe.train import History, Split, TrainConfig, evaluate, fit, retrain, sgd_step
+from axmoe.train import Split, TrainConfig, evaluate, fit, retrain, sgd_step
 from test_engine import TABLES
 
 FULL_RANK = TABLES["full_rank"]
@@ -119,9 +119,9 @@ def test_loss_decreases_on_separable_data():
                                np.zeros(3, dtype=np.float32))])
     data = Split(x, y, x[:40], y[:40])
     cfg = TrainConfig(lr=0.2, weight_decay=0.0, batch_size=30, epochs=10, seed=0)
-    hist = fit(model, data, cfg)
-    assert hist.loss[-1] < hist.loss[0] * 0.5
-    assert hist.top1[-1] > 0.9
+    losses = fit(model, data, cfg)
+    assert losses[-1] < losses[0] * 0.5
+    assert evaluate(model, data.x_test, data.y_test) > 0.9
 
 
 def test_fit_history_lengths_match_epochs():
@@ -130,10 +130,9 @@ def test_fit_history_lengths_match_epochs():
     model = Model("m", [Linear("m.fc", rng.normal(size=(3, 4)).astype(np.float32) * 0.1,
                                np.zeros(3, dtype=np.float32))])
     data = Split(x, y, x[:10], y[:10])
-    hist = fit(model, data, TrainConfig(epochs=3, seed=0))
-    assert isinstance(hist, History)
-    assert len(hist.loss) == 3 and len(hist.top1) == 3
-    assert fit(model, data, TrainConfig(epochs=0, seed=0)).loss == []
+    losses = fit(model, data, TrainConfig(epochs=3, seed=0))
+    assert len(losses) == 3 and all(type(loss) is float for loss in losses)
+    assert fit(model, data, TrainConfig(epochs=0, seed=0)) == []
 
 
 def test_evaluate_matches_manual_argmax():
@@ -144,6 +143,17 @@ def test_evaluate_matches_manual_argmax():
     logits = model.forward(x, __import__("axmoe").RunContext())
     want = float((np.argmax(logits, axis=1) == y).mean())
     assert evaluate(model, x, y, batch_size=10) == pytest.approx(want)
+
+
+@pytest.mark.parametrize("multiplier", [None, FULL_RANK])
+def test_evaluate_that_overflows_raises_instead_of_scoring(multiplier):
+    # weights a huge learning rate leaves behind: their logits overflow
+    # float32, and a top1 scored from them would mean nothing
+    model = Model("m", [Linear("m.fc", np.full((3, 4), 3e38, np.float32),
+                               np.zeros(3, np.float32))])
+    x = np.ones((8, 4), dtype=np.float32)
+    with pytest.raises(NumericError, match="evaluate: overflow"):
+        evaluate(model, x, np.zeros(8, dtype=np.int64), multiplier)
 
 
 @pytest.mark.parametrize("labels, batch_size", [(16, -4), (16, 0), (1, 256)])
@@ -277,6 +287,30 @@ def test_retrain_requires_a_multiplier():
     data = Split(x, y, x, y)
     with pytest.raises(ParameterError):
         retrain(model, data, TrainConfig(epochs=1), None)
+
+
+@pytest.mark.parametrize("variant", ["dense", "hard"])
+def test_only_retrain_evaluates_and_it_returns_the_top1_it_leaves(variant):
+    # retrain scores the test split once, fit never: a caller that evaluates
+    # after retrain, as perfbench's retrain_lut does, sees two test passes
+    model = _toy_model(variant)
+    x, y = _toy_set()
+    data = Split(x, y, x[:12], y[:12])
+    cfg = TrainConfig(lr=0.1, batch_size=8, epochs=2)
+    calls = []
+    real = train.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(args[3] if len(args) > 3 else kwargs.get("multiplier"))
+        return real(*args, **kwargs)
+
+    with mock.patch.object(train, "evaluate", side_effect=counted):
+        fit(model, data, cfg)
+        fit(model, data, cfg, FULL_RANK)
+        assert calls == []
+        top1 = retrain(model, data, cfg, FULL_RANK)
+    assert calls == [FULL_RANK]
+    assert top1 == evaluate(model, data.x_test, data.y_test, FULL_RANK)
 
 
 def test_retrain_pins_the_models_frozen_set():
