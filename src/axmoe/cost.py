@@ -9,8 +9,8 @@ figures were produced with:
     avgpool         1 per input element
     gelu            1 per element
     gateway         its published MAC budget
-    relu, maxpool, softmax, layernorm, residual adds,
-    attention score and score-value matmuls: 0
+    relu, maxpool, softmax, layernorm, the add that closes a Residual
+    block, attention score and score-value matmuls: 0
 
 Only conv2d and linear layers can be approximate, so the remaining op costs
 never enter the approximable-MAC numerator, only the effective-MAC
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NumericError, ParameterError
-from .graphs import APPROX, ClusterArch, LayerSpec, MoEGroup
+from .graphs import APPROX, ClusterArch, LayerSpec, MoEGroup, walk
 from .multipliers import EXACT_POWER_NW
 
 
@@ -92,10 +92,10 @@ def _copies(graph):
     if isinstance(graph, ClusterArch):
         yield from _copies(graph.gateway)
         for i in range(graph.n_experts):
-            for spec in graph.replica.layers:
+            for spec in walk(graph.replica.layers):
                 yield f"replica{i}.{spec.name}", f"{graph.name}.replica{i}", int(i == 0), spec
         return
-    for entry in graph.layers:
+    for entry in walk(graph.layers):
         if isinstance(entry, MoEGroup):
             yield entry.router.name, None, 1, entry.router
             for i in range(entry.n_experts):
@@ -110,7 +110,8 @@ def _variant(graph) -> str:
     """Report label, read from the graph's structure."""
     if isinstance(graph, ClusterArch):
         return "cluster"
-    return next((entry.mode for entry in graph.layers if isinstance(entry, MoEGroup)), "dense")
+    return next((entry.mode for entry in walk(graph.layers) if isinstance(entry, MoEGroup)),
+                "dense")
 
 
 def count_macs(graph) -> MacReport:

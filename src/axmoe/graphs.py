@@ -1,12 +1,13 @@
 """Shape-level model graphs.
 
-An ArchSpec is a flat list of layer descriptions carrying exactly the
-geometry the cost model needs. The same spec drives the executable builder
-(models.py), so cost predictions and runtime counters share one source of
-truth. Layers that may be replaced by expert mixtures carry a `moe_unit`
-tag; substitute_moe gathers tagged layers into MoEGroup entries or wraps the
-whole spec in a ClusterArch. A graph's variant is its structure; no label
-is stored beside it.
+An ArchSpec is a sequence of layer descriptions carrying exactly the
+geometry the cost model needs; a Residual block holds its body and shortcut
+sequences, and `walk` reads the layers inside them in order. The same spec
+drives the executable builder (models.py), so cost predictions and runtime
+counters share one source of truth. Layers that may be replaced by expert
+mixtures carry a `moe_unit` tag; substitute_moe gathers tagged layers into
+MoEGroup entries or wraps the whole spec in a ClusterArch. A graph's variant
+is its structure; no label is stored beside it.
 """
 
 from __future__ import annotations
@@ -65,6 +66,16 @@ class MoEGroup:
 
 
 @dataclass(frozen=True)
+class Residual:
+    """body(x) + shortcut(x); an empty shortcut is the identity. The add is
+    part of the block, not a layer of its own."""
+
+    name: str
+    body: tuple
+    shortcut: tuple = ()
+
+
+@dataclass(frozen=True)
 class ArchSpec:
     name: str
     input_shape: tuple[int, ...]
@@ -80,6 +91,17 @@ class ClusterArch:
     replica: ArchSpec
     n_experts: int
     gateway: ArchSpec
+
+
+def walk(entries):
+    """Every layer spec and expert group of `entries`, in order, reading
+    each Residual's body and then its shortcut in place of the block."""
+    for entry in entries:
+        if isinstance(entry, Residual):
+            yield from walk(entry.body)
+            yield from walk(entry.shortcut)
+        else:
+            yield entry
 
 
 def conv_out_hw(h: int, w: int, kernel, stride, padding) -> tuple[int, int]:
@@ -137,16 +159,14 @@ def resnet20() -> ArchSpec:
             unit = f"s{s}b{b}"
             pre = f"{unit}."
             c1, ohw = _conv(pre + "conv1", cin, width, 3, hw, stride, unit=unit)
-            layers += [c1, _bn(pre + "bn1", width, ohw), _relu(pre + "relu1")]
             c2, ohw = _conv(pre + "conv2", width, width, 3, ohw, unit=unit)
-            layers += [c2, _bn(pre + "bn2", width, ohw)]
+            body = (c1, _bn(pre + "bn1", width, ohw), _relu(pre + "relu1"),
+                    c2, _bn(pre + "bn2", width, ohw))
+            shortcut = ()
             if stride != 1 or cin != width:
                 ds, _ = _conv(pre + "downsample", cin, width, 1, hw, stride, pad=0)
-                layers += [ds, _bn(pre + "bn_ds", width, ohw)]
-            layers += [
-                LayerSpec(kind="residual_add", name=pre + "add"),
-                _relu(pre + "relu2"),
-            ]
+                shortcut = (ds, _bn(pre + "bn_ds", width, ohw))
+            layers += [Residual(pre + "res", body, shortcut), _relu(pre + "relu2")]
             cin, hw = width, ohw
     layers += [
         LayerSpec(kind="avgpool", name="pool", elements=cin * hw * hw),
@@ -218,16 +238,19 @@ def vit_small_spec() -> ArchSpec:
         pre = f"block{i}."
         unit = f"ffn{i}"
         layers += [
-            _ln(pre + "ln1", dim),
-            _linear(pre + "qkv", dim, 3 * dim, tokens, APPROX),
-            LayerSpec(kind="attention_mix", name=pre + "attn"),
-            _linear(pre + "proj", dim, dim, tokens, APPROX),
-            LayerSpec(kind="residual_add", name=pre + "add1"),
-            _ln(pre + "ln2", dim),
-            _linear(pre + "fc1", dim, mlp_dim, tokens, APPROX, unit=unit),
-            LayerSpec(kind="gelu", name=pre + "gelu", elements=tokens * mlp_dim, moe_unit=unit),
-            _linear(pre + "fc2", mlp_dim, dim, tokens, APPROX, unit=unit),
-            LayerSpec(kind="residual_add", name=pre + "add2"),
+            Residual(pre + "res1", (
+                _ln(pre + "ln1", dim),
+                _linear(pre + "qkv", dim, 3 * dim, tokens, APPROX),
+                LayerSpec(kind="attention_mix", name=pre + "attn"),
+                _linear(pre + "proj", dim, dim, tokens, APPROX),
+            )),
+            Residual(pre + "res2", (
+                _ln(pre + "ln2", dim),
+                _linear(pre + "fc1", dim, mlp_dim, tokens, APPROX, unit=unit),
+                LayerSpec(kind="gelu", name=pre + "gelu", elements=tokens * mlp_dim,
+                          moe_unit=unit),
+                _linear(pre + "fc2", mlp_dim, dim, tokens, APPROX, unit=unit),
+            )),
         ]
     layers += [
         _ln("ln_final", dim),
@@ -332,9 +355,10 @@ def substitute_moe(arch: ArchSpec, variant: str, n_experts: int = 3,
     """Derive a mixture-of-experts graph from a dense spec.
 
     hard/soft replace each selected substitution unit by an n-expert group
-    with its own router; cluster wraps the whole dense spec behind
-    `default_gateway`. dense returns the spec itself. Only a dense spec is
-    accepted: a substituted spec or a ClusterArch raises ParameterError.
+    with its own router, inside the Residual body that holds it; cluster
+    wraps the whole dense spec behind `default_gateway`. dense returns the
+    spec itself. Only a dense spec is accepted: a substituted spec or a
+    ClusterArch raises ParameterError.
     """
     if variant not in VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
@@ -342,7 +366,7 @@ def substitute_moe(arch: ArchSpec, variant: str, n_experts: int = 3,
         raise ParameterError(f"n_experts must be >= 1, got {n_experts}")
     if not isinstance(arch, ArchSpec):
         raise ParameterError(f"expected a dense layer spec, got a {type(arch).__name__}")
-    if any(isinstance(layer, MoEGroup) for layer in arch.layers):
+    if any(isinstance(entry, MoEGroup) for entry in walk(arch.layers)):
         raise ParameterError(f"{arch.name} already holds expert groups; "
                              "substitute into its dense spec")
     if variant == "dense":
@@ -351,20 +375,25 @@ def substitute_moe(arch: ArchSpec, variant: str, n_experts: int = 3,
         return ClusterArch(name=arch.name, replica=arch, n_experts=n_experts,
                            gateway=default_gateway(arch, n_experts))
 
-    units = list(dict.fromkeys(layer.moe_unit for layer in arch.layers if layer.moe_unit))
+    units = list(dict.fromkeys(layer.moe_unit for layer in walk(arch.layers) if layer.moe_unit))
     if not units:
         raise ParameterError(f"{arch.name} has no expert-substitutable layers")
     selected = _select_units(units, moe_ratio)
 
-    def unit_of(layer) -> str:
-        return layer.moe_unit if layer.moe_unit in selected else ""
+    def unit_of(entry) -> str:
+        unit = "" if isinstance(entry, Residual) else entry.moe_unit
+        return unit if unit in selected else ""
 
-    out = []
-    for unit, run in itertools.groupby(arch.layers, key=unit_of):
-        if not unit:
-            out.extend(run)
-            continue
-        members = tuple(run)
-        out.append(MoEGroup(name=unit, n_experts=n_experts, members=members,
-                            router=_router_for(members, unit, n_experts), mode=variant))
-    return replace(arch, layers=tuple(out))
+    def grouped(entries) -> tuple:
+        out = []
+        for unit, run in itertools.groupby(entries, key=unit_of):
+            if not unit:
+                out.extend(Residual(e.name, grouped(e.body), grouped(e.shortcut))
+                           if isinstance(e, Residual) else e for e in run)
+                continue
+            members = tuple(run)
+            out.append(MoEGroup(name=unit, n_experts=n_experts, members=members,
+                                router=_router_for(members, unit, n_experts), mode=variant))
+        return tuple(out)
+
+    return replace(arch, layers=grouped(arch.layers))

@@ -2,7 +2,8 @@
 
 Only desk-scale graphs are executable (toy architectures, their MoE
 variants, and cluster gateways). The large published architectures exist
-for cost accounting and will raise here if instantiation is attempted.
+for cost accounting and will raise here if instantiation is attempted, as
+will any graph that holds a Residual block.
 
 Expert initialization: expert 0 is an exact copy of the dense layer, the
 others add small seeded jitter. Exact copies with a zero router make every
@@ -20,7 +21,7 @@ import numpy as np
 from .engine import AvgPool2d, Conv2d, Flatten, Layer, Linear, Model, ReLU
 from .errors import FormatError, NumericError, ParameterError
 from .files import read_npz, replace_file
-from .graphs import APPROX, ClusterArch, MoEGroup, build_arch, substitute_moe
+from .graphs import APPROX, ClusterArch, MoEGroup, Residual, build_arch, substitute_moe
 from .moe import ClusterModel, MoELayer, Router
 
 ROUTER_INIT_STD = 0.05
@@ -61,6 +62,13 @@ def _layer(spec, name: str, params: tuple) -> Layer:
     raise ParameterError(f"layer kind {kind!r} ({name}) is not executable at desk scale")
 
 
+def _build_layer(spec, name: str, rng) -> Layer:
+    """`_layer` for a layer spec, with its params drawn from `rng`."""
+    if isinstance(spec, Residual):
+        raise ParameterError(f"residual block {name!r} is not executable at desk scale")
+    return _layer(spec, name, _init(rng, spec))
+
+
 def _jitter(arr: np.ndarray, rng) -> np.ndarray:
     scale = float(np.std(arr)) or 1.0
     return arr + (EXPERT_JITTER * scale * rng.standard_normal(arr.shape)).astype(arr.dtype)
@@ -87,18 +95,18 @@ def build_model(graph, seed: int = 0) -> Model:
         return Model(graph.name, [_build_cluster(graph, seed)], graph.replica.input_shape)
     rng = np.random.default_rng(seed)
     return Model(graph.name, [_build_group(e, rng) if isinstance(e, MoEGroup)
-                              else _layer(e, e.name, _init(rng, e)) for e in graph.layers],
+                              else _build_layer(e, e.name, rng) for e in graph.layers],
                  graph.input_shape)
 
 
 def _build_cluster(cluster: ClusterArch, seed: int) -> ClusterModel:
     gw_rng = np.random.default_rng([seed, 0xBEEF])
     gateway = Model(cluster.gateway.name,
-                    [_layer(s, s.name, _init(gw_rng, s)) for s in cluster.gateway.layers])
+                    [_build_layer(s, s.name, gw_rng) for s in cluster.gateway.layers])
     replicas = []
     for i in range(cluster.n_experts):
         rng = np.random.default_rng([seed, i])
-        replicas.append(Model(f"replica{i}", [_layer(s, f"replica{i}.{s.name}", _init(rng, s))
+        replicas.append(Model(f"replica{i}", [_build_layer(s, f"replica{i}.{s.name}", rng)
                                               for s in cluster.replica.layers]))
     return ClusterModel(cluster.name, gateway, replicas)
 

@@ -23,7 +23,7 @@ from axmoe.config import ExperimentConfig, config_hash, load_config, parse_confi
 from axmoe.datasets import DATA_DIR_ENV
 from axmoe.engine import RunContext
 from axmoe.errors import ConfigError, FormatError, NumericError
-from axmoe.graphs import build_arch, substitute_moe
+from axmoe.graphs import VARIANTS, build_arch, substitute_moe
 from axmoe.models import build_model, load_model, model_from_spec, save_model
 from axmoe.multipliers import NAME_BYTES, builtin_multiplier, load_lut, save_lut
 
@@ -314,9 +314,8 @@ def test_sweep_checkpoints_rebuild_every_variant(tmp_path, capsys, arch, resolut
 
 @pytest.mark.parametrize("multiplier", ["float", "exact"])
 def test_a_sweep_that_diverges_exits_5_and_writes_no_checkpoint(tmp_path, capsys, multiplier):
-    with np.errstate(all="ignore"):  # the overflows on the way to a NaN loss warn
-        rc = cli.main(["sweep", *_base_args(tmp_path), "--set", "lr = 1e30",
-                       "--variant", "dense", "--multiplier", multiplier])
+    rc = cli.main(["sweep", *_base_args(tmp_path), "--set", "lr = 1e30",
+                   "--variant", "dense", "--multiplier", multiplier])
     assert rc == 5
     err = capsys.readouterr().err
     assert "training diverged" in err and "Traceback" not in err
@@ -339,6 +338,26 @@ def test_cli_count_reference_design_needs_no_table_file(monkeypatch, capsys):
         p_norm = float(re.search(r"p_norm\(mul8s_1L2J\) ([0-9.]+)",
                                  capsys.readouterr().out).group(1))
         assert 0.70 <= p_norm <= 0.72, (arch, p_norm)  # criterion 4 band
+
+
+GOLDEN_COUNT = Path(__file__).with_name("golden_count.txt")
+
+
+def test_cli_count_of_the_published_graphs_matches_its_golden_output(capsys):
+    # four architectures in every variant, then vit_small and resnet20 at
+    # moe_ratio 0.25 and 0.5; a change to how graphs are laid out or walked
+    # must leave every figure as it was
+    runs = [["--arch", arch, *(f for v in VARIANTS for f in ("--variant", v))]
+            for arch in ("resnet20", "vgg11_bn", "vgg19_bn", "vit_small")]
+    runs += [["--arch", arch, "--variant", "hard", "--variant", "soft",
+              "--set", f"moe_ratio = {ratio}"]
+             for arch in ("vit_small", "resnet20") for ratio in (0.25, 0.5)]
+    out = []
+    for run in runs:
+        assert cli.main(["count", *run, "--multiplier", "exact",
+                         "--multiplier", "mul8s_1L2L"]) == 0
+        out.append(capsys.readouterr().out)
+    assert "".join(out) == GOLDEN_COUNT.read_text()
 
 
 def test_cli_sweep_reruns_byte_identical(tmp_path):

@@ -14,7 +14,8 @@ from axmoe.cost import (MacReport, SweepPoint, _copies, count_macs, dominates, l
 from axmoe.engine import RunContext, softmax_cross_entropy
 from axmoe.errors import NumericError, ParameterError
 from axmoe.graphs import (APPROX, ARCHITECTURES, EXACT, VARIANTS, ArchSpec, ClusterArch,
-                          LayerSpec, MoEGroup, build_arch, default_gateway, substitute_moe)
+                          LayerSpec, MoEGroup, Residual, build_arch, default_gateway,
+                          substitute_moe, walk)
 from axmoe.models import build_model
 from axmoe.moe import ClusterModel, MoELayer, pool_features
 from axmoe.multipliers import build_exact_multiplier
@@ -37,7 +38,7 @@ def test_layer_macs_hand_arithmetic():
     assert layer_macs(pool) == 64
     gelu = LayerSpec(kind="gelu", name="gl", elements=100)
     assert layer_macs(gelu) == 100
-    for free_kind in ("relu", "maxpool", "softmax", "layernorm", "flatten", "residual"):
+    for free_kind in ("relu", "maxpool", "softmax", "layernorm", "flatten", "attention_mix"):
         spec = LayerSpec(kind=free_kind, name="x", elements=1000)
         assert layer_macs(spec) == 0
 
@@ -109,10 +110,10 @@ def test_hard_substitution_replaces_tagged_units():
 def test_vit_ratio_selects_even_block_spread():
     arch = build_arch("vit_small")
     quarter = substitute_moe(arch, "hard", n_experts=3, moe_ratio=0.25)
-    units_q = {ly.name for ly in quarter.layers if isinstance(ly, MoEGroup)}
+    units_q = {ly.name for ly in walk(quarter.layers) if isinstance(ly, MoEGroup)}
     assert units_q == {"ffn3", "ffn7", "ffn11"}
     half = substitute_moe(arch, "hard", n_experts=3, moe_ratio=0.5)
-    units_h = {ly.name for ly in half.layers if isinstance(ly, MoEGroup)}
+    units_h = {ly.name for ly in walk(half.layers) if isinstance(ly, MoEGroup)}
     assert units_h == {f"ffn{i}" for i in range(1, 12, 2)}
 
 
@@ -225,19 +226,70 @@ def test_the_walk_names_every_layer_build_model_gives_parameters(arch_name, vari
 
 def _routed_split(graph, batch, rng) -> dict[str, int]:
     """Samples per expert or replica key as the engine would record them:
-    the whole batch for every soft expert, a random split of it otherwise."""
-    def split(keys, soft):
-        n = len(keys)
-        counts = [batch] * n if soft else rng.multinomial(batch, [1 / n] * n)
-        return dict(zip(keys, map(int, counts)))
-
-    if isinstance(graph, ClusterArch):
-        return split([f"{graph.name}.replica{i}" for i in range(graph.n_experts)], False)
+    the whole batch for every soft expert, a random split of it over each
+    hard group's experts or a cluster's replicas. The walk gives a sample's
+    copy runs = 1, so each routed key with runs = 1 opens a split, and the
+    keys with runs = 0 that follow it, its hard siblings, share that split."""
+    splits, seen = [], set()
+    for _, key, runs, _ in _copies(graph):
+        if key is None or key in seen:
+            continue
+        seen.add(key)
+        if runs:
+            splits.append([key])
+        else:
+            splits[-1].append(key)
     routed = {}
-    for g in graph.layers:
-        if isinstance(g, MoEGroup):
-            routed |= split([f"{g.name}.expert{i}" for i in range(g.n_experts)], g.mode == "soft")
+    for keys in splits:
+        routed |= dict(zip(keys, map(int, rng.multinomial(batch, [1 / len(keys)] * len(keys)))))
     return routed
+
+
+def _conv_spec(name, cin, cout, k, stride, out, arithmetic=APPROX, unit=""):
+    return LayerSpec(kind="conv2d", name=name, in_channels=cin, out_channels=cout,
+                     kernel=(k, k), stride=(stride, stride), padding=(k // 2, k // 2),
+                     out_hw=(out, out), arithmetic=arithmetic, moe_unit=unit)
+
+
+def _residual_graphs():
+    """A hand-built graph of two Residual blocks, one with the identity as
+    its shortcut and one with a strided 1x1 conv, each with a unit tag
+    inside its body, and the same layers laid out flat."""
+    same = Residual("same", (_conv_spec("same.conv1", 3, 3, 3, 1, 6, unit="u"),
+                             LayerSpec(kind="relu", name="same.relu", moe_unit="u"),
+                             _conv_spec("same.conv2", 3, 3, 3, 1, 6, unit="u")))
+    down = Residual("down", (_conv_spec("down.conv", 3, 4, 3, 2, 3, unit="v"),),
+                    (_conv_spec("down.ds", 3, 4, 1, 2, 3, arithmetic=EXACT),))
+    head = (LayerSpec(kind="relu", name="relu"), down, LayerSpec(kind="flatten", name="flat"),
+            LayerSpec(kind="linear", name="fc", in_features=36, out_features=2))
+    layers = (_conv_spec("stem", 2, 3, 3, 1, 6), same) + head
+    flat = (layers[0], *same.body, head[0], *down.body, *down.shortcut, *head[2:])
+    return ArchSpec("blocks", (2, 6, 6), layers), ArchSpec("blocks", (2, 6, 6), flat)
+
+
+def test_residual_blocks_price_group_and_count_like_their_flat_layers():
+    arch, flat = _residual_graphs()
+    assert [spec.name for spec in walk(arch.layers)] == [spec.name for spec in flat.layers]
+    rng = np.random.default_rng(8)
+    for variant in VARIANTS:
+        graph = substitute_moe(arch, variant, n_experts=3)
+        assert count_macs(graph) == count_macs(substitute_moe(flat, variant, n_experts=3))
+        predicted = predict_lut_counts(graph, _routed_split(graph, 17, rng), 17)
+        assert sum(predicted.values()) == 17 * count_macs(graph).m_approx, variant
+        with pytest.raises(ParameterError, match="same"):
+            build_model(graph)
+    for variant in ("hard", "soft"):
+        graph = substitute_moe(arch, variant, n_experts=3)
+        same, down = graph.layers[1], graph.layers[3]
+        (group,) = same.body
+        assert (group.name, group.mode) == ("u", variant)
+        assert [m.name for m in group.members] == ["same.conv1", "same.relu", "same.conv2"]
+        assert same.shortcut == ()
+        assert [g.name for g in down.body] == ["v"]
+        assert down.shortcut == arch.layers[3].shortcut
+        # the groups sit inside blocks, and are still seen there
+        with pytest.raises(ParameterError, match="already holds expert groups"):
+            substitute_moe(graph, "hard")
 
 
 @pytest.mark.parametrize("arch_name", ["resnet20", "vgg11_bn", "vgg19_bn", "vit_small"])
