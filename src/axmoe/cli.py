@@ -4,7 +4,8 @@ Subcommands:
   count    MAC and power accounting for an architecture's variants
   mulinfo  reference multiplier table, with measured LUT statistics
   eval     accuracy of a checkpoint under one or more multipliers
-  sweep    pretrain per variant, evaluate every multiplier, write a CSV
+  sweep    pretrain per variant (or reuse its matching checkpoint), evaluate
+           every multiplier, write a CSV
   retrain  sweep with approximate retraining before each evaluation
   pareto   flag the power/accuracy-efficient rows of a sweep CSV
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -25,6 +27,8 @@ import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import ExperimentConfig, config_hash, load_config, parse_config_text
 from .cost import MacReport, SweepPoint, count_macs, normalized_power, pareto_frontier
@@ -32,7 +36,7 @@ from .datasets import DATA_DIR_ENV, load_dataset
 from .errors import ConfigError, FormatError, NumericError, ParameterError
 from .files import replace_file
 from .graphs import ArchSpec, build_arch, substitute_moe
-from .models import build_model, load_model, save_model
+from .models import arrays_sha256, build_model, load_model, read_checkpoint, save_model
 from .multipliers import (EXACT_POWER_NW, REFERENCE_MULTIPLIERS, AxMultiplier,
                           builtin_multiplier, error_stats, load_lut, per_op_saving)
 from .train import TrainConfig, evaluate, fit, retrain
@@ -209,8 +213,48 @@ def _train_cfg(cfg: ExperimentConfig, epochs: int, seed: int) -> TrainConfig:
     return TrainConfig(lr=cfg.lr, batch_size=cfg.batch_size, epochs=epochs, seed=seed)
 
 
+def _source_digest() -> str:
+    """sha256 of the package's own `.py` files by name. The version string
+    does not change when the engine does, so it cannot stand for them."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        blob = path.read_bytes()
+        digest.update(repr((path.name, len(blob))).encode("utf-8"))
+        digest.update(blob)
+    return digest.hexdigest()
+
+
+def _pretrain_fingerprint(data, graph, train_cfg: TrainConfig, seed: int,
+                          sources: str) -> str:
+    """sha256 of everything that fixes a variant's pretrained weights: the
+    training split's arrays, the graph, the pretrain config, the build
+    seed, the numpy version and `_source_digest`."""
+    split = arrays_sha256({"x_train": data.x_train, "y_train": data.y_train})
+    return hashlib.sha256(repr((split, repr(graph), repr(train_cfg), seed, np.__version__,
+                                sources)).encode("utf-8")).hexdigest()
+
+
+def _reuse_pretrained(ckpt: Path, graph, seed: int, fingerprint: str):
+    """A model of `graph` holding the weights in `ckpt` when its meta records
+    this exact pretraining and its parameters hash to what the meta records;
+    None when the checkpoint is missing, unreadable or malformed, or comes
+    from any other pretraining."""
+    try:
+        params, meta = read_checkpoint(ckpt)
+    except (OSError, FormatError):
+        return None
+    if meta.get("pretrain") != fingerprint or meta.get("params_sha256") != arrays_sha256(params):
+        return None
+    model = build_model(graph, seed=seed)
+    model.load_params(params)
+    return model
+
+
 def cmd_sweep(args) -> int:
-    """sweep, and with `args.do_retrain` set, retrain."""
+    """sweep, and with `args.do_retrain` set, retrain. A variant whose
+    `ckpt_<variant>` holds exactly the weights this run's pretraining would
+    compute is not pretrained again; every checkpoint is written either
+    way."""
     cfg = _config(args)
     started = time.perf_counter()
     muls = _multipliers(cfg)
@@ -219,14 +263,23 @@ def cmd_sweep(args) -> int:
     data = _dataset(cfg)
     dense, graphs = _graphs(cfg)
     m_base = count_macs(dense).m_total
+    sources = _source_digest()
     rows: list[list[str]] = []  # sweep.csv rows, in CSV_COLUMNS order
     reports: dict = {}
+    pretrain: dict[str, str] = {}  # variant -> "trained" or "reused"
     for variant, graph in graphs.items():
         rep = count_macs(graph)
         reports[variant] = {k: v for k, v in asdict(rep).items() if k not in ("arch", "variant")}
-        model = build_model(graph, seed=cfg.seed)
-        fit(model, data, _train_cfg(cfg, cfg.pretrain_epochs, cfg.seed))
-        save_model(model, out / f"ckpt_{variant}", _checkpoint_meta(cfg, variant))
+        pretrain_cfg = _train_cfg(cfg, cfg.pretrain_epochs, cfg.seed)
+        fingerprint = _pretrain_fingerprint(data, graph, pretrain_cfg, cfg.seed, sources)
+        ckpt = out / f"ckpt_{variant}"
+        model = _reuse_pretrained(ckpt, graph, cfg.seed, fingerprint)
+        pretrain[variant] = "trained" if model is None else "reused"
+        if model is None:
+            model = build_model(graph, seed=cfg.seed)
+            fit(model, data, pretrain_cfg)
+        save_model(model, ckpt, {**_checkpoint_meta(cfg, variant), "pretrain": fingerprint,
+                                 "params_sha256": arrays_sha256(model.params())})
         pretrained = {k: v.copy() for k, v in model.params().items()}
         for name, mul in muls:
             model.load_params(pretrained)
@@ -246,7 +299,7 @@ def cmd_sweep(args) -> int:
     replace_file(csv_path, _csv_bytes(CSV_COLUMNS, rows))
     record = {"version": __version__, "config_hash": config_hash(cfg), "config": asdict(cfg),
               "rows": [dict(zip(CSV_COLUMNS, row)) for row in rows],
-              "reports": reports, "wall_clock_s": round(time.perf_counter() - started, 3)}
+              "reports": reports, "pretrain": pretrain, "wall_clock_s": round(time.perf_counter() - started, 3)}
     replace_file(out / "run.json",
                  (json.dumps(record, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     print(f"wrote {csv_path}")

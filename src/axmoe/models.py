@@ -12,6 +12,7 @@ expert receive identical gradients, which would pin them together forever.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -143,9 +144,10 @@ def model_from_spec(meta: dict):
     return build_model(graph, seed=int(meta["seed"]))
 
 
-def load_model(directory):
-    """The model and meta that `save_model` wrote to `directory`; anything
-    else there raises FormatError."""
+def read_checkpoint(directory) -> tuple[dict[str, np.ndarray], dict]:
+    """The parameters and the decoded meta that `save_model` wrote to
+    `directory`, unchecked against any graph; a missing file or anything
+    that is not such an archive raises FormatError."""
     path = Path(directory) / CHECKPOINT_FILE
     if not path.is_file():
         raise FormatError(f"{directory}: no {CHECKPOINT_FILE}")
@@ -159,6 +161,13 @@ def load_model(directory):
         raise FormatError(f"{path}: meta: {exc}") from exc
     if not isinstance(meta, dict):
         raise FormatError(f"{path}: meta must be a JSON object")
+    return params, meta
+
+
+def load_model(directory):
+    """The model and meta that `save_model` wrote to `directory`; anything
+    else there raises FormatError."""
+    params, meta = read_checkpoint(directory)
     missing = [k for k in META_KEYS if k not in meta]
     if missing:
         raise FormatError(f"{directory}: checkpoint meta lacks {missing}")
@@ -171,3 +180,15 @@ def load_model(directory):
     if non_finite:
         raise FormatError(f"{directory}: non-finite values in {non_finite}")
     return model, meta
+
+
+def arrays_sha256(arrays: dict[str, np.ndarray]) -> str:
+    """Hex sha256 over `arrays` in sorted name order: each name, dtype and
+    shape, then the array's bytes, read in place when the array is
+    C-contiguous."""
+    digest = hashlib.sha256()
+    for name in sorted(arrays):
+        arr = np.ascontiguousarray(arrays[name])
+        digest.update(repr((name, arr.dtype.str, arr.shape)).encode("utf-8"))
+        digest.update(arr)
+    return digest.hexdigest()

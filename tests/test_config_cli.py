@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import shutil
 import struct
 import tempfile
 import zipfile
@@ -299,7 +300,8 @@ def test_sweep_checkpoints_rebuild_every_variant(tmp_path, capsys, arch, resolut
     assert rc == 0
     for variant in variants:
         saved, meta = _read_checkpoint(tmp_path / f"ckpt_{variant}")
-        assert set(meta) == {"arch", "arch_kwargs", "variant", "n_experts", "moe_ratio", "seed"}
+        assert set(meta) == {"arch", "arch_kwargs", "variant", "n_experts", "moe_ratio", "seed",
+                             "pretrain", "params_sha256"}
         assert (meta["arch"], meta["variant"]) == (arch, variant)
         rebuilt = model_from_spec(meta).params()
         assert {k: v.shape for k, v in rebuilt.items()} == {k: v.shape for k, v in saved.items()}
@@ -779,6 +781,167 @@ def test_checkpoint_saves_are_byte_identical(tmp_path):
     assert first == (tmp_path / "b" / "checkpoint.npz").read_bytes()
     loaded, _ = load_model(tmp_path / "a")
     assert all(np.array_equal(v, model.params()[k]) for k, v in loaded.params().items())
+
+
+# A sweep of hard and cluster: n_experts shapes both graphs, and the cluster
+# builds its replicas from their own seeds.
+_REUSE_ARGS = ("--variant", "hard", "--variant", "cluster", "--multiplier", "float")
+
+
+def _count_pretrains(monkeypatch) -> list:
+    """A list that gains one entry per pretraining `fit` call of the CLI
+    from now on (retraining calls `train.fit`, not `cli.fit`)."""
+    calls = []
+    fit = cli.fit
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def reuse_base(tmp_path_factory):
+    """An --out that a toy_mlp sweep of `_REUSE_ARGS` wrote."""
+    out = tmp_path_factory.mktemp("reuse") / "out"
+    assert _main(["sweep", *_base_args(out), *_REUSE_ARGS])[0] == 0
+    return out
+
+
+def _flip_a_parameter_byte(params, meta):
+    name = min(params)
+    value = params[name].copy()
+    value.view(np.uint8)[5] ^= 0x01
+    return {**params, name: value, "meta": json.dumps(meta)}
+
+
+def _without_fingerprint(params, meta):
+    """The checkpoint as a sweep wrote it before pretraining was reused."""
+    legacy = {k: v for k, v in meta.items() if k not in ("pretrain", "params_sha256")}
+    return {**params, "meta": json.dumps(legacy)}
+
+
+@pytest.mark.parametrize("command,extra,damage,trained", [
+    ("sweep", [], None, ()),
+    ("sweep", ["--set", "lr = 0.05"], None, ("hard", "cluster")),
+    ("sweep", ["--set", "pretrain_epochs = 1"], None, ("hard", "cluster")),
+    ("sweep", ["--set", "batch_size = 16"], None, ("hard", "cluster")),
+    ("sweep", ["--seed", "1"], None, ("hard", "cluster")),
+    ("sweep", ["--set", "noise = 0.3"], None, ("hard", "cluster")),
+    ("sweep", ["--set", "samples = 64"], None, ("hard", "cluster")),
+    ("sweep", ["--set", "n_experts = 2"], None, ("hard", "cluster")),
+    ("sweep", [], _flip_a_parameter_byte, ("hard",)),
+    ("sweep", [], _without_fingerprint, ("hard",)),
+    ("sweep", ["--multiplier", "exact"], None, ()),
+    ("sweep", ["--set", "eval_samples = 32"], None, ()),
+    ("retrain", ["--set", "retrain_epochs = 2", "--multiplier", "trunc2"], None, ()),
+], ids=["exact_rerun", "lr", "pretrain_epochs", "batch_size", "seed", "noise", "samples",
+        "n_experts", "parameter_byte", "meta_without_fingerprint", "multipliers",
+        "eval_samples", "retrain_epochs"])
+def test_a_sweep_pretrains_exactly_the_variants_whose_pretraining_changed(
+        tmp_path, monkeypatch, reuse_base, command, extra, damage, trained):
+    out = tmp_path / "out"
+    shutil.copytree(reuse_base, out)
+    if damage is not None:
+        _rewrite(damage)(out / "ckpt_hard" / "checkpoint.npz")
+    calls = _count_pretrains(monkeypatch)
+    assert _main([command, *_base_args(out), *_REUSE_ARGS, *extra])[0] == 0
+    assert len(calls) == len(trained)
+    record = json.loads((out / "run.json").read_text())
+    assert record["pretrain"] == {v: "trained" if v in trained else "reused"
+                                  for v in ("hard", "cluster")}
+    # a rerun of the same command finds every checkpoint it just wrote
+    calls.clear()
+    assert _main([command, *_base_args(out), *_REUSE_ARGS, *extra])[0] == 0
+    assert not calls
+
+
+def test_an_edited_package_source_is_pretrained_on_again(tmp_path, monkeypatch, reuse_base):
+    out, package = tmp_path / "out", tmp_path / "axmoe"
+    shutil.copytree(reuse_base, out)
+    shutil.copytree(Path(cli.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    # `_source_digest` reads the sources beside the cli module's file
+    monkeypatch.setattr(cli, "__file__", str(package / "cli.py"))
+    calls = _count_pretrains(monkeypatch)
+    assert _main(["sweep", *_base_args(out), *_REUSE_ARGS])[0] == 0
+    assert not calls
+    with open(package / "engine.py", "a", encoding="utf-8") as fh:
+        fh.write("# an edit that changes no behaviour\n")
+    assert _main(["sweep", *_base_args(out), *_REUSE_ARGS])[0] == 0
+    assert len(calls) == 2
+
+
+def test_an_npz_split_rewritten_at_its_path_is_pretrained_on_again(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    data.mkdir()
+    rng = np.random.default_rng(0)
+    splits = {split: (rng.normal(size=(n, 3, 6, 6)).astype(np.float32),
+                      rng.integers(0, 3, size=n)) for split, n in (("train", 96), ("test", 48))}
+
+    def write(split, x):
+        # a fresh file each time: rewriting one that holds recent data makes
+        # ext4 flush it first
+        (data / f"{split}.npz").unlink(missing_ok=True)
+        np.savez(data / f"{split}.npz", x=x, y=splits[split][1])
+
+    for split, (x, _) in splits.items():
+        write(split, x)
+    argv = ["sweep", *_base_args(tmp_path / "out", ["--set", "dataset = npz",
+                                                    "--set", f"data_path = {data}"]),
+            *_REUSE_ARGS]
+    calls = _count_pretrains(monkeypatch)
+    for split, pixel, pretrains in (("train", None, 2), ("train", None, 0),
+                                    ("test", 1.0, 0), ("train", 1.0, 2)):
+        if pixel is not None:
+            x = splits[split][0].copy()
+            x[0, 0, 0, 0] += pixel
+            write(split, x)
+        calls.clear()
+        assert _main(argv)[0] == 0
+        assert len(calls) == pretrains, (split, pixel)
+
+
+def _cut_in_half(out):
+    path = out / "ckpt_hard" / "checkpoint.npz"
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _flip_the_middle_byte(out):
+    path = out / "ckpt_hard" / "checkpoint.npz"
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(data)
+
+
+def _meta_not_json(out):
+    _rewrite(lambda p, m: {**p, "meta": "{not json"})(out / "ckpt_hard" / "checkpoint.npz")
+
+
+def _another_variants_checkpoint(out):
+    shutil.copyfile(out / "ckpt_cluster" / "checkpoint.npz",
+                    out / "ckpt_hard" / "checkpoint.npz")
+
+
+@pytest.mark.parametrize("damage", [_cut_in_half, _flip_the_middle_byte, _meta_not_json,
+                                    _another_variants_checkpoint],
+                         ids=["truncated", "byte_flip", "meta_not_json", "other_variant"])
+def test_an_unusable_checkpoint_is_pretrained_again_with_a_fresh_runs_outputs(
+        tmp_path, reuse_base, damage):
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    shutil.copytree(reuse_base, out)
+    damage(out)
+    rc, stdout, err = _main(["sweep", *_base_args(out), *_REUSE_ARGS])
+    assert (rc, err) == (0, "")
+    assert json.loads((out / "run.json").read_text())["pretrain"] == {"hard": "trained",
+                                                                      "cluster": "reused"}
+    fresh_rc, fresh_stdout, _ = _main(["sweep", *_base_args(fresh), *_REUSE_ARGS])
+    assert fresh_rc == 0
+    assert stdout.replace(str(out), "<out>") == fresh_stdout.replace(str(fresh), "<out>")
+    for name in ("sweep.csv", "ckpt_hard/checkpoint.npz", "ckpt_cluster/checkpoint.npz"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_data_that_does_not_match_the_config_exits_2(tmp_path, capsys):

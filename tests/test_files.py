@@ -94,9 +94,11 @@ def _tree(root):
 
 
 def _comparable(tree):
-    """`tree` with run.json's echoed output directory and wall clock left out."""
+    """`tree` with run.json's echoed output directory, wall clock and
+    pretrain record left out: whether a variant's checkpoint was reused
+    depends on what the directory held before the run."""
     record = json.loads(tree["run.json"])
-    del record["config"]["out"], record["wall_clock_s"]
+    del record["config"]["out"], record["wall_clock_s"], record["pretrain"]
     return {**tree, "run.json": record}
 
 
@@ -124,6 +126,10 @@ def test_a_rerun_into_the_same_out_replaces_every_output(tmp_path, capsys, comma
             os.link(out / name, links / f"{seed}_{name.replace('/', '_')}")
         run(out, seed)
         run(tmp_path / f"fresh{seed}", seed)
+        # seed 0 repeats the previous run's pretraining, seed 1 does not
+        pretrain = "reused" if seed == 0 else "trained"
+        assert json.loads(_tree(out)["run.json"])["pretrain"] == {"dense": pretrain,
+                                                                 "hard": pretrain}
         assert _comparable(_tree(out)) == _comparable(_tree(tmp_path / f"fresh{seed}"))
         # the rerun put new files in place: every link still holds the old bytes
         for name, blob in before.items():
