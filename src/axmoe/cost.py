@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NumericError, ParameterError
-from .graphs import APPROX, ClusterArch, LayerSpec, MoEGroup, walk
+from .graphs import APPROX, ClusterArch, LayerSpec, MoEGroup, layer_params, walk
 from .multipliers import EXACT_POWER_NW
 
 
@@ -38,18 +38,6 @@ def layer_macs(spec: LayerSpec) -> int:
         return 4 * spec.elements
     if spec.kind in ("avgpool", "gelu", "gateway"):
         return spec.elements
-    return 0
-
-
-def layer_params(spec: LayerSpec) -> int:
-    if spec.kind == "conv2d":
-        return spec.out_channels * (spec.in_channels * spec.kernel[0] * spec.kernel[1] + 1)
-    if spec.kind == "linear":
-        return spec.out_features * (spec.in_features + 1)
-    if spec.kind == "router":
-        return spec.out_features * spec.in_features
-    if spec.kind in ("batchnorm2d", "layernorm"):
-        return 2 * spec.out_channels if spec.kind == "batchnorm2d" else 2 * spec.out_features
     return 0
 
 

@@ -42,7 +42,10 @@ Affine layers of one layout that read one input, such as the soft experts
 of an MoE layer, run as one group (`_Affine.forward_group`): the input is
 quantized and laid out once, and one LUT call multiplies it by every
 layer's weight codes. A single layer is the group of one, so a group's
-outputs, gradients and counters equal those of its layers run alone.
+outputs, gradients and counters equal those of its layers run alone. A
+float32 group's outputs are the column slices of the int32 sums that the
+LUT call returned, rescaled in place: a LUT layer call holds one
+output-sized buffer, not the sums and a float copy of them.
 
 Training uses the straight-through estimator: the forward pass is the
 quantized/LUT pass, the backward pass computes float gradients as if the
@@ -356,7 +359,10 @@ def _rescale(out: np.ndarray, acc: np.ndarray, scale: float, b: np.ndarray) -> N
     """out = acc * scale + b, computed in float64 and cast to out's type, in
     blocks of rows written straight into out: no float64 array of the
     whole call is ever held. Each element gets the same two float64
-    operations whatever the block, so the bits do not depend on it."""
+    operations whatever the block, so the bits do not depend on it. out
+    may be acc's own bytes, viewed as a float type of its width: each block
+    of acc is read into its float64 temporary before the block's bytes are
+    overwritten."""
     for at in _blocks(len(out), out.shape[1], _GATHER_BUDGET):
         out[at] = _add_bias(np.multiply(acc[at], scale, dtype=np.float64), b)
 
@@ -529,7 +535,10 @@ class _Affine(Layer):
         Float products, one GEMM per layer. Or quantize x once (per tensor),
         multiply it by every layer's weight codes, stacked, in one LUT call,
         and rescale each layer's columns by its own weight scale; each layer
-        counts its own lookups. Training caches the operands the products
+        counts its own lookups. The rescaled outputs overwrite the LUT call's
+        int32 sums when x's type is as wide (float32), else fill one fresh
+        array of that shape; either way each layer's output is its column
+        slice of that one buffer. Training caches the operands the products
         saw (dequantized on the LUT path) for the straight-through backward:
         one shared x, and each layer's own weights."""
         first = layers[0]
@@ -541,12 +550,15 @@ class _Affine(Layer):
             qx, sx = quantize(x)
             qw, sws = ctx.quantized_weights(tuple(layers))
             acc = lut_matmul(first._rows(qx), qw, ctx.multiplier)
+            # a float type of int32's width takes the sums' own bytes
+            out = (acc.view(x.dtype) if x.dtype.itemsize == acc.itemsize
+                   else np.empty(acc.shape, dtype=x.dtype))
             x_eff = dequantize(qx, sx).astype(x.dtype) if ctx.train else None
             c0 = 0
             for layer, sw in zip(layers, sws):
                 c1 = c0 + layer.w.shape[0]
                 ctx.count(layer.name, len(acc) * (c1 - c0) * qw.shape[1])
-                y = np.empty((len(acc), c1 - c0), dtype=x.dtype)
+                y = out[:, c0:c1]
                 _rescale(y, acc[:, c0:c1], sx.scale * sw.scale, layer.b)
                 ys.append(layer._shaped(y, lead))
                 if ctx.train:

@@ -16,6 +16,8 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import ParameterError
 
 APPROX = "approximate"
@@ -102,6 +104,29 @@ def walk(entries):
             yield from walk(entry.shortcut)
         else:
             yield entry
+
+
+def layer_params(spec: LayerSpec) -> int:
+    if spec.kind == "conv2d":
+        return spec.out_channels * (spec.in_channels * spec.kernel[0] * spec.kernel[1] + 1)
+    if spec.kind == "linear":
+        return spec.out_features * (spec.in_features + 1)
+    if spec.kind == "router":
+        return spec.out_features * spec.in_features
+    if spec.kind in ("batchnorm2d", "layernorm"):
+        return 2 * spec.out_channels if spec.kind == "batchnorm2d" else 2 * spec.out_features
+    return 0
+
+
+def stored_params(graph) -> int:
+    """Parameters a graph stores, every copy counted, from one read of its
+    specs: each expert group's members and a cluster's replica count
+    n_experts times."""
+    if isinstance(graph, ClusterArch):
+        return stored_params(graph.gateway) + graph.n_experts * stored_params(graph.replica)
+    return sum(entry.n_experts * sum(map(layer_params, entry.members)) + layer_params(entry.router)
+               if isinstance(entry, MoEGroup) else layer_params(entry)
+               for entry in walk(graph.layers))
 
 
 def conv_out_hw(h: int, w: int, kernel, stride, padding) -> tuple[int, int]:
@@ -372,8 +397,8 @@ def substitute_moe(arch: ArchSpec, variant: str, n_experts: int = 3,
     if variant == "dense":
         return arch
     if variant == "cluster":
-        return ClusterArch(name=arch.name, replica=arch, n_experts=n_experts,
-                           gateway=default_gateway(arch, n_experts))
+        return _storable(ClusterArch(name=arch.name, replica=arch, n_experts=n_experts,
+                                     gateway=default_gateway(arch, n_experts)))
 
     units = list(dict.fromkeys(layer.moe_unit for layer in walk(arch.layers) if layer.moe_unit))
     if not units:
@@ -396,4 +421,15 @@ def substitute_moe(arch: ArchSpec, variant: str, n_experts: int = 3,
                                 router=_router_for(members, unit, n_experts), mode=variant))
         return tuple(out)
 
-    return replace(arch, layers=grouped(arch.layers))
+    return _storable(replace(arch, layers=grouped(arch.layers)))
+
+
+def _storable(graph):
+    """graph, once its float32 parameters are known to fit one numpy array:
+    a graph past that (a huge n_experts) is refused before anything walks
+    its copies one by one."""
+    params = stored_params(graph)
+    if params * 4 > np.iinfo(np.intp).max:
+        raise ParameterError(f"{graph.name} stores {params} float32 parameters, "
+                             "more bytes than numpy's largest array")
+    return graph

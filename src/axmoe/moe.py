@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import Layer, Model, RunContext, stable_softmax
+from .engine import _GATHER_BUDGET, Layer, Model, RunContext, _blocks, stable_softmax
 from .errors import ParameterError
 
 
@@ -45,7 +45,10 @@ def _mix(x, picks, units, ctx: RunContext, prefix: str, gate=None, grouped=False
     sample is skipped and its output is None. Grouped units (soft experts of
     one layout) all read x, once, through one `forward_group` call. Hard and
     cluster picks do not overlap; soft picks are every row. y is made after
-    every unit has run, so no unit's forward runs beside it."""
+    every unit has run, so no unit's forward runs beside it. Each output is
+    added in blocks of rows within the kernels' gather budget, a boolean
+    pick through its row indices, so no gated copy of a whole output is
+    held; every element still gets its one multiply and one add."""
     outs = []
     for i, (pick, unit) in enumerate(zip(picks, units)):
         xi = x[pick]  # all of x for a soft pick, without a copy
@@ -55,11 +58,15 @@ def _mix(x, picks, units, ctx: RunContext, prefix: str, gate=None, grouped=False
         outs = units[0].forward_group(units, x, ctx)
     y = None
     for i, (pick, out) in enumerate(zip(picks, outs)):
-        if out is not None:
-            part = out if gate is None else _bcast(gate[pick, i], out) * out
+        if out is None:
+            continue
+        index = np.flatnonzero(pick) if isinstance(pick, np.ndarray) else None
+        for at in _blocks(len(out), out[0].size, _GATHER_BUDGET):
+            rows = at if index is None else index[at]
+            part = out[at] if gate is None else _bcast(gate[rows, i], out[at]) * out[at]
             if y is None:
                 y = np.zeros((len(x),) + part.shape[1:], dtype=part.dtype)
-            y[pick] += part
+            y[rows] += part
     return outs, y
 
 

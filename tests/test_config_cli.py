@@ -8,6 +8,7 @@ import json
 import math
 import re
 import shutil
+import signal
 import struct
 import tempfile
 import zipfile
@@ -568,7 +569,8 @@ def _assert_one_error_line(rc, err) -> None:
 
 # One to three integer or float config keys and their values: small ones,
 # which run, and sizes no array can hold. n_experts and the epoch counts stay
-# small: a huge one makes a run go on practically forever.
+# small: a large one is a legal but long run. An n_experts whose parameters no
+# array can hold is refused, and pinned as an example below.
 _SIZE = st.integers(-1, 12) | st.integers(2**63, 10**30)
 _REAL = st.floats(0, 1) | st.sampled_from([0.0, -0.0, 1e-300, 1.5, -1.0, 1e308, float("inf"),
                                            float("nan")]) | st.floats()
@@ -592,6 +594,7 @@ _SMALL_RUN = {"samples": 8, "eval_samples": 8, "resolution": 4, "num_classes": 2
 @example(values={"channels": 99999999999999999999})
 @example(values={"resolution": 9223372036854775808})
 @example(values={"samples": 2**50})
+@example(values={"n_experts": 99999999999999999999})
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(values=_VALUES)
 def test_retrain_on_drawn_set_values_exits_cleanly(values):
@@ -610,6 +613,24 @@ def test_retrain_on_drawn_set_values_exits_cleanly(values):
         assert rc == 2 and "larger than numpy's largest array" in err, err
     if values == {"samples": 2**50}:  # 8 PiB of labels: no address space holds it
         assert rc == 2 and "do not fit in memory" in err, err
+    if values == {"n_experts": 99999999999999999999}:
+        assert rc == 2 and "numpy's largest array" in err, err
+
+
+def test_count_refuses_a_huge_n_experts_within_a_second():
+    def too_slow(signum, frame):
+        raise AssertionError("count still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        rc, out, err = _main(["count", "--arch", "toy_mlp", "--variant", "hard",
+                              "--set", "n_experts = 99999999999999999999"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == 2 and not out and "numpy's largest array" in err
+    _assert_one_error_line(rc, err)
 
 
 @pytest.fixture(scope="module")

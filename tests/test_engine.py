@@ -1008,6 +1008,70 @@ def test_exact_layers_skip_the_table():
     assert np.allclose(y, x @ w.T, atol=1e-12)
 
 
+def _affine_group(kind, n_layers, dtype, batch=5):
+    """n_layers affine layers of one layout, of `dtype` weights, and an input
+    that they all read: padded convolutions over a ReLU-like input, whose
+    150 rows of codes 0..127 take the code table under a non-separable
+    table, or a token Linear over 25 signed rows, which take the gather."""
+    rng = np.random.default_rng(31 + n_layers)
+    if kind == "conv":
+        layers = [Conv2d(f"c{i}", rng.normal(size=(2 + i, 3, 3, 3)), rng.normal(size=2 + i),
+                         padding=(1, 1)) for i in range(n_layers)]
+        x = np.abs(rng.normal(size=(batch, 3, 6, 5)))
+    else:
+        layers = [Linear(f"l{i}", rng.normal(size=(2 + i, 7)), rng.normal(size=2 + i))
+                  for i in range(n_layers)]
+        x = rng.normal(size=(batch, 5, 7))
+    for layer in layers:
+        layer.w, layer.b = layer.w.astype(dtype), layer.b.astype(dtype)
+    return layers, x.astype(dtype)
+
+
+def _fresh_rescale_reference(layers, x, m):
+    """Each layer's LUT output rescaled into a fresh array of x's type: its
+    own sums from the gather oracle, times sx * sw and plus b in float64."""
+    qx, sx = quantize(x)
+    rows, lead = layers[0]._rows(qx), layers[0]._lead(x.shape)
+    want = []
+    for layer in layers:
+        qw, sw = quantize(layer.w.reshape(len(layer.w), -1))
+        sums = _oracle_gather(rows, qw, m)
+        y = np.multiply(sums, sx.scale * sw.scale, dtype=np.float64) + layer.b
+        want.append(layer._shaped(y.astype(x.dtype), lead))
+    return want
+
+
+@pytest.mark.parametrize("table", ["trunc2", "full_rank"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_layers", [1, 3])
+@pytest.mark.parametrize("kind", ["conv", "linear"])
+def test_lut_outputs_equal_a_rescale_into_a_fresh_array(kind, n_layers, dtype, table):
+    layers, x = _affine_group(kind, n_layers, dtype)
+    ys = _Affine.forward_group(layers, x, RunContext(multiplier=TABLES[table]))
+    want = _fresh_rescale_reference(layers, x, TABLES[table])
+    for got, y in zip(ys, want, strict=True):
+        assert got.dtype == y.dtype == dtype and got.shape == y.shape
+        assert got.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["conv", "linear"])
+def test_float32_outputs_of_a_group_are_slices_of_the_lut_calls_own_sums(monkeypatch, kind):
+    returned = []
+
+    def recording(*args):
+        returned.append(lut_matmul(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(engine, "lut_matmul", recording)
+    for dtype in (np.float32, np.float64):
+        returned.clear()
+        layers, x = _affine_group(kind, 3, dtype)
+        ys = _Affine.forward_group(layers, x, RunContext(multiplier=EXACT))
+        assert len(returned) == 1 and returned[0].dtype == np.int32
+        # a float64 output is wider than its int32 sums: a fresh buffer
+        assert all(np.shares_memory(y, returned[0]) == (dtype == np.float32) for y in ys)
+
+
 # ---------------------------------------------------------------------------
 # element-wise layers
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from axmoe.engine import RunContext, softmax_cross_entropy
 from axmoe.errors import NumericError, ParameterError
 from axmoe.graphs import (APPROX, ARCHITECTURES, EXACT, VARIANTS, ArchSpec, ClusterArch,
                           LayerSpec, MoEGroup, Residual, build_arch, default_gateway,
-                          substitute_moe, walk)
+                          stored_params, substitute_moe, walk)
 from axmoe.models import build_model
 from axmoe.moe import ClusterModel, MoELayer, pool_features
 from axmoe.multipliers import build_exact_multiplier
@@ -222,6 +222,31 @@ def test_the_walk_names_every_layer_build_model_gives_parameters(arch_name, vari
         assert len(walked) == len(set(walked)), n_experts
         assert set(walked) == {key.rsplit(".", 1)[0] for key in params}, n_experts
         assert count_macs(graph).total_params == sum(p.size for p in params.values())
+
+
+@pytest.mark.parametrize("arch_name", sorted(ARCHITECTURES))
+def test_stored_params_equal_the_walk_of_every_copy(arch_name):
+    arch = build_arch(arch_name)
+    for variant in VARIANTS:
+        for n_experts in range(1, 5):
+            graph = substitute_moe(arch, variant, n_experts=n_experts)
+            assert stored_params(graph) == count_macs(graph).total_params, (variant, n_experts)
+
+
+@pytest.mark.parametrize("variant", ["hard", "soft", "cluster"])
+def test_a_graph_whose_parameters_no_array_holds_is_refused_before_its_copies_are_walked(variant):
+    arch = build_arch("toy_mlp")
+    one, two = (stored_params(substitute_moe(arch, variant, n_experts=n)) for n in (1, 2))
+    # parameters grow by `two - one` per expert; the largest n whose float32
+    # bytes still fit numpy's largest array is built, one more is refused
+    most = (np.iinfo(np.intp).max // 4 - one) // (two - one) + 1
+    with mock.patch("axmoe.cost._copies", side_effect=AssertionError("walked")):
+        assert stored_params(substitute_moe(arch, variant, n_experts=most)) * 4 \
+            <= np.iinfo(np.intp).max
+        for n_experts in (most + 1, 99999999999999999999):
+            with pytest.raises(ParameterError, match="numpy's largest array"):
+                substitute_moe(arch, variant, n_experts=n_experts)
+    assert substitute_moe(arch, "dense", n_experts=99999999999999999999) is arch
 
 
 def _routed_split(graph, batch, rng) -> dict[str, int]:

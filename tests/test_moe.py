@@ -1,15 +1,19 @@
 """Routing algebra: gates, Top-1 selection, blending, cluster dispatch."""
 
+import functools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axmoe import engine
+from axmoe import engine, moe
 from axmoe.engine import Conv2d, Flatten, Linear, Model, RunContext
 from axmoe.graphs import build_arch, substitute_moe
 from axmoe.models import build_model
-from axmoe.moe import ClusterModel, MoELayer, Router, pool_features
+from axmoe.moe import ClusterModel, MoELayer, Router, _mix, pool_features
 from axmoe.multipliers import AxMultiplier, build_exact_multiplier, builtin_multiplier
 
 
@@ -496,3 +500,78 @@ def test_a_soft_layer_of_two_strides_runs_its_experts_one_by_one(mul):
     assert grads.keys() == grads_alone.keys()
     for name, grad in grads.items():
         assert grad.tobytes() == grads_alone[name].tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# the combine, in blocks of rows, and what a soft LUT forward holds
+# ---------------------------------------------------------------------------
+
+def _whole_output_mix(n, picks, outs, gate):
+    """_mix's combine with each unit's gated output made whole, then added
+    into its picked rows of y, in unit order."""
+    y = None
+    for i, (pick, out) in enumerate(zip(picks, outs)):
+        if out is not None:
+            part = out if gate is None else gate[pick, i].reshape(-1, *[1] * (out.ndim - 1)) * out
+            if y is None:
+                y = np.zeros((n,) + part.shape[1:], dtype=part.dtype)
+            y[pick] += part
+    return y
+
+
+@pytest.mark.parametrize("budget", [None, 50])
+@pytest.mark.parametrize("mode", ["hard", "soft", "soft_grouped", "cluster"])
+def test_the_blocked_mix_equals_each_gated_output_added_whole(monkeypatch, mode, budget):
+    if budget is not None:  # one row per block
+        monkeypatch.setattr(moe, "_GATHER_BUDGET", budget)
+    rng = np.random.default_rng(41)
+    # 120 x 2 x 300 entries per soft unit: three blocks at the default budget
+    n, fin = 120, 4
+    x = rng.normal(size=(n, 2, fin)).astype(np.float32)
+    units = [Linear(f"e{i}", rng.normal(size=(300, fin)).astype(np.float32),
+                    rng.normal(size=300).astype(np.float32)) for i in range(3)]
+    if mode.startswith("soft"):
+        picks = [slice(None)] * 3
+    else:
+        sel = rng.integers(0, 2, size=n)  # unit 2 gets no sample
+        picks = [sel == i for i in range(3)]
+    gate = None
+    if mode != "cluster":
+        gate = rng.random((n, 3)).astype(np.float32)
+        gate[::7], gate[3::7] = 0.0, -0.0  # times a negative output: -0.0
+    ctx = RunContext(multiplier=builtin_multiplier("trunc2"))
+    outs, y = _mix(x, picks, units, ctx, "mix.expert", gate, mode == "soft_grouped")
+    assert (outs[2] is None) == (mode in ("hard", "cluster"))
+    want = _whole_output_mix(n, picks, outs, gate)
+    assert y.dtype == want.dtype == np.float32 and y.tobytes() == want.tobytes()
+    if gate is not None:
+        parts = [gate[pick, i, None, None] * out
+                 for i, (pick, out) in enumerate(zip(picks, outs)) if out is not None]
+        assert any(np.signbit(part[part == 0]).any() for part in parts)
+
+
+def test_a_soft_lut_forward_holds_one_output_sized_buffer_per_layer_call():
+    arch = build_arch("toy_cnn", num_classes=10, resolution=16, channels=1)
+    model = build_model(substitute_moe(arch, "soft", n_experts=3), seed=0)
+    x = np.random.default_rng(0).random((200, 1, 16, 16)).astype(np.float32)
+    ctx = RunContext(multiplier=builtin_multiplier("trunc2"))
+    model.forward(x, ctx)  # quantizes every weight into the context once
+    at = next(i for i, layer in enumerate(model.layers) if isinstance(layer, MoELayer))
+    soft = model.layers[at]
+    assert soft._grouped
+    soft_in = functools.reduce(lambda h, layer: layer.forward(h, ctx), model.layers[:at], x)
+    rows = math.prod(soft.experts[0]._lead(soft_in.shape))
+    # the group's int32 sums, its int8 columns, the input and its quantize
+    # temporary, and one float64 block of the rescale; a float copy of the
+    # sums held beside them would add rows * 48 * 4 bytes and break the bound
+    bound = (rows * sum(len(e.w) for e in soft.experts) * 4 + rows * soft.experts[0].w[0].size
+             + 2 * soft_in.nbytes + engine._GATHER_BUDGET * 8)
+    del soft_in
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        model.forward(x, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < bound
