@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict, replace
@@ -224,13 +226,35 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
+@functools.cache
+def _environment() -> dict:
+    """What this process runs on, for `run.json`: the python and numpy
+    versions, the BLAS numpy was built against (None for a numpy without
+    `show_config(mode="dicts")`), the machine type, the BLAS thread
+    variables and the CPU count. Computed once per process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "machine": platform.machine(),
+            "threads": {var: os.environ.get(var)
+                        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+            "cpu_count": os.cpu_count()}
+
+
 def _pretrain_fingerprint(data, graph, train_cfg: TrainConfig, seed: int,
                           sources: str) -> str:
     """sha256 of everything that fixes a variant's pretrained weights: the
     training split's arrays, the graph, the pretrain config, the build
-    seed, the numpy version and `_source_digest`."""
+    seed, the numpy version, the BLAS name and version, the machine type
+    and `_source_digest`. Another BLAS may round float sums differently,
+    so an `--out` copied to a machine with one is pretrained again."""
     split = arrays_sha256({"x_train": data.x_train, "y_train": data.y_train})
+    env = _environment()
     return hashlib.sha256(repr((split, repr(graph), repr(train_cfg), seed, np.__version__,
+                                env["blas"], env["blas_version"], env["machine"],
                                 sources)).encode("utf-8")).hexdigest()
 
 
@@ -299,7 +323,8 @@ def cmd_sweep(args) -> int:
     replace_file(csv_path, _csv_bytes(CSV_COLUMNS, rows))
     record = {"version": __version__, "config_hash": config_hash(cfg), "config": asdict(cfg),
               "rows": [dict(zip(CSV_COLUMNS, row)) for row in rows],
-              "reports": reports, "pretrain": pretrain, "wall_clock_s": round(time.perf_counter() - started, 3)}
+              "reports": reports, "pretrain": pretrain, "environment": _environment(),
+              "wall_clock_s": round(time.perf_counter() - started, 3)}
     replace_file(out / "run.json",
                  (json.dumps(record, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     print(f"wrote {csv_path}")

@@ -38,6 +38,10 @@ looked up like any other pair, because an approximate table may map
 (0, w) to a nonzero product. Per-layer invocation counters therefore equal
 the shape-level MAC formulas exactly.
 
+A conv layer multiplies its weights by im2col columns, one row per output
+pixel (`im2col`): float inputs and int8 codes alike are one gather through
+an index of the layer's geometry, built once and cached across calls.
+
 Affine layers of one layout that read one input, such as the soft experts
 of an MoE layer, run as one group (`_Affine.forward_group`): the input is
 quantized and laid out once, and one LUT call multiplies it by every
@@ -309,20 +313,49 @@ def _lut_code_table(a: np.ndarray, b: np.ndarray, m: AxMultiplier,
 
 def im2col(x: np.ndarray, kernel, stride, padding) -> np.ndarray:
     """(N, C, H, W) -> C-contiguous (N, Ho, Wo, C, kh, kw) columns: the input
-    is copied once into a zero-padded NHWC buffer, then each kernel offset
-    (i, j) is one strided slice copy into the columns."""
+    is copied once into a zero-padded NHWC buffer, then each image's columns
+    are one gather from it through the cached index of `_im2col_index`.
+
+    The gather writes the columns in order, once, where one strided slice
+    copy per kernel offset (i, j) made kh * kw interleaved passes over them.
+    On toy_cnn's conv2 at batch 200, (200, 8, 8, 8) with 3 x 3 kernels, a
+    float32 call took 699 us against 2508 us for the slices (1 BLAS thread,
+    2-core Intel Xeon). int8 codes, whose columns stay in cache, took 836 us
+    against 576 us, but LUT runs moved inside noise end to end
+    (`BENCH_34.json`), so every dtype takes the one path."""
     n, c, h, w = x.shape
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
-    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+    hp, wp = h + 2 * ph, w + 2 * pw
+    xp = np.zeros((n, hp, wp, c), dtype=x.dtype)
     xp[:, ph : ph + h, pw : pw + w] = x.transpose(0, 2, 3, 1)
     oh, ow = conv_out_hw(h, w, kernel, stride, padding)
-    cols = np.empty((n, oh, ow, c, kh, kw), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[..., i, j] = xp[:, i : i + sh * oh : sh, j : j + sw * ow : sw]
-    return cols
+    idx = _im2col_index(hp, wp, c, kh, kw, sh, sw, oh, ow)
+    # explicit sizes, never -1: an empty batch has no size to infer. "wrap"
+    # skips take's per-offset bounds check, which made a float32 call 30-40%
+    # slower; every offset is in range by construction, and the oracle test
+    # of im2col checks each one.
+    return xp.reshape(n, hp * wp * c).take(idx, axis=1, mode="wrap")
+
+
+@functools.lru_cache(maxsize=16)
+def _im2col_index(hp, wp, c, kh, kw, sh, sw, oh, ow) -> np.ndarray:
+    """Read-only intp offsets, in (Ho, Wo, C, kh, kw) order, of each column
+    entry within one (hp, wp, c) padded NHWC image: entry (y, x, ch, i, j)
+    reads pixel (y * sh + i, x * sw + j) of channel ch. intp, because take
+    converts any other index type on every call. A conv layer sees one
+    geometry per layer, whatever the batch, so a few entries serve a run;
+    toy_cnn's conv2 index is 8 * 8 * 8 * 3 * 3 offsets (37 KB). Building it
+    again on every call added about 25 us, which took a batch-8 float32
+    conv2 call from 35 to 57 us."""
+    rows = np.arange(0, oh * sh, sh, dtype=np.intp)[:, None, None, None, None]
+    rows = rows + np.arange(kh, dtype=np.intp)[:, None]
+    cols = np.arange(0, ow * sw, sw, dtype=np.intp)[:, None, None, None]
+    cols = cols + np.arange(kw, dtype=np.intp)
+    idx = (rows * wp + cols) * c + np.arange(c, dtype=np.intp)[:, None, None]
+    idx.flags.writeable = False
+    return idx
 
 
 def col2im(dcols: np.ndarray, x_shape, kernel, stride, padding) -> np.ndarray:

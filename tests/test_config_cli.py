@@ -6,6 +6,8 @@ import dataclasses
 import io
 import json
 import math
+import os
+import platform
 import re
 import shutil
 import signal
@@ -231,6 +233,15 @@ def test_cli_sweep_writes_csv_and_run_json(tmp_path, capsys):
     assert len(record["config_hash"]) == 64
     assert len(record["rows"]) == 2
     assert record["wall_clock_s"] >= 0
+    env = record["environment"]
+    assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # a numpy without show_config(mode="dicts")
+        blas = None
+    assert env["blas"] == blas
+    assert env["machine"] == platform.machine() and env["cpu_count"] == os.cpu_count()
+    assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
     assert (tmp_path / "ckpt_dense").is_dir()
 
 
@@ -893,6 +904,20 @@ def test_an_edited_package_source_is_pretrained_on_again(tmp_path, monkeypatch, 
         fh.write("# an edit that changes no behaviour\n")
     assert _main(["sweep", *_base_args(out), *_REUSE_ARGS])[0] == 0
     assert len(calls) == 2
+
+
+def test_a_checkpoint_from_another_blas_is_pretrained_on_again(tmp_path, monkeypatch,
+                                                              reuse_base):
+    out = tmp_path / "out"
+    shutil.copytree(reuse_base, out)
+    calls = _count_pretrains(monkeypatch)
+    assert cli._environment.cache_info().maxsize is None  # once per process
+    env = cli._environment()
+    for blas, pretrains in ((env["blas"], 0), ("another-blas", 2)):
+        monkeypatch.setattr(cli, "_environment", lambda blas=blas: {**env, "blas": blas})
+        assert _main(["sweep", *_base_args(out), *_REUSE_ARGS])[0] == 0
+        assert len(calls) == pretrains, blas
+        assert json.loads((out / "run.json").read_text())["environment"]["blas"] == blas
 
 
 def test_an_npz_split_rewritten_at_its_path_is_pretrained_on_again(tmp_path, monkeypatch):

@@ -778,20 +778,65 @@ def _spread(rng, shape, dtype):
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(geometry=_conv_geometry(), seed=st.integers(0, 2**32 - 1))
+@example(geometry=((2, 3, 7, 6), (3, 2), (2, 2), (0, 0)), seed=1)  # stride 2, no padding
+@example(geometry=((0, 3, 5, 5), (3, 3), (1, 1), (1, 1)), seed=2)  # an empty batch
 def test_im2col_and_col2im_equal_the_window_view_oracles(geometry, seed):
     shape, kernel, stride, padding = geometry
     rng = np.random.default_rng(seed)
     for dtype in (np.int8, np.float32, np.float64):
         x = _spread(rng, shape, dtype)
-        cols, want = im2col(x, kernel, stride, padding), _im2col_oracle(x, kernel, stride, padding)
-        assert cols.dtype == want.dtype and cols.flags.c_contiguous
-        assert np.array_equal(cols, want)
+        # the same values as an NCHW view of NHWC memory, how a pool's
+        # output of a conv reaches the next conv
+        nhwc = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        want = _im2col_oracle(x, kernel, stride, padding)
+        for view in (x, nhwc):
+            cols = im2col(view, kernel, stride, padding)
+            assert cols.dtype == want.dtype and cols.flags.c_contiguous
+            assert cols.shape == want.shape and np.array_equal(cols, want)
+        if dtype == np.int8:  # codes and floats fill the same positions
+            assert np.array_equal(cols.astype(np.float32),
+                                  im2col(x.astype(np.float32), kernel, stride, padding))
     for dtype in (np.float32, np.float64):
         dcols = _spread(rng, want.shape, dtype)
         dx = col2im(dcols, shape, kernel, stride, padding)
         want_dx = _col2im_oracle(dcols, shape, kernel, stride, padding)
         assert dx.dtype == want_dx.dtype and dx.shape == shape and dx.flags.c_contiguous
         assert dx.tobytes() == want_dx.tobytes()
+
+
+def test_an_empty_batch_gives_empty_columns_and_an_empty_conv_output():
+    w = np.ones((4, 2, 3, 3))
+    for dtype in (np.int8, np.float32, np.float64):
+        x = np.zeros((0, 2, 5, 6), dtype=dtype)
+        cols = im2col(x, (3, 3), (2, 1), (1, 1))
+        assert cols.shape == (0, 3, 6, 2, 3, 3) and cols.dtype == dtype
+        if dtype == np.int8:  # a conv takes only floats; its LUT path lays out int8 codes
+            x, ctxs = x.astype(np.float32), (RunContext(multiplier=EXACT),)
+        else:
+            ctxs = (RunContext(), RunContext(multiplier=EXACT))
+        conv = Conv2d("conv", w.astype(x.dtype), np.zeros(4, x.dtype), (2, 1), (1, 1))
+        for ctx in ctxs:
+            y = conv.forward(x, ctx)
+            assert y.shape == (0, 4, 3, 6) and y.dtype == x.dtype
+
+
+def test_the_im2col_index_is_cached_read_only_and_bounded():
+    assert 0 < engine._im2col_index.cache_info().maxsize <= 64
+    x = _spread(np.random.default_rng(6), (3, 2, 6, 5), np.float32)
+    geometry = (3, 2), (2, 1), (1, 0)
+    want = _im2col_oracle(x, *geometry)
+    engine._im2col_index.cache_clear()
+    first = im2col(x, *geometry)
+    first[...] = -1.0  # a result is the caller's own array
+    assert np.array_equal(im2col(x, *geometry), want)
+    info = engine._im2col_index.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    idx = engine._im2col_index(8, 5, 2, 3, 2, 2, 1, 3, 4)
+    assert idx.dtype == np.intp and idx.shape == (3, 4, 2, 3, 2)
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[0, 0, 0, 0, 0] = 0
+    assert engine._im2col_index.cache_info().hits == 2
 
 
 # ---------------------------------------------------------------------------
