@@ -42,13 +42,25 @@ A conv layer multiplies its weights by im2col columns, one row per output
 pixel (`im2col`): float inputs and int8 codes alike are one gather through
 an index of the layer's geometry, built once and cached across calls.
 
+A layer runs a list of batches at once (`Layer.forward_batches`), and
+`forward(x, ctx)` is the list of one. Each batch keeps its own activation
+scale: an approximate layer quantizes each batch alone, multiplies the
+stacked codes of all of them in one LUT call, and rescales each batch's
+rows by its own scale. Integer sums are exact whatever a call's N, and
+everything else (float GEMMs, routers, element-wise layers) runs batch by
+batch, so each batch's outputs and counters are the ones it gets run
+alone: the batches fix the quantization, the list only the execution.
+Evaluation passes consecutive batches in lists of up to 256 samples
+(`train.EVAL_GROUP`) and at least one batch; a training pass takes one
+batch, since the backward caches hold one.
+
 Affine layers of one layout that read one input, such as the soft experts
 of an MoE layer, run as one group (`_Affine.forward_group`): the input is
 quantized and laid out once, and one LUT call multiplies it by every
 layer's weight codes. A single layer is the group of one, so a group's
 outputs, gradients and counters equal those of its layers run alone. A
-float32 group's outputs are the column slices of the int32 sums that the
-LUT call returned, rescaled in place: a LUT layer call holds one
+float32 group's outputs are the row and column slices of the int32 sums
+that the LUT call returned, rescaled in place: a LUT layer call holds one
 output-sized buffer, not the sums and a float copy of them.
 
 Training uses the straight-through estimator: the forward pass is the
@@ -503,8 +515,15 @@ class Layer:
                 raise ParameterError(f"{name}: shape {arr.shape} does not match {dst.shape}")
             dst[...] = arr
 
+    # A subclass defines `forward` or `forward_batches`; each default runs
+    # the other, so a class with neither would recurse.
     def forward(self, x: np.ndarray, ctx: RunContext) -> np.ndarray:
-        raise NotImplementedError
+        return self.forward_batches([x], ctx)[0]
+
+    def forward_batches(self, xs: list, ctx: RunContext) -> list:
+        """The output of each batch in xs, in order, each as if run alone."""
+        _one_batch_if_training(self, xs, ctx)
+        return [self.forward(x, ctx) for x in xs]
 
     def group_key(self):
         """Layers whose keys are equal and not None can run on one input as
@@ -516,6 +535,20 @@ class Layer:
         input. A parameterized layer called with input_grad=False computes
         only its `grads` and returns None."""
         raise NotImplementedError(f"{type(self).__name__} has no backward pass")
+
+
+def _one_batch_if_training(layer: Layer, xs: list, ctx: RunContext) -> None:
+    if ctx.train and len(xs) > 1:
+        raise ParameterError(f"{layer.name}: a training pass takes one batch, got {len(xs)}: "
+                             "the backward caches hold one")
+
+
+def _run_batches(layer: Layer, xs: list, ctx: RunContext) -> list:
+    """layer.forward_batches(xs, ctx), with one batch through `forward`:
+    the same work, but perfbench's per-layer spans wrap `forward`, so a
+    training step and a full-size evaluation batch stay attributed to
+    their layers."""
+    return [layer.forward(xs[0], ctx)] if len(xs) == 1 else layer.forward_batches(xs, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -554,57 +587,73 @@ class _Affine(Layer):
     def group_key(self):
         return type(self), self.w.shape[1:], self.approximate
 
-    def forward(self, x, ctx):
-        return self.forward_group((self,), x, ctx)[0]
+    def forward_batches(self, xs, ctx):
+        return self.forward_group((self,), xs, ctx)[0]
 
     def backward(self, dy, input_grad=True):
         return next(self.backward_group((self,), (dy,), input_grad), None)
 
     @staticmethod
-    def forward_group(layers, x, ctx) -> list:
-        """Each layer's output for the one input x; the layers share a
-        `group_key`. x is laid out (im2col) once for all of them.
+    def forward_group(layers, xs, ctx) -> list:
+        """Each layer's outputs, one per batch of xs, for layers that read
+        the same batches; the layers share a `group_key`. Each batch is laid
+        out (im2col) once for all of them.
 
-        Float products, one GEMM per layer. Or quantize x once (per tensor),
-        multiply it by every layer's weight codes, stacked, in one LUT call,
-        and rescale each layer's columns by its own weight scale; each layer
-        counts its own lookups. The rescaled outputs overwrite the LUT call's
-        int32 sums when x's type is as wide (float32), else fill one fresh
-        array of that shape; either way each layer's output is its column
-        slice of that one buffer. Training caches the operands the products
+        Float products, per batch, one GEMM per layer. Or quantize each
+        batch alone (per tensor), multiply the batches' stacked codes by
+        every layer's weight codes, stacked, in one LUT call, and rescale
+        each batch's rows of each layer's columns by that batch's scale
+        times the layer's weight scale; each layer counts its own lookups.
+        The rescaled outputs overwrite the LUT call's int32 sums when the
+        input type is as wide (float32), else fill one fresh array of that
+        shape; either way each output is a row and column slice of that one
+        buffer, and the batches of one LUT call must share their dtype and
+        sample shape. Training (one batch) caches the operands the products
         saw (dequantized on the LUT path) for the straight-through backward:
         one shared x, and each layer's own weights."""
         first = layers[0]
-        if x.dtype.kind != "f":  # the float path would cast its products back and wrap
-            raise ParameterError(f"{first.name}: input must be floating point, got {x.dtype}")
-        lead = first._lead(x.shape)  # rejects bad geometry before any im2col
-        ys = []
-        if ctx.multiplier is not None and first.approximate:
-            qx, sx = quantize(x)
+        _one_batch_if_training(first, xs, ctx)
+        for x in xs:
+            if x.dtype.kind != "f":  # the float path would cast its products back and wrap
+                raise ParameterError(f"{first.name}: input must be floating point, got {x.dtype}")
+        leads = [first._lead(x.shape) for x in xs]  # rejects bad geometry before any im2col
+        ys = [[] for _ in layers]
+        if ctx.multiplier is not None and first.approximate and xs:
+            if len({(x.dtype, x.shape[1:]) for x in xs}) > 1:
+                raise ParameterError(f"{first.name}: the batches of one call differ in dtype "
+                                     "or sample shape")
+            dtype = xs[0].dtype
+            codes, sxs = zip(*map(quantize, xs))
+            codes = codes[0] if len(codes) == 1 else np.concatenate(codes)
             qw, sws = ctx.quantized_weights(tuple(layers))
-            acc = lut_matmul(first._rows(qx), qw, ctx.multiplier)
+            acc = lut_matmul(first._rows(codes), qw, ctx.multiplier)
             # a float type of int32's width takes the sums' own bytes
-            out = (acc.view(x.dtype) if x.dtype.itemsize == acc.itemsize
-                   else np.empty(acc.shape, dtype=x.dtype))
-            x_eff = dequantize(qx, sx).astype(x.dtype) if ctx.train else None
+            out = (acc.view(dtype) if dtype.itemsize == acc.itemsize
+                   else np.empty(acc.shape, dtype=dtype))
+            x_eff = dequantize(codes, sxs[0]).astype(dtype) if ctx.train else None
             c0 = 0
-            for layer, sw in zip(layers, sws):
+            for layer, sw, layer_ys in zip(layers, sws, ys):
                 c1 = c0 + layer.w.shape[0]
                 ctx.count(layer.name, len(acc) * (c1 - c0) * qw.shape[1])
-                y = out[:, c0:c1]
-                _rescale(y, acc[:, c0:c1], sx.scale * sw.scale, layer.b)
-                ys.append(layer._shaped(y, lead))
+                r0 = 0
+                for sx, lead in zip(sxs, leads):
+                    r1 = r0 + math.prod(lead)
+                    y = out[r0:r1, c0:c1]
+                    _rescale(y, acc[r0:r1, c0:c1], sx.scale * sw.scale, layer.b)
+                    layer_ys.append(layer._shaped(y, lead))
+                    r0 = r1
                 if ctx.train:
                     layer._cache = (x_eff, dequantize(qw[c0:c1], sw).astype(layer.w.dtype))
                 c0 = c1
             return ys
-        rows = first._rows(x)
-        for layer in layers:
-            w2d = layer.w.reshape(layer.w.shape[0], -1)
-            ys.append(layer._shaped(_add_bias(rows @ w2d.T, layer.b), lead).astype(
-                x.dtype, copy=False))
-            if ctx.train:
-                layer._cache = (x, w2d)
+        for x, lead in zip(xs, leads):
+            rows = first._rows(x)
+            for layer, layer_ys in zip(layers, ys):
+                w2d = layer.w.reshape(layer.w.shape[0], -1)
+                layer_ys.append(layer._shaped(_add_bias(rows @ w2d.T, layer.b), lead).astype(
+                    x.dtype, copy=False))
+                if ctx.train:
+                    layer._cache = (x, w2d)
         return ys
 
     @staticmethod
@@ -729,8 +778,9 @@ class Model(Layer):
     """Layers run in order: a whole graph (a cluster's holds its ClusterModel),
     a multi-layer expert, a cluster gateway or replica. A whole graph's model
     (every one `build_model` returns) has an `input_shape` and rejects a
-    batch that is misshapen, empty, not floating point or not finite. A
-    nested one (None) just runs its layers on what its graph passed on."""
+    batch that is misshapen, empty, not floating point or not finite, in
+    any place of a list, before any layer runs. A nested one (None) just
+    runs its layers on what its graph passed on."""
 
     def __init__(self, name, layers, input_shape=None):
         super().__init__(name)
@@ -740,20 +790,23 @@ class Model(Layer):
     def children(self):
         return self.layers
 
-    def forward(self, x, ctx):
+    def forward_batches(self, xs, ctx):
+        _one_batch_if_training(self, xs, ctx)
         if self.input_shape is not None:
-            if x.shape[1:] != tuple(self.input_shape):
-                raise ParameterError(f"{self.name}: input {x.shape} is not "
-                                     f"(N, {', '.join(map(str, self.input_shape))})")
-            if not len(x):
-                raise ParameterError(f"{self.name}: empty batch")
-            if x.dtype.kind != "f":
-                raise ParameterError(f"{self.name}: input must be floating point, got {x.dtype}")
-            if not np.isfinite(x).all():
-                raise NumericError(f"{self.name}: input contains non-finite values")
+            for x in xs:
+                if x.shape[1:] != tuple(self.input_shape):
+                    raise ParameterError(f"{self.name}: input {x.shape} is not "
+                                         f"(N, {', '.join(map(str, self.input_shape))})")
+                if not len(x):
+                    raise ParameterError(f"{self.name}: empty batch")
+                if x.dtype.kind != "f":
+                    raise ParameterError(f"{self.name}: input must be floating point, "
+                                         f"got {x.dtype}")
+                if not np.isfinite(x).all():
+                    raise NumericError(f"{self.name}: input contains non-finite values")
         for layer in self.layers:
-            x = layer.forward(x, ctx)
-        return x
+            xs = _run_batches(layer, xs, ctx)
+        return xs
 
     def backward(self, dy, input_grad=True):
         """With input_grad=False, layers below the first parameterized one

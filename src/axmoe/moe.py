@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import _GATHER_BUDGET, Layer, Model, RunContext, _blocks, stable_softmax
+from .engine import (_GATHER_BUDGET, Layer, Model, RunContext, _blocks, _one_batch_if_training,
+                     _run_batches, stable_softmax)
 from .errors import ParameterError
 
 
@@ -38,36 +39,53 @@ def _bcast(per_sample: np.ndarray, like: np.ndarray) -> np.ndarray:
     return per_sample.reshape(-1, *([1] * (like.ndim - 1)))
 
 
-def _mix(x, picks, units, ctx: RunContext, prefix: str, gate=None, grouped=False):
-    """Run unit i on x[picks[i]] and count the samples it gets, then add each
-    output, scaled by gate[picks[i], i] when a gate is given, into its
-    picked rows of y, in unit order. Returns (outs, y). A unit with no
-    sample is skipped and its output is None. Grouped units (soft experts of
-    one layout) all read x, once, through one `forward_group` call. Hard and
-    cluster picks do not overlap; soft picks are every row. y is made after
-    every unit has run, so no unit's forward runs beside it. Each output is
-    added in blocks of rows within the kernels' gather budget, a boolean
-    pick through its row indices, so no gated copy of a whole output is
-    held; every element still gets its one multiply and one add."""
+def _mix(xs, picks, units, ctx: RunContext, prefix: str, gates=None, grouped=False):
+    """Run unit i on its rows x[picks[j][i]] of each batch x = xs[j] and
+    count the samples it gets, then add each output, scaled by
+    gates[j][picks[j][i], i] when gates are given, into its picked rows of
+    its batch's y, in unit order. Returns (outs, ys): outs[i][j] is unit i's
+    output for batch j, None where it got no row of that batch, and ys[j]
+    is batch j's mix (None for an empty batch). Each unit runs once, on the
+    list of its non-empty parts of the batches; grouped units (soft experts
+    of one layout) all read every batch, once, through one `forward_group`
+    call. Hard and cluster picks do not overlap; soft picks are every row.
+    The ys are made after every unit has run, so no unit's forward runs
+    beside them. Each output is added in blocks of rows within the kernels'
+    gather budget, a boolean pick through its row indices, so no gated copy
+    of a whole output is held; every element still gets its one multiply
+    and one add."""
     outs = []
-    for i, (pick, unit) in enumerate(zip(picks, units)):
-        xi = x[pick]  # all of x for a soft pick, without a copy
-        ctx.count_routed(f"{prefix}{i}", len(xi))
-        outs.append(unit.forward(xi, ctx) if len(xi) and not grouped else None)
-    if grouped and len(x):
-        outs = units[0].forward_group(units, x, ctx)
-    y = None
-    for i, (pick, out) in enumerate(zip(picks, outs)):
-        if out is None:
-            continue
-        index = np.flatnonzero(pick) if isinstance(pick, np.ndarray) else None
-        for at in _blocks(len(out), out[0].size, _GATHER_BUDGET):
-            rows = at if index is None else index[at]
-            part = out[at] if gate is None else _bcast(gate[rows, i], out[at]) * out[at]
-            if y is None:
-                y = np.zeros((len(x),) + part.shape[1:], dtype=part.dtype)
-            y[rows] += part
-    return outs, y
+    for i, unit in enumerate(units):
+        parts = [x[pick[i]] for x, pick in zip(xs, picks)]  # a soft pick is all of x, uncopied
+        ctx.count_routed(f"{prefix}{i}", sum(map(len, parts)))
+        if not grouped:
+            outs.append(_at_parts(parts, _run_batches(unit, [p for p in parts if len(p)], ctx)))
+    if grouped:
+        ran = units[0].forward_group(units, [x for x in xs if len(x)], ctx)
+        outs = [_at_parts(xs, unit_outs) for unit_outs in ran]
+    ys = []
+    for j, x in enumerate(xs):
+        y = None
+        for i, unit_outs in enumerate(outs):
+            out, pick = unit_outs[j], picks[j][i]
+            if out is None:
+                continue
+            index = np.flatnonzero(pick) if isinstance(pick, np.ndarray) else None
+            for at in _blocks(len(out), out[0].size, _GATHER_BUDGET):
+                rows = at if index is None else index[at]
+                part = out[at] if gates is None else _bcast(gates[j][rows, i], out[at]) * out[at]
+                if y is None:
+                    y = np.zeros((len(x),) + part.shape[1:], dtype=part.dtype)
+                y[rows] += part
+        ys.append(y)
+    return outs, ys
+
+
+def _at_parts(parts, outs) -> list:
+    """outs, the outputs of the non-empty parts in order, set at those parts'
+    places, with None at the empty ones."""
+    outs = iter(outs)
+    return [next(outs) if len(part) else None for part in parts]
 
 
 def _unit_dy(dy, pick, gate, i) -> np.ndarray:
@@ -136,18 +154,19 @@ class MoELayer(Layer):
     def frozen_names(self):
         return super().frozen_names() | {f"{self.name}.router.w"}
 
-    def forward(self, x, ctx: RunContext):
-        g, feats = self.router.gates(x)  # exact float, never quantized
-        g = g.astype(x.dtype)
+    def forward_batches(self, xs, ctx: RunContext):
+        _one_batch_if_training(self, xs, ctx)
+        gated = [self.router.gates(x) for x in xs]  # exact float, never quantized, per batch
+        gs = [g.astype(x.dtype) for (g, _), x in zip(gated, xs)]
         if self.mode == "soft":
-            picks = [slice(None)] * len(self.experts)
-        else:
-            sel = np.argmax(g, axis=1)  # ties resolve to the lowest index
-            picks = [sel == i for i in range(len(self.experts))]
-        outs, y = _mix(x, picks, self.experts, ctx, f"{self.name}.expert", g, self._grouped)
+            picks = [[slice(None)] * len(self.experts) for _ in xs]
+        else:  # ties resolve to the lowest index
+            picks = [[sel == i for i in range(len(self.experts))]
+                     for sel in (np.argmax(g, axis=1) for g in gs)]
+        outs, ys = _mix(xs, picks, self.experts, ctx, f"{self.name}.expert", gs, self._grouped)
         if ctx.train:
-            self._cache = (x, feats, g, picks, outs)
-        return y
+            self._cache = (xs[0], gated[0][1], gs[0], picks[0], [out[0] for out in outs])
+        return ys
 
     def backward(self, dy, input_grad=True):
         x, feats, g, picks, outs = self._cache
@@ -182,15 +201,17 @@ class ClusterModel(Layer):
         # the gateway is the routing gate of this variant
         return super().frozen_names() | set(self.gateway.params())
 
-    def forward(self, x, ctx: RunContext):
+    def forward_batches(self, xs, ctx: RunContext):
+        _one_batch_if_training(self, xs, ctx)
         # the gateway is exact and frozen: a fresh context keeps it in float and
         # keeps it from caching inputs for a backward that never runs
-        sel = np.argmax(self.gateway.forward(x, RunContext()), axis=1)
-        picks = [sel == i for i in range(len(self.replicas))]
-        outs, y = _mix(x, picks, self.replicas, ctx, f"{self.name}.replica")
+        picks = [[sel == i for i in range(len(self.replicas))]
+                 for sel in (np.argmax(z, axis=1)
+                             for z in self.gateway.forward_batches(xs, RunContext()))]
+        outs, ys = _mix(xs, picks, self.replicas, ctx, f"{self.name}.replica")
         if ctx.train:
-            self._cache = (x, picks, outs)
-        return y
+            self._cache = (xs[0], picks[0], [out[0] for out in outs])
+        return ys
 
     def backward(self, dy, input_grad=True):
         x, picks, outs = self._cache

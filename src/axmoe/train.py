@@ -78,11 +78,21 @@ def train_epoch(model, x, y, cfg: TrainConfig, rng, multiplier: AxMultiplier | N
     return total / max(len(order), 1)
 
 
-def evaluate(model, x, y, multiplier: AxMultiplier | None = None, batch_size: int = 256) -> float:
-    """Top-1 accuracy over a labelled set, batched to bound memory. One
-    RunContext serves the whole pass, so each layer's weights are quantized
-    once. A pass that overflows raises NumericError rather than scoring
-    logits that are not finite."""
+# Samples evaluate hands the model at once: as many of its batches as fit,
+# and at least one. A LUT layer then makes one call per group, not per batch.
+EVAL_GROUP = 256
+
+
+def evaluate(model, x, y, multiplier: AxMultiplier | None = None,
+             batch_size: int = EVAL_GROUP) -> float:
+    """Top-1 accuracy over a labelled set. `batch_size` fixes the batches,
+    each quantized with its own activation scales, and so the result; it
+    does not fix the execution. The model runs a group of consecutive
+    batches at once, as many as fit in EVAL_GROUP samples and at least one,
+    and each batch's logits are the ones it gets alone (a batch of 129 or
+    more runs alone). One RunContext serves the whole pass, so each layer's
+    weights are quantized once. A pass that overflows raises NumericError
+    rather than scoring logits that are not finite."""
     if batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     if len(y) != len(x):
@@ -90,12 +100,15 @@ def evaluate(model, x, y, multiplier: AxMultiplier | None = None, batch_size: in
     if not len(x):
         raise ParameterError("cannot evaluate on an empty set")
     ctx = RunContext(multiplier=multiplier, train=False)
+    group = max(1, EVAL_GROUP // batch_size) * batch_size
     correct = 0
     try:
         with np.errstate(all="raise", under="ignore"):
-            for start in range(0, len(x), batch_size):
-                logits = model.forward(x[start : start + batch_size], ctx)
-                correct += int((np.argmax(logits, axis=1) == y[start : start + batch_size]).sum())
+            for start in range(0, len(x), group):
+                starts = range(start, min(start + group, len(x)), batch_size)
+                logits = model.forward_batches([x[s : s + batch_size] for s in starts], ctx)
+                for s, z in zip(starts, logits):
+                    correct += int((np.argmax(z, axis=1) == y[s : s + batch_size]).sum())
     except FloatingPointError as exc:
         raise NumericError(f"evaluate: {exc}: the logits are not finite") from None
     return correct / len(x)

@@ -927,7 +927,7 @@ def test_a_group_backward_sets_every_grad_before_it_is_iterated(kind, mul):
                   for i in range(3)]
         x = rng.normal(size=(4, 6))
     dys = [rng.normal(size=y.shape)
-           for y in _Affine.forward_group(layers, x, RunContext(mul, train=True))]
+           for (y,) in _Affine.forward_group(layers, [x], RunContext(mul, train=True))]
     want = []
     for layer, dy in zip(layers, dys):
         dx = layer.backward(dy)
@@ -1024,6 +1024,22 @@ def test_a_layer_called_alone_rejects_integer_input(mul):
         layer.forward(np.full((1, 3), 100, np.int8), RunContext(multiplier=mul))
 
 
+def test_the_batches_of_one_lut_call_share_dtype_and_sample_shape():
+    # one LUT call stacks the batches' codes into one output buffer of the first one's type
+    conv = Conv2d("c", np.ones((2, 1, 3, 3), np.float32), np.zeros(2, np.float32), (1, 1), (1, 1))
+    x = np.ones((2, 1, 6, 6), np.float32)
+    for other in (x.astype(np.float64), np.ones((2, 1, 5, 5), np.float32)):
+        ctx = RunContext(multiplier=EXACT)
+        with pytest.raises(ParameterError,
+                           match="^c: the batches of one call differ in dtype or sample shape$"):
+            conv.forward_batches([x, other], ctx)
+        assert not ctx.counters
+        # the float path runs each batch alone
+        ys = conv.forward_batches([x, other], RunContext())
+        assert [y.shape[1:] for y in ys] == [(2, *x.shape[2:]), (2, *other.shape[2:])]
+        assert [y.dtype for y in ys] == [x.dtype, other.dtype]
+
+
 def test_conv2d_counter_formula():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(3, 4, 8, 8))
@@ -1092,7 +1108,7 @@ def _fresh_rescale_reference(layers, x, m):
 @pytest.mark.parametrize("kind", ["conv", "linear"])
 def test_lut_outputs_equal_a_rescale_into_a_fresh_array(kind, n_layers, dtype, table):
     layers, x = _affine_group(kind, n_layers, dtype)
-    ys = _Affine.forward_group(layers, x, RunContext(multiplier=TABLES[table]))
+    ys = [y for (y,) in _Affine.forward_group(layers, [x], RunContext(multiplier=TABLES[table]))]
     want = _fresh_rescale_reference(layers, x, TABLES[table])
     for got, y in zip(ys, want, strict=True):
         assert got.dtype == y.dtype == dtype and got.shape == y.shape
@@ -1111,7 +1127,7 @@ def test_float32_outputs_of_a_group_are_slices_of_the_lut_calls_own_sums(monkeyp
     for dtype in (np.float32, np.float64):
         returned.clear()
         layers, x = _affine_group(kind, 3, dtype)
-        ys = _Affine.forward_group(layers, x, RunContext(multiplier=EXACT))
+        ys = [y for (y,) in _Affine.forward_group(layers, [x], RunContext(multiplier=EXACT))]
         assert len(returned) == 1 and returned[0].dtype == np.int32
         # a float64 output is wider than its int32 sums: a fresh buffer
         assert all(np.shares_memory(y, returned[0]) == (dtype == np.float32) for y in ys)

@@ -223,6 +223,21 @@ def test_every_layer_backward_takes_the_input_grad_flag():
         signature.bind(None, "dy", input_grad=False)  # by name, as the MoE dispatch does
 
 
+def test_every_layer_defines_a_forward_and_takes_a_list_of_batches():
+    layers = {cls for module in (engine, moe)
+              for _, cls in inspect.getmembers(module, inspect.isclass)
+              if issubclass(cls, Layer) and cls is not Layer and cls.__module__ == module.__name__}
+    assert {"ReLU", "AvgPool2d", "Flatten", "Conv2d", "Linear", "Model", "MoELayer",
+            "ClusterModel"} <= {cls.__name__ for cls in layers}
+    for cls in layers:
+        # each of Layer's two defaults runs the other: a class must break the cycle
+        own = cls.__mro__[: cls.__mro__.index(Layer)]
+        assert any({"forward", "forward_batches"} & set(vars(c)) for c in own), cls.__name__
+        signature = inspect.signature(cls.forward_batches)
+        signature.bind(None, [], RunContext())  # positional, as Model.forward_batches passes it
+        signature.bind(None, xs=[], ctx=RunContext())  # by name
+
+
 @pytest.mark.parametrize("variant", ["hard", "soft"])
 @pytest.mark.parametrize("arch", sorted(ARCHS))
 def test_expert_zero_is_the_dense_layer_and_the_rest_are_jittered(arch, variant):

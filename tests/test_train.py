@@ -1,16 +1,20 @@
 """SGD mechanics and the pretrain/retrain split."""
 
+import functools
 from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from axmoe import engine, train
 from axmoe.engine import Linear, Model, RunContext, softmax_cross_entropy
 from axmoe.errors import NumericError, ParameterError
-from axmoe.graphs import VARIANTS, substitute_moe, toy_cnn
+from axmoe.graphs import VARIANTS, substitute_moe, toy_cnn, toy_mlp
 from axmoe.models import build_model
+from axmoe.multipliers import builtin_multiplier
 from axmoe.train import Split, TrainConfig, evaluate, fit, retrain, sgd_step
 from test_engine import TABLES
 
@@ -229,13 +233,13 @@ def test_evaluate_quantizes_each_layers_weights_once_per_pass(variant):
 def _evaluated_logits(model, x, y):
     """The logits evaluate computes under the full-rank table, in order."""
     seen = []
-    forward = model.forward
+    forward_batches = model.forward_batches
 
-    def record(xb, ctx):
-        seen.append(forward(xb, ctx))
-        return seen[-1]
+    def record(xs, ctx):
+        seen.extend(forward_batches(xs, ctx))
+        return seen[-len(xs):]
 
-    with mock.patch.object(model, "forward", side_effect=record):
+    with mock.patch.object(model, "forward_batches", side_effect=record):
         evaluate(model, x, y, FULL_RANK, batch_size=8)
     return np.concatenate(seen)
 
@@ -331,3 +335,150 @@ def test_retrain_pins_the_models_frozen_set():
             builtin_multiplier("trunc2"))
     assert np.array_equal(router.w, before)
     assert not np.array_equal(experts[0].w, expert_before)
+
+
+# ---------------------------------------------------------------------------
+# grouped evaluation: each batch as if run alone
+# ---------------------------------------------------------------------------
+
+GROUP_ARCHS = {"toy_cnn": toy_cnn(num_classes=4, resolution=8, channels=1),
+               "toy_mlp": toy_mlp(num_classes=4, resolution=8, channels=1)}
+GROUP_TABLES = {"exact": TABLES["exact"], "trunc4": builtin_multiplier("trunc4"),
+                "full_rank": FULL_RANK}
+
+
+@functools.lru_cache(maxsize=None)
+def _group_model(arch, variant):
+    return build_model(substitute_moe(GROUP_ARCHS[arch], variant, n_experts=3), seed=7)
+
+
+def _group_set(arch, n):
+    rng = np.random.default_rng([n, 18])
+    # images in [0, 1), as datasets give them: codes 0..127 at the first layer
+    return (rng.random((n, *GROUP_ARCHS[arch].input_shape)).astype(np.float32),
+            rng.integers(0, 4, size=n).astype(np.int64))
+
+
+def _alone(model, x, table, batch_size):
+    """The logits of every batch of x run alone, in order, each through a
+    fresh context; the counters and routed counts summed over them, and
+    each batch's own routed counts."""
+    logits, counters, routed, each = [], Counter(), Counter(), []
+    for start in range(0, len(x), batch_size):
+        ctx = RunContext(multiplier=table)
+        logits.append(model.forward(x[start : start + batch_size], ctx))
+        counters.update(ctx.counters)
+        routed.update(ctx.routed)
+        each.append(ctx.routed)
+    return np.concatenate(logits), dict(counters), dict(routed), each
+
+
+def _grouped(model, x, y, table, batch_size):
+    """evaluate's top-1, the logits it computed, its context, and the
+    batch sizes of each list it passed the model."""
+    made, seen, lists = [], [], []
+    forward_batches = model.forward_batches
+
+    def context(**kwargs):
+        made.append(RunContext(**kwargs))
+        return made[-1]
+
+    def record(xs, ctx):
+        lists.append([len(xb) for xb in xs])
+        seen.extend(forward_batches(xs, ctx))
+        return seen[-len(xs):]
+
+    with mock.patch.object(train, "RunContext", side_effect=context), \
+            mock.patch.object(model, "forward_batches", side_effect=record):
+        top1 = evaluate(model, x, y, table, batch_size=batch_size)
+    assert len(made) == 1
+    return top1, np.concatenate(seen), made[0], lists
+
+
+# A hard toy_mlp whose routing splits batches of 3: some expert gets no row
+# of some batch but rows of others, so the group runs it on a sublist.
+@example(arch="toy_mlp", variant="hard", table="trunc4", batch_size=3, n=40)
+@example(arch="toy_mlp", variant="hard", table="full_rank", batch_size=3, n=40)
+# Batches of 8 toy_mlp images each gather (N = 8 rows against codes 0..127),
+# while the group's 139 stacked rows go through the code table.
+@example(arch="toy_mlp", variant="dense", table="full_rank", batch_size=8, n=139)
+@example(arch="toy_cnn", variant="cluster", table="full_rank", batch_size=1, n=7)
+@example(arch="toy_cnn", variant="soft", table="exact", batch_size=64, n=300)
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(arch=st.sampled_from(sorted(GROUP_ARCHS)), variant=st.sampled_from(VARIANTS),
+       table=st.sampled_from(sorted(GROUP_TABLES)), batch_size=st.sampled_from([1, 3, 8, 64]),
+       n=st.integers(1, 300))
+def test_grouped_evaluation_equals_each_batch_run_alone(arch, variant, table, batch_size, n):
+    model = _group_model(arch, variant)
+    x, y = _group_set(arch, n)
+    mul = GROUP_TABLES[table]
+    with mock.patch.object(engine, "_lut_code_table", wraps=engine._lut_code_table) as code_table:
+        want, counters, routed, each = _alone(model, x, mul, batch_size)
+        alone_code_table = code_table.call_count
+        top1, got, ctx, lists = _grouped(model, x, y, mul, batch_size)
+    assert got.tobytes() == want.tobytes()
+    assert ctx.counters == counters and ctx.routed == routed
+    assert top1 == float(np.mean(np.argmax(want, axis=1) == y))
+    # consecutive batches of batch_size, the last one ragged, in lists of
+    # as many batches as fit in EVAL_GROUP samples, and at least one
+    per_list = max(1, train.EVAL_GROUP // batch_size)
+    sizes = [min(batch_size, n - start) for start in range(0, n, batch_size)]
+    assert lists == [sizes[i : i + per_list] for i in range(0, len(sizes), per_list)]
+    if (arch, variant, batch_size, n) == ("toy_mlp", "hard", 3, 40):
+        # an expert that runs in the group gets no row of some batch
+        ran = [key for key, rows in routed.items() if rows]
+        assert any(own[key] == 0 for own in each for key in ran), each
+    if (arch, variant, table, batch_size, n) == ("toy_mlp", "dense", "full_rank", 8, 139):
+        grouped_rows = [len(call.args[0]) for call in code_table.call_args_list]
+        assert alone_code_table == 0 and grouped_rows == [n, n]  # fc1 and fc2
+
+
+def _three_batches(arch, variant):
+    model = _group_model(arch, variant)
+    x, _ = _group_set(arch, 24)
+    return model, [x[:8], x[8:16], x[16:]]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("arch", sorted(GROUP_ARCHS))
+def test_a_bad_batch_anywhere_in_a_group_fails_typed_before_any_layer_runs(arch, variant):
+    model, xs = _three_batches(arch, variant)
+    name = GROUP_ARCHS[arch].name
+    bad = {"non-finite": (NumericError, f"^{name}: input contains non-finite values"),
+           "empty": (ParameterError, f"^{name}: empty batch"),
+           "misshapen": (ParameterError, rf"^{name}: input \(8, 64\) is not \(N, "),
+           "integer": (ParameterError, f"^{name}: input must be floating point")}
+    for what, (error, message) in bad.items():
+        group = list(xs)
+        if what == "non-finite":
+            group[2] = group[2].copy()
+            group[2].flat[5] = np.nan
+        elif what == "empty":
+            group[2] = group[2][:0]
+        elif what == "misshapen":
+            group[2] = group[2].reshape(8, 64)
+        else:
+            group[2] = group[2].astype(np.int64)
+        for mul in (None, FULL_RANK):
+            with mock.patch.object(engine, "quantize", wraps=engine.quantize) as quantize, \
+                    pytest.raises(error, match=message):
+                model.forward_batches(group, RunContext(multiplier=mul))
+            assert not quantize.called, what
+
+
+def test_a_non_finite_sample_in_a_later_batch_of_a_group_fails_evaluate():
+    model = _group_model("toy_cnn", "soft")
+    x, y = _group_set("toy_cnn", 40)
+    x[19, 0, 3, 3] = np.inf  # the third batch of 8, in the first group
+    with pytest.raises(NumericError, match="non-finite"):
+        evaluate(model, x, y, FULL_RANK, batch_size=8)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_training_context_takes_one_batch(variant):
+    model, xs = _three_batches("toy_cnn", variant)
+    for mul in (None, FULL_RANK):
+        with pytest.raises(ParameterError, match="a training pass takes one batch, got 3"):
+            model.forward_batches(xs, RunContext(multiplier=mul, train=True))
+        # one batch is a training step
+        assert len(model.forward_batches(xs[:1], RunContext(multiplier=mul, train=True))) == 1
