@@ -259,26 +259,26 @@ def _pretrain_fingerprint(data, graph, train_cfg: TrainConfig, seed: int,
 
 
 def _reuse_pretrained(ckpt: Path, graph, seed: int, fingerprint: str):
-    """A model of `graph` holding the weights in `ckpt` when its meta records
-    this exact pretraining and its parameters hash to what the meta records;
-    None when the checkpoint is missing, unreadable or malformed, or comes
-    from any other pretraining."""
+    """A model of `graph` holding the weights in `ckpt` and the checkpoint's
+    meta, when that meta records this exact pretraining and its parameters
+    hash to what the meta records; (None, None) when the checkpoint is
+    missing, unreadable or malformed, or comes from any other pretraining."""
     try:
         params, meta = read_checkpoint(ckpt)
     except (OSError, FormatError):
-        return None
+        return None, None
     if meta.get("pretrain") != fingerprint or meta.get("params_sha256") != arrays_sha256(params):
-        return None
+        return None, None
     model = build_model(graph, seed=seed)
     model.load_params(params)
-    return model
+    return model, meta
 
 
 def cmd_sweep(args) -> int:
     """sweep, and with `args.do_retrain` set, retrain. A variant whose
     `ckpt_<variant>` holds exactly the weights this run's pretraining would
-    compute is not pretrained again; every checkpoint is written either
-    way."""
+    compute is not pretrained again, nor written again when it holds this
+    run's meta; every other checkpoint is written."""
     cfg = _config(args)
     started = time.perf_counter()
     muls = _multipliers(cfg)
@@ -297,13 +297,15 @@ def cmd_sweep(args) -> int:
         pretrain_cfg = _train_cfg(cfg, cfg.pretrain_epochs, cfg.seed)
         fingerprint = _pretrain_fingerprint(data, graph, pretrain_cfg, cfg.seed, sources)
         ckpt = out / f"ckpt_{variant}"
-        model = _reuse_pretrained(ckpt, graph, cfg.seed, fingerprint)
+        model, stored = _reuse_pretrained(ckpt, graph, cfg.seed, fingerprint)
         pretrain[variant] = "trained" if model is None else "reused"
         if model is None:
             model = build_model(graph, seed=cfg.seed)
             fit(model, data, pretrain_cfg)
-        save_model(model, ckpt, {**_checkpoint_meta(cfg, variant), "pretrain": fingerprint,
-                                 "params_sha256": arrays_sha256(model.params())})
+        meta = {**_checkpoint_meta(cfg, variant), "pretrain": fingerprint,
+                "params_sha256": arrays_sha256(model.params())}
+        if meta != stored:
+            save_model(model, ckpt, meta)
         pretrained = {k: v.copy() for k, v in model.params().items()}
         for name, mul in muls:
             model.load_params(pretrained)

@@ -42,25 +42,20 @@ A conv layer multiplies its weights by im2col columns, one row per output
 pixel (`im2col`): float inputs and int8 codes alike are one gather through
 an index of the layer's geometry, built once and cached across calls.
 
-A layer runs a list of batches at once (`Layer.forward_batches`), and
-`forward(x, ctx)` is the list of one. Each batch keeps its own activation
-scale: an approximate layer quantizes each batch alone, multiplies the
-stacked codes of all of them in one LUT call, and rescales each batch's
-rows by its own scale. Integer sums are exact whatever a call's N, and
-everything else (float GEMMs, routers, element-wise layers) runs batch by
-batch, so each batch's outputs and counters are the ones it gets run
-alone: the batches fix the quantization, the list only the execution.
-Evaluation passes consecutive batches in lists of up to 256 samples
-(`train.EVAL_GROUP`) and at least one batch; a training pass takes one
-batch, since the backward caches hold one.
+A layer's input may hold consecutive batches of `sizes` samples
+(`forward(x, ctx, sizes)`), each quantized alone (`quantize_segments`) in
+one LUT call for all; float GEMMs run batch by batch (`_matmul`) and the
+rest row by row, so each batch's outputs and counters are the ones it gets
+alone. Evaluation passes up to 256 samples at once (`train.EVAL_GROUP`);
+a training pass takes one batch, since the backward caches hold one.
 
 Affine layers of one layout that read one input, such as the soft experts
 of an MoE layer, run as one group (`_Affine.forward_group`): the input is
 quantized and laid out once, and one LUT call multiplies it by every
 layer's weight codes. A single layer is the group of one, so a group's
 outputs, gradients and counters equal those of its layers run alone. A
-float32 group's outputs are the row and column slices of the int32 sums
-that the LUT call returned, rescaled in place: a LUT layer call holds one
+float32 group's outputs are column slices of the int32 sums that the LUT
+call returned, rescaled in place: a LUT layer call holds one
 output-sized buffer, not the sums and a float copy of them.
 
 Training uses the straight-through estimator: the forward pass is the
@@ -152,6 +147,33 @@ def quantize(t: np.ndarray) -> tuple[np.ndarray, QuantParams]:
     # approximate layer reads, take this one add and one cast.
     x += 0.5 if lo >= 0 else np.copysign(0.5, x)
     return x.astype(np.int8), QuantParams(scale)
+
+
+def quantize_segments(t: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """`quantize` of each segment of `sizes` rows of float t, bit for bit:
+    one array of codes, and float64 scales (1.0 for an empty segment). Each
+    scale is cast to t's type before the divide, as `t / scale` casts a
+    Python float; copysign rounding gives the codes of `quantize`'s +0.5 on
+    a segment whose min is >= 0. A segment that needs the subnormal lift,
+    or has no scale, sends every segment through `quantize`."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    lo, hi = np.zeros((2, len(sizes)))
+    if t.size:
+        full = sizes > 0  # reduceat cannot reduce an empty segment
+        starts = (np.cumsum(sizes) - sizes)[full]
+        axes = tuple(range(1, t.ndim))
+        lo[full] = np.minimum.reduceat(t.min(axis=axes), starts)
+        hi[full] = np.maximum.reduceat(t.max(axis=axes), starts)
+    amax = np.maximum(hi, -lo)
+    if not np.isfinite(amax).all():
+        raise NumericError("quantize: input contains non-finite values")
+    scales = np.divide(amax, QMAX, out=np.ones_like(amax), where=amax > 0)
+    if (scales < np.finfo(t.dtype).tiny).any():
+        codes, params = zip(*map(quantize, np.split(t, np.cumsum(sizes)[:-1])))
+        return np.concatenate(codes), np.array([p.scale for p in params])
+    x = t / scales.astype(t.dtype).repeat(sizes).reshape(-1, *[1] * (t.ndim - 1))
+    x += 0.5 if (lo >= 0).all() else np.copysign(0.5, x)
+    return x.astype(np.int8), scales
 
 
 def dequantize(codes: np.ndarray, qp: QuantParams) -> np.ndarray:
@@ -400,16 +422,30 @@ def _add_bias(y: np.ndarray, b: np.ndarray) -> np.ndarray:
     return wide.reshape(y.shape)
 
 
-def _rescale(out: np.ndarray, acc: np.ndarray, scale: float, b: np.ndarray) -> None:
-    """out = acc * scale + b, computed in float64 and cast to out's type, in
-    blocks of rows written straight into out: no float64 array of the
-    whole call is ever held. Each element gets the same two float64
-    operations whatever the block, so the bits do not depend on it. out
-    may be acc's own bytes, viewed as a float type of its width: each block
-    of acc is read into its float64 temporary before the block's bytes are
-    overwritten."""
+def _rescale(out: np.ndarray, acc: np.ndarray, scale, b: np.ndarray) -> None:
+    """out = acc * scale + b (one float, or a float64 column of one per
+    row), computed in float64 and cast to out's type, in blocks of rows
+    written straight into out: no float64 array of the whole call is ever
+    held. Each element gets the same two float64 operations whatever the
+    block, so the bits do not depend on it. out may be acc's own bytes,
+    viewed as a float type of its width: each block of acc is read into
+    its float64 temporary before the block's bytes are overwritten."""
+    per_row = isinstance(scale, np.ndarray)
     for at in _blocks(len(out), out.shape[1], _GATHER_BUDGET):
-        out[at] = _add_bias(np.multiply(acc[at], scale, dtype=np.float64), b)
+        out[at] = _add_bias(np.multiply(acc[at], scale[at] if per_row else scale,
+                                        dtype=np.float64), b)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, rows=None) -> np.ndarray:
+    """a @ b, one GEMM per segment of `rows` rows of 2-D a, each with the
+    bits it gets alone (BLAS may pick its summation order by row count);
+    equal segments as one matmul over a (G, rows, K) view."""
+    if rows is None or len(rows) == 1:
+        return a @ b
+    if len(set(rows)) == 1:
+        return np.matmul(a.reshape(len(rows), rows[0], -1), b).reshape(len(a), -1)
+    stops = np.cumsum(rows)
+    return np.concatenate([a[stop - n : stop] @ b for n, stop in zip(rows, stops)])
 
 
 def stable_softmax(z: np.ndarray) -> np.ndarray:
@@ -515,15 +551,9 @@ class Layer:
                 raise ParameterError(f"{name}: shape {arr.shape} does not match {dst.shape}")
             dst[...] = arr
 
-    # A subclass defines `forward` or `forward_batches`; each default runs
-    # the other, so a class with neither would recurse.
-    def forward(self, x: np.ndarray, ctx: RunContext) -> np.ndarray:
-        return self.forward_batches([x], ctx)[0]
-
-    def forward_batches(self, xs: list, ctx: RunContext) -> list:
-        """The output of each batch in xs, in order, each as if run alone."""
-        _one_batch_if_training(self, xs, ctx)
-        return [self.forward(x, ctx) for x in xs]
+    def forward(self, x: np.ndarray, ctx: RunContext, sizes=None) -> np.ndarray:
+        """The output for x, batches of `sizes` samples, each as if alone."""
+        raise NotImplementedError(f"{type(self).__name__} has no forward pass")
 
     def group_key(self):
         """Layers whose keys are equal and not None can run on one input as
@@ -537,18 +567,16 @@ class Layer:
         raise NotImplementedError(f"{type(self).__name__} has no backward pass")
 
 
-def _one_batch_if_training(layer: Layer, xs: list, ctx: RunContext) -> None:
-    if ctx.train and len(xs) > 1:
-        raise ParameterError(f"{layer.name}: a training pass takes one batch, got {len(xs)}: "
+def _split(layer: Layer, x: np.ndarray, ctx: RunContext, sizes) -> bool:
+    """Whether `sizes`, which must add up to len(x), split x; training cannot."""
+    if sizes is not None and (sum(sizes) != len(x) or min(sizes, default=0) < 0):
+        raise ParameterError(f"{layer.name}: batch sizes {tuple(sizes)} do not split "
+                             f"{len(x)} samples")
+    split = sizes is not None and len(sizes) > 1
+    if split and ctx.train:
+        raise ParameterError(f"{layer.name}: a training pass takes one batch, got {len(sizes)}: "
                              "the backward caches hold one")
-
-
-def _run_batches(layer: Layer, xs: list, ctx: RunContext) -> list:
-    """layer.forward_batches(xs, ctx), with one batch through `forward`:
-    the same work, but perfbench's per-layer spans wrap `forward`, so a
-    training step and a full-size evaluation batch stay attributed to
-    their layers."""
-    return [layer.forward(xs[0], ctx)] if len(xs) == 1 else layer.forward_batches(xs, ctx)
+    return split
 
 
 # ---------------------------------------------------------------------------
@@ -587,73 +615,58 @@ class _Affine(Layer):
     def group_key(self):
         return type(self), self.w.shape[1:], self.approximate
 
-    def forward_batches(self, xs, ctx):
-        return self.forward_group((self,), xs, ctx)[0]
+    def forward(self, x, ctx, sizes=None):
+        return self.forward_group((self,), x, ctx, sizes)[0]
 
     def backward(self, dy, input_grad=True):
         return next(self.backward_group((self,), (dy,), input_grad), None)
 
     @staticmethod
-    def forward_group(layers, xs, ctx) -> list:
-        """Each layer's outputs, one per batch of xs, for layers that read
-        the same batches; the layers share a `group_key`. Each batch is laid
-        out (im2col) once for all of them.
+    def forward_group(layers, x, ctx, sizes=None) -> list:
+        """Each layer's output for layers that share a `group_key` and read
+        x, batches of `sizes` samples; x is laid out (im2col) once.
 
-        Float products, per batch, one GEMM per layer. Or quantize each
-        batch alone (per tensor), multiply the batches' stacked codes by
-        every layer's weight codes, stacked, in one LUT call, and rescale
-        each batch's rows of each layer's columns by that batch's scale
-        times the layer's weight scale; each layer counts its own lookups.
-        The rescaled outputs overwrite the LUT call's int32 sums when the
-        input type is as wide (float32), else fill one fresh array of that
-        shape; either way each output is a row and column slice of that one
-        buffer, and the batches of one LUT call must share their dtype and
-        sample shape. Training (one batch) caches the operands the products
-        saw (dequantized on the LUT path) for the straight-through backward:
-        one shared x, and each layer's own weights."""
+        Float products, one GEMM per layer and batch (`_matmul`). Or one
+        LUT call of all of x's codes, each batch quantized alone, by every
+        layer's weight codes, stacked; each batch's rows of each layer's
+        columns are rescaled by the batch's scale times the layer's into
+        the int32 sums' own bytes if x's type is as wide (float32), else
+        one fresh array. Each layer counts its own lookups. Training (one
+        batch) caches the operands the products saw (dequantized on the LUT
+        path) for the straight-through backward."""
         first = layers[0]
-        _one_batch_if_training(first, xs, ctx)
-        for x in xs:
-            if x.dtype.kind != "f":  # the float path would cast its products back and wrap
-                raise ParameterError(f"{first.name}: input must be floating point, got {x.dtype}")
-        leads = [first._lead(x.shape) for x in xs]  # rejects bad geometry before any im2col
-        ys = [[] for _ in layers]
-        if ctx.multiplier is not None and first.approximate and xs:
-            if len({(x.dtype, x.shape[1:]) for x in xs}) > 1:
-                raise ParameterError(f"{first.name}: the batches of one call differ in dtype "
-                                     "or sample shape")
-            dtype = xs[0].dtype
-            codes, sxs = zip(*map(quantize, xs))
-            codes = codes[0] if len(codes) == 1 else np.concatenate(codes)
+        split = _split(first, x, ctx, sizes)
+        if x.dtype.kind != "f":  # the float path would cast its products back and wrap
+            raise ParameterError(f"{first.name}: input must be floating point, got {x.dtype}")
+        lead = first._lead(x.shape)  # rejects bad geometry before any im2col
+        rows_of = np.multiply(sizes, math.prod(lead[1:])) if split else None  # of each batch
+        ys = []
+        if ctx.multiplier is not None and first.approximate:
+            codes, q = quantize_segments(x, sizes) if split else quantize(x)
+            sx = q.repeat(rows_of)[:, None] if split else q.scale  # per row, or one
             qw, sws = ctx.quantized_weights(tuple(layers))
             acc = lut_matmul(first._rows(codes), qw, ctx.multiplier)
             # a float type of int32's width takes the sums' own bytes
-            out = (acc.view(dtype) if dtype.itemsize == acc.itemsize
-                   else np.empty(acc.shape, dtype=dtype))
-            x_eff = dequantize(codes, sxs[0]).astype(dtype) if ctx.train else None
+            out = (acc.view(x.dtype) if x.dtype.itemsize == acc.itemsize
+                   else np.empty(acc.shape, dtype=x.dtype))
+            x_eff = dequantize(codes, q).astype(x.dtype) if ctx.train else None
             c0 = 0
-            for layer, sw, layer_ys in zip(layers, sws, ys):
+            for layer, sw in zip(layers, sws):
                 c1 = c0 + layer.w.shape[0]
                 ctx.count(layer.name, len(acc) * (c1 - c0) * qw.shape[1])
-                r0 = 0
-                for sx, lead in zip(sxs, leads):
-                    r1 = r0 + math.prod(lead)
-                    y = out[r0:r1, c0:c1]
-                    _rescale(y, acc[r0:r1, c0:c1], sx.scale * sw.scale, layer.b)
-                    layer_ys.append(layer._shaped(y, lead))
-                    r0 = r1
+                _rescale(out[:, c0:c1], acc[:, c0:c1], sx * sw.scale, layer.b)
+                ys.append(layer._shaped(out[:, c0:c1], lead))
                 if ctx.train:
                     layer._cache = (x_eff, dequantize(qw[c0:c1], sw).astype(layer.w.dtype))
                 c0 = c1
             return ys
-        for x, lead in zip(xs, leads):
-            rows = first._rows(x)
-            for layer, layer_ys in zip(layers, ys):
-                w2d = layer.w.reshape(layer.w.shape[0], -1)
-                layer_ys.append(layer._shaped(_add_bias(rows @ w2d.T, layer.b), lead).astype(
-                    x.dtype, copy=False))
-                if ctx.train:
-                    layer._cache = (x, w2d)
+        rows = first._rows(x)
+        for layer in layers:
+            w2d = layer.w.reshape(layer.w.shape[0], -1)
+            ys.append(layer._shaped(_add_bias(_matmul(rows, w2d.T, rows_of), layer.b),
+                                    lead).astype(x.dtype, copy=False))
+            if ctx.train:
+                layer._cache = (x, w2d)
         return ys
 
     @staticmethod
@@ -727,7 +740,7 @@ class Linear(_Affine):
 
 
 class ReLU(Layer):
-    def forward(self, x, ctx):
+    def forward(self, x, ctx, sizes=None):
         if ctx.train:
             # C order whatever x's layout: the gradient it meets is C-contiguous
             self._mask = np.greater(x, 0, order="C")
@@ -744,7 +757,7 @@ class AvgPool2d(Layer):
         super().__init__(name)
         self.k = k
 
-    def forward(self, x, ctx):
+    def forward(self, x, ctx, sizes=None):
         n, c, h, w = x.shape
         k = self.k
         if h % k or w % k:
@@ -766,7 +779,7 @@ class AvgPool2d(Layer):
 
 
 class Flatten(Layer):
-    def forward(self, x, ctx):
+    def forward(self, x, ctx, sizes=None):
         self._in_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
@@ -777,10 +790,10 @@ class Flatten(Layer):
 class Model(Layer):
     """Layers run in order: a whole graph (a cluster's holds its ClusterModel),
     a multi-layer expert, a cluster gateway or replica. A whole graph's model
-    (every one `build_model` returns) has an `input_shape` and rejects a
-    batch that is misshapen, empty, not floating point or not finite, in
-    any place of a list, before any layer runs. A nested one (None) just
-    runs its layers on what its graph passed on."""
+    (every one `build_model` returns) has an `input_shape` and rejects input
+    that is misshapen, not floating point or not finite, or an empty batch,
+    before any layer runs. A nested one (None) just runs its layers on what
+    its graph passed on."""
 
     def __init__(self, name, layers, input_shape=None):
         super().__init__(name)
@@ -790,23 +803,21 @@ class Model(Layer):
     def children(self):
         return self.layers
 
-    def forward_batches(self, xs, ctx):
-        _one_batch_if_training(self, xs, ctx)
+    def forward(self, x, ctx, sizes=None):
+        _split(self, x, ctx, sizes)
         if self.input_shape is not None:
-            for x in xs:
-                if x.shape[1:] != tuple(self.input_shape):
-                    raise ParameterError(f"{self.name}: input {x.shape} is not "
-                                         f"(N, {', '.join(map(str, self.input_shape))})")
-                if not len(x):
-                    raise ParameterError(f"{self.name}: empty batch")
-                if x.dtype.kind != "f":
-                    raise ParameterError(f"{self.name}: input must be floating point, "
-                                         f"got {x.dtype}")
-                if not np.isfinite(x).all():
-                    raise NumericError(f"{self.name}: input contains non-finite values")
+            if x.shape[1:] != tuple(self.input_shape):
+                raise ParameterError(f"{self.name}: input {x.shape} is not "
+                                     f"(N, {', '.join(map(str, self.input_shape))})")
+            if not len(x) or (sizes is not None and 0 in sizes):
+                raise ParameterError(f"{self.name}: empty batch")
+            if x.dtype.kind != "f":
+                raise ParameterError(f"{self.name}: input must be floating point, got {x.dtype}")
+            if not np.isfinite(x).all():
+                raise NumericError(f"{self.name}: input contains non-finite values")
         for layer in self.layers:
-            xs = _run_batches(layer, xs, ctx)
-        return xs
+            x = layer.forward(x, ctx, sizes)
+        return x
 
     def backward(self, dy, input_grad=True):
         """With input_grad=False, layers below the first parameterized one

@@ -78,8 +78,8 @@ def train_epoch(model, x, y, cfg: TrainConfig, rng, multiplier: AxMultiplier | N
     return total / max(len(order), 1)
 
 
-# Samples evaluate hands the model at once: as many of its batches as fit,
-# and at least one. A LUT layer then makes one call per group, not per batch.
+# Samples per model call in evaluate: as many batches as fit, and at least
+# one. A LUT layer then makes one call per group, not per batch.
 EVAL_GROUP = 256
 
 
@@ -87,11 +87,11 @@ def evaluate(model, x, y, multiplier: AxMultiplier | None = None,
              batch_size: int = EVAL_GROUP) -> float:
     """Top-1 accuracy over a labelled set. `batch_size` fixes the batches,
     each quantized with its own activation scales, and so the result; it
-    does not fix the execution. The model runs a group of consecutive
-    batches at once, as many as fit in EVAL_GROUP samples and at least one,
-    and each batch's logits are the ones it gets alone (a batch of 129 or
-    more runs alone). One RunContext serves the whole pass, so each layer's
-    weights are quantized once. A pass that overflows raises NumericError
+    does not fix the execution. The model runs consecutive batches as one
+    array (a view of x) with their sizes, as many as fit in EVAL_GROUP
+    samples and at least one, and each batch's logits are the ones it gets
+    alone. One RunContext serves the whole pass, so each layer's weights
+    are quantized once. A pass that overflows raises NumericError
     rather than scoring logits that are not finite."""
     if batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
@@ -105,10 +105,10 @@ def evaluate(model, x, y, multiplier: AxMultiplier | None = None,
     try:
         with np.errstate(all="raise", under="ignore"):
             for start in range(0, len(x), group):
-                starts = range(start, min(start + group, len(x)), batch_size)
-                logits = model.forward_batches([x[s : s + batch_size] for s in starts], ctx)
-                for s, z in zip(starts, logits):
-                    correct += int((np.argmax(z, axis=1) == y[s : s + batch_size]).sum())
+                stop = min(start + group, len(x))
+                sizes = tuple(min(batch_size, stop - s) for s in range(start, stop, batch_size))
+                logits = model.forward(x[start:stop], ctx, sizes)
+                correct += int((np.argmax(logits, axis=1) == y[start:stop]).sum())
     except FloatingPointError as exc:
         raise NumericError(f"evaluate: {exc}: the logits are not finite") from None
     return correct / len(x)

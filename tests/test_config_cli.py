@@ -890,6 +890,29 @@ def test_a_sweep_pretrains_exactly_the_variants_whose_pretraining_changed(
     assert not calls
 
 
+@pytest.mark.parametrize("damage,saved", [(None, []), (_flip_a_parameter_byte, ["ckpt_hard"])],
+                         ids=["exact_rerun", "parameter_byte"])
+def test_a_reused_checkpoint_is_not_written_again(tmp_path, monkeypatch, reuse_base, damage,
+                                                  saved):
+    out = tmp_path / "out"
+    shutil.copytree(reuse_base, out)
+    if damage is not None:
+        _rewrite(damage)(out / "ckpt_hard" / "checkpoint.npz")
+    wrote = []
+    save_model = cli.save_model
+
+    def counted(model, directory, meta):
+        wrote.append(Path(directory).name)
+        return save_model(model, directory, meta)
+
+    monkeypatch.setattr(cli, "save_model", counted)
+    assert _main(["sweep", *_base_args(out), *_REUSE_ARGS])[0] == 0
+    assert wrote == saved
+    for name in ("ckpt_hard", "ckpt_cluster"):
+        path = Path(name) / "checkpoint.npz"
+        assert (out / path).read_bytes() == (reuse_base / path).read_bytes(), name
+
+
 def test_an_edited_package_source_is_pretrained_on_again(tmp_path, monkeypatch, reuse_base):
     out, package = tmp_path / "out", tmp_path / "axmoe"
     shutil.copytree(reuse_base, out)

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from axmoe import engine
 from axmoe.engine import (INT32_MAX, QMAX, AvgPool2d, Conv2d, Flatten, Linear, Model, QuantParams,
                           ReLU, RunContext, _accumulator, _add_bias, _Affine, _blocks,
-                          _lut_code_table, _lut_gather, _rank1_gemm, col2im, dequantize, im2col,
-                          lut_matmul, quantize, softmax_cross_entropy, stable_softmax)
+                          _lut_code_table, _lut_gather, _matmul, _rank1_gemm, col2im, dequantize,
+                          im2col, lut_matmul, quantize, quantize_segments, softmax_cross_entropy,
+                          stable_softmax)
 from axmoe.errors import NumericError, ParameterError
 from axmoe.multipliers import (AxMultiplier, build_exact_multiplier,
                                build_truncation_multiplier, builtin_multiplier, lut_index)
@@ -203,6 +204,100 @@ def test_quantize_takes_integer_tensors_at_their_minimum():
     # |-128| wraps to -128 in int8, and so does -(-128)
     codes, qp = quantize(np.array([-128, 5], np.int8))
     assert qp.scale == 128 / QMAX and codes.tolist() == [-127, 5]
+
+
+@st.composite
+def _segment_inputs(draw):
+    """(t, sizes): float32 or float64 rows of 1 to 3 values in 1 to 5
+    segments of 0 to 6 rows, each segment drawn alone: arbitrary finite
+    values, values on exact half-code ties of their max, all zeros (either
+    sign), non-negative values with -0.0 among them, or values small
+    enough that the segment's scale must be lifted; and now and then one
+    NaN or infinity somewhere."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    bits = 32 if dtype == np.float32 else 64
+    parts = []
+    for n in sizes:
+        kind = draw(st.sampled_from(["any", "ties", "zeros", "nonnegative", "tiny"]))
+        bound = float(dtype(127 * float(np.finfo(dtype).tiny) if kind == "tiny" else 1e30))
+        entry = {"zeros": st.sampled_from([0.0, -0.0]),
+                 "nonnegative": st.one_of(st.floats(0.0, bound, width=bits), st.just(-0.0)),
+                 "ties": st.integers(-QMAX, QMAX - 1),
+                 }.get(kind, st.floats(-bound, bound, width=bits))
+        values = np.array(draw(st.lists(entry, min_size=n * width, max_size=n * width)))
+        if kind == "ties" and n:
+            # (c + 1/2) * max / 127 for integer c, with max itself present:
+            # a divide in another type than t's rounds some to the other code
+            amax = draw(st.floats(float(dtype(1e-30)), bound, width=bits))
+            values = (values + 0.5) * (amax / QMAX)
+            values[0] = amax
+        parts.append(values.astype(dtype).reshape(n, width))
+    t = np.concatenate(parts)
+    if t.size and draw(st.integers(0, 9)) == 0:
+        t.flat[draw(st.integers(0, t.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return t, tuple(sizes)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=_segment_inputs())
+# every segment non-negative, an empty one among them: one +0.5 for all
+@example(case=(np.array([[0.5], [2.5], [-0.0], [127.0], [3.0]], np.float32), (2, 0, 3)))
+# a signed segment beside non-negative ones: copysign for the whole array
+@example(case=(np.array([[0.5, 1.5], [-2.5, 4.0], [0.0, 2.5]]), (1, 1, 1)))
+# float32 half-code ties, which a float64 divide rounds to other codes
+@example(case=(((np.arange(-QMAX, QMAX) + 0.5) * (0.37 / QMAX)).astype(np.float32).reshape(-1, 2),
+               (100, 27)))
+# an all-zero segment, -0.0 included, beside a signed one
+@example(case=(np.array([[0.0], [-0.0], [-1.5], [2.0]], np.float32), (2, 2)))
+# a segment whose scale must be lifted: every segment goes through quantize
+@example(case=(np.array([[1e-43], [-5e-44], [3.0], [-1.0]], np.float32), (2, 2)))
+@example(case=(np.array([[1e-310, -3e-311], [1.0, 2.0]]), (1, 1)))
+# a segment too small for any scale, and non-finite values
+@example(case=(np.array([[1.0], [5e-324]]), (1, 1)))
+@example(case=(np.array([[1.0, 2.0], [np.nan, 0.0]], np.float32), (1, 1)))
+@example(case=(np.array([[1.0], [2.0], [-np.inf]]), (2, 1)))
+# no rows at all
+@example(case=(np.zeros((0, 2), np.float32), (0, 0)))
+def test_quantize_segments_equals_quantize_on_each_segment(case):
+    t, sizes = case
+    stops = np.cumsum(sizes)
+    want = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, stop in zip(sizes, stops):
+            try:
+                want.append(quantize(t[stop - n : stop]))
+            except NumericError:
+                with pytest.raises(NumericError):
+                    quantize_segments(t, sizes)
+                return
+        codes, scales = quantize_segments(t, sizes)
+    assert codes.dtype == np.int8 and codes.shape == t.shape
+    assert codes.tobytes() == np.concatenate([c for c, _ in want]).tobytes()
+    assert scales.dtype == np.float64
+    assert scales.tolist() == [qp.scale for _, qp in want]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [9, 72, 784])
+@pytest.mark.parametrize("rows", [1, 3, 8, 64])
+def test_a_stacked_matmul_equals_a_gemm_per_segment(dtype, k, rows):
+    # _matmul runs segments of one size as one matmul over a (G, rows, K)
+    # view; each slice must get the bits of a 2-D GEMM of that segment alone
+    rng = np.random.default_rng(k + rows)
+    a = rng.normal(size=(5 * rows + 2, k)).astype(dtype)
+    for m in (3, 32):
+        b = rng.normal(size=(m, k)).astype(dtype).T
+        for seg in ([rows] * 5, [rows, 1, 2 * rows, 1, 2 * rows]):
+            stops = np.cumsum(seg)
+            alone = [a[stop - n : stop].copy() @ b for n, stop in zip(seg, stops)]
+            want = np.concatenate(alone)
+            if len(set(seg)) == 1:
+                stacked = np.matmul(a[: stops[-1]].reshape(len(seg), rows, k), b)
+                assert stacked.reshape(-1, m).tobytes() == want.tobytes()
+            assert _matmul(a[: stops[-1]], b, seg).tobytes() == want.tobytes()
 
 
 def test_dequantize_round_trip_error_is_at_most_half_step():
@@ -927,7 +1022,7 @@ def test_a_group_backward_sets_every_grad_before_it_is_iterated(kind, mul):
                   for i in range(3)]
         x = rng.normal(size=(4, 6))
     dys = [rng.normal(size=y.shape)
-           for (y,) in _Affine.forward_group(layers, [x], RunContext(mul, train=True))]
+           for y in _Affine.forward_group(layers, x, RunContext(mul, train=True))]
     want = []
     for layer, dy in zip(layers, dys):
         dx = layer.backward(dy)
@@ -1024,20 +1119,15 @@ def test_a_layer_called_alone_rejects_integer_input(mul):
         layer.forward(np.full((1, 3), 100, np.int8), RunContext(multiplier=mul))
 
 
-def test_the_batches_of_one_lut_call_share_dtype_and_sample_shape():
-    # one LUT call stacks the batches' codes into one output buffer of the first one's type
+@pytest.mark.parametrize("mul", [None, EXACT], ids=["float", "exact"])
+def test_a_layer_rejects_batch_sizes_that_do_not_split_its_input(mul):
     conv = Conv2d("c", np.ones((2, 1, 3, 3), np.float32), np.zeros(2, np.float32), (1, 1), (1, 1))
-    x = np.ones((2, 1, 6, 6), np.float32)
-    for other in (x.astype(np.float64), np.ones((2, 1, 5, 5), np.float32)):
-        ctx = RunContext(multiplier=EXACT)
-        with pytest.raises(ParameterError,
-                           match="^c: the batches of one call differ in dtype or sample shape$"):
-            conv.forward_batches([x, other], ctx)
+    x = np.ones((6, 1, 6, 6), np.float32)
+    for sizes in ((2, 2), (4, 4), (7, -1)):
+        ctx = RunContext(multiplier=mul)
+        with pytest.raises(ParameterError, match=r"^c: batch sizes \(.*\) do not split 6 samples$"):
+            conv.forward(x, ctx, sizes)
         assert not ctx.counters
-        # the float path runs each batch alone
-        ys = conv.forward_batches([x, other], RunContext())
-        assert [y.shape[1:] for y in ys] == [(2, *x.shape[2:]), (2, *other.shape[2:])]
-        assert [y.dtype for y in ys] == [x.dtype, other.dtype]
 
 
 def test_conv2d_counter_formula():
@@ -1108,7 +1198,7 @@ def _fresh_rescale_reference(layers, x, m):
 @pytest.mark.parametrize("kind", ["conv", "linear"])
 def test_lut_outputs_equal_a_rescale_into_a_fresh_array(kind, n_layers, dtype, table):
     layers, x = _affine_group(kind, n_layers, dtype)
-    ys = [y for (y,) in _Affine.forward_group(layers, [x], RunContext(multiplier=TABLES[table]))]
+    ys = _Affine.forward_group(layers, x, RunContext(multiplier=TABLES[table]))
     want = _fresh_rescale_reference(layers, x, TABLES[table])
     for got, y in zip(ys, want, strict=True):
         assert got.dtype == y.dtype == dtype and got.shape == y.shape
@@ -1127,7 +1217,7 @@ def test_float32_outputs_of_a_group_are_slices_of_the_lut_calls_own_sums(monkeyp
     for dtype in (np.float32, np.float64):
         returned.clear()
         layers, x = _affine_group(kind, 3, dtype)
-        ys = [y for (y,) in _Affine.forward_group(layers, [x], RunContext(multiplier=EXACT))]
+        ys = _Affine.forward_group(layers, x, RunContext(multiplier=EXACT))
         assert len(returned) == 1 and returned[0].dtype == np.int32
         # a float64 output is wider than its int32 sums: a fresh buffer
         assert all(np.shares_memory(y, returned[0]) == (dtype == np.float32) for y in ys)

@@ -131,11 +131,13 @@ def test_a_rerun_into_the_same_out_replaces_every_output(tmp_path, capsys, comma
         assert json.loads(_tree(out)["run.json"])["pretrain"] == {"dense": pretrain,
                                                                  "hard": pretrain}
         assert _comparable(_tree(out)) == _comparable(_tree(tmp_path / f"fresh{seed}"))
-        # the rerun put new files in place: every link still holds the old bytes
+        # the rerun put new files in place: every link still holds the old
+        # bytes; a reused checkpoint that holds this run's meta is left alone
         for name, blob in before.items():
             link = links / f"{seed}_{name.replace('/', '_')}"
             assert link.read_bytes() == blob, name
-            assert not os.path.samefile(link, out / name), name
+            kept = pretrain == "reused" and name.startswith("ckpt_")
+            assert os.path.samefile(link, out / name) == kept, name
         assert not list(out.rglob("*.tmp"))
     # seed 1 wrote other bytes, so the links above tell a rewrite from a replacement
     assert all(_tree(out)[name] != first[name] for name in first if name != "pareto.dat")

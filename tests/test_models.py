@@ -223,19 +223,25 @@ def test_every_layer_backward_takes_the_input_grad_flag():
         signature.bind(None, "dy", input_grad=False)  # by name, as the MoE dispatch does
 
 
-def test_every_layer_defines_a_forward_and_takes_a_list_of_batches():
+def test_every_layer_defines_one_forward_that_takes_batch_sizes():
     layers = {cls for module in (engine, moe)
               for _, cls in inspect.getmembers(module, inspect.isclass)
               if issubclass(cls, Layer) and cls is not Layer and cls.__module__ == module.__name__}
     assert {"ReLU", "AvgPool2d", "Flatten", "Conv2d", "Linear", "Model", "MoELayer",
             "ClusterModel"} <= {cls.__name__ for cls in layers}
+    for cls in {*layers, Layer}:
+        assert "forward_batches" not in dir(cls), cls.__name__
     for cls in layers:
-        # each of Layer's two defaults runs the other: a class must break the cycle
+        # Layer's forward raises: each class below it defines its own
         own = cls.__mro__[: cls.__mro__.index(Layer)]
-        assert any({"forward", "forward_batches"} & set(vars(c)) for c in own), cls.__name__
-        signature = inspect.signature(cls.forward_batches)
-        signature.bind(None, [], RunContext())  # positional, as Model.forward_batches passes it
-        signature.bind(None, xs=[], ctx=RunContext())  # by name
+        assert sum("forward" in vars(c) for c in own) == 1, cls.__name__
+        signature = inspect.signature(cls.forward)
+        assert signature.parameters["sizes"].default is None
+        # positional, as Model.forward passes it (perfbench reads the context
+        # as the third argument), and by name
+        signature.bind(None, "x", RunContext(), (1, 2))
+        signature.bind(None, x="x", ctx=RunContext(), sizes=None)
+        signature.bind(None, "x", RunContext())
 
 
 @pytest.mark.parametrize("variant", ["hard", "soft"])

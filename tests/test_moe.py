@@ -540,9 +540,7 @@ def test_the_blocked_mix_equals_each_gated_output_added_whole(monkeypatch, mode,
         gate = rng.random((n, 3)).astype(np.float32)
         gate[::7], gate[3::7] = 0.0, -0.0  # times a negative output: -0.0
     ctx = RunContext(multiplier=builtin_multiplier("trunc2"))
-    outs, (y,) = _mix([x], [picks], units, ctx, "mix.expert", gate if gate is None else [gate],
-                      mode == "soft_grouped")
-    outs = [out for (out,) in outs]
+    outs, y = _mix(x, None, picks, units, ctx, "mix.expert", gate, mode == "soft_grouped")
     assert (outs[2] is None) == (mode in ("hard", "cluster"))
     want = _whole_output_mix(n, picks, outs, gate)
     assert y.dtype == want.dtype == np.float32 and y.tobytes() == want.tobytes()

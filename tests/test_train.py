@@ -233,13 +233,13 @@ def test_evaluate_quantizes_each_layers_weights_once_per_pass(variant):
 def _evaluated_logits(model, x, y):
     """The logits evaluate computes under the full-rank table, in order."""
     seen = []
-    forward_batches = model.forward_batches
+    forward = model.forward
 
-    def record(xs, ctx):
-        seen.extend(forward_batches(xs, ctx))
-        return seen[-len(xs):]
+    def record(x, ctx, sizes):
+        seen.append(forward(x, ctx, sizes))
+        return seen[-1]
 
-    with mock.patch.object(model, "forward_batches", side_effect=record):
+    with mock.patch.object(model, "forward", side_effect=record):
         evaluate(model, x, y, FULL_RANK, batch_size=8)
     return np.concatenate(seen)
 
@@ -375,28 +375,30 @@ def _alone(model, x, table, batch_size):
 
 def _grouped(model, x, y, table, batch_size):
     """evaluate's top-1, the logits it computed, its context, and the
-    batch sizes of each list it passed the model."""
+    batch sizes of each array it passed the model."""
     made, seen, lists = [], [], []
-    forward_batches = model.forward_batches
+    forward = model.forward
 
     def context(**kwargs):
         made.append(RunContext(**kwargs))
         return made[-1]
 
-    def record(xs, ctx):
-        lists.append([len(xb) for xb in xs])
-        seen.extend(forward_batches(xs, ctx))
-        return seen[-len(xs):]
+    def record(x, ctx, sizes):
+        assert sum(sizes) == len(x)
+        lists.append(list(sizes))
+        seen.append(forward(x, ctx, sizes))
+        return seen[-1]
 
     with mock.patch.object(train, "RunContext", side_effect=context), \
-            mock.patch.object(model, "forward_batches", side_effect=record):
+            mock.patch.object(model, "forward", side_effect=record):
         top1 = evaluate(model, x, y, table, batch_size=batch_size)
     assert len(made) == 1
     return top1, np.concatenate(seen), made[0], lists
 
 
 # A hard toy_mlp whose routing splits batches of 3: some expert gets no row
-# of some batch but rows of others, so the group runs it on a sublist.
+# of some batch but rows of others, so the group runs it on its rows of the
+# other batches only.
 @example(arch="toy_mlp", variant="hard", table="trunc4", batch_size=3, n=40)
 @example(arch="toy_mlp", variant="hard", table="full_rank", batch_size=3, n=40)
 # Batches of 8 toy_mlp images each gather (N = 8 rows against codes 0..127),
@@ -419,7 +421,7 @@ def test_grouped_evaluation_equals_each_batch_run_alone(arch, variant, table, ba
     assert got.tobytes() == want.tobytes()
     assert ctx.counters == counters and ctx.routed == routed
     assert top1 == float(np.mean(np.argmax(want, axis=1) == y))
-    # consecutive batches of batch_size, the last one ragged, in lists of
+    # consecutive batches of batch_size, the last one ragged, in arrays of
     # as many batches as fit in EVAL_GROUP samples, and at least one
     per_list = max(1, train.EVAL_GROUP // batch_size)
     sizes = [min(batch_size, n - start) for start in range(0, n, batch_size)]
@@ -436,34 +438,36 @@ def test_grouped_evaluation_equals_each_batch_run_alone(arch, variant, table, ba
 def _three_batches(arch, variant):
     model = _group_model(arch, variant)
     x, _ = _group_set(arch, 24)
-    return model, [x[:8], x[8:16], x[16:]]
+    return model, x, (8, 8, 8)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("arch", sorted(GROUP_ARCHS))
 def test_a_bad_batch_anywhere_in_a_group_fails_typed_before_any_layer_runs(arch, variant):
-    model, xs = _three_batches(arch, variant)
+    model, x, sizes = _three_batches(arch, variant)
     name = GROUP_ARCHS[arch].name
-    bad = {"non-finite": (NumericError, f"^{name}: input contains non-finite values"),
-           "empty": (ParameterError, f"^{name}: empty batch"),
-           "misshapen": (ParameterError, rf"^{name}: input \(8, 64\) is not \(N, "),
-           "integer": (ParameterError, f"^{name}: input must be floating point")}
-    for what, (error, message) in bad.items():
-        group = list(xs)
-        if what == "non-finite":
-            group[2] = group[2].copy()
-            group[2].flat[5] = np.nan
-        elif what == "empty":
-            group[2] = group[2][:0]
-        elif what == "misshapen":
-            group[2] = group[2].reshape(8, 64)
-        else:
-            group[2] = group[2].astype(np.int64)
+    nan_in = []
+    for batch in range(3):
+        bad = x.copy()
+        bad[8 * batch].flat[5] = np.nan
+        nan_in.append((bad, sizes, NumericError, f"^{name}: input contains non-finite values"))
+    cases = [*nan_in,
+             (x, (8, 0, 16), ParameterError, f"^{name}: empty batch"),
+             (x[:0], None, ParameterError, f"^{name}: empty batch"),
+             (x, (8, 8, 7), ParameterError,
+              rf"^{name}: batch sizes \(8, 8, 7\) do not split 24 samples"),
+             (x, (8, 8, 9, -1), ParameterError, rf"^{name}: batch sizes \(8, 8, 9, -1\) do not"),
+             (x.reshape(24, 64), sizes, ParameterError, rf"^{name}: input \(24, 64\) is not \(N, "),
+             (x.astype(np.int64), sizes, ParameterError, f"^{name}: input must be floating point")]
+    for bad, bad_sizes, error, message in cases:
         for mul in (None, FULL_RANK):
             with mock.patch.object(engine, "quantize", wraps=engine.quantize) as quantize, \
+                    mock.patch.object(engine, "quantize_segments",
+                                      wraps=engine.quantize_segments) as segments, \
+                    mock.patch.object(model.layers[0], "forward") as first, \
                     pytest.raises(error, match=message):
-                model.forward_batches(group, RunContext(multiplier=mul))
-            assert not quantize.called, what
+                model.forward(bad, RunContext(multiplier=mul), bad_sizes)
+            assert not (quantize.called or segments.called or first.called), message
 
 
 def test_a_non_finite_sample_in_a_later_batch_of_a_group_fails_evaluate():
@@ -476,9 +480,10 @@ def test_a_non_finite_sample_in_a_later_batch_of_a_group_fails_evaluate():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_a_training_context_takes_one_batch(variant):
-    model, xs = _three_batches("toy_cnn", variant)
+    model, x, sizes = _three_batches("toy_cnn", variant)
     for mul in (None, FULL_RANK):
         with pytest.raises(ParameterError, match="a training pass takes one batch, got 3"):
-            model.forward_batches(xs, RunContext(multiplier=mul, train=True))
-        # one batch is a training step
-        assert len(model.forward_batches(xs[:1], RunContext(multiplier=mul, train=True))) == 1
+            model.forward(x, RunContext(multiplier=mul, train=True), sizes)
+        # one batch is a training step, with its size given or not
+        for one in (None, (8,)):
+            assert len(model.forward(x[:8], RunContext(multiplier=mul, train=True), one)) == 8
